@@ -1,5 +1,5 @@
 // Sharded pipeline — K-shard SFC domain decomposition with local
-// essential trees (DESIGN.md, "Sharding & local essential trees").
+// essential trees (DESIGN.md, "Step engine").
 //
 // Runs the M31 workload through ShardedSimulation for K in {1, 2, 4} on
 // a fixed rebuild cadence and reports per-shard busy time, the

@@ -1,5 +1,5 @@
 // Local essential trees (LETs) for the sharded pipeline (DESIGN.md,
-// "Sharding & local essential trees").
+// "Step engine").
 //
 // A destination shard's walk examines a remote (source-owned) tree node
 // only if the walk opened every ancestor down to it; whether a group

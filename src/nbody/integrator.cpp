@@ -12,12 +12,6 @@ double required_dt(double eta, double eps, double amag) {
   return eta * std::sqrt(eps / amag);
 }
 
-void predict_positions(const Particles& p, const BlockTimeSteps& steps,
-                       std::span<real> px, std::span<real> py,
-                       std::span<real> pz, simt::OpCounts* ops) {
-  predict_positions_range(p, steps, px, py, pz, 0, p.size(), ops);
-}
-
 void predict_positions_range(const Particles& p, const BlockTimeSteps& steps,
                              std::span<real> px, std::span<real> py,
                              std::span<real> pz, std::size_t begin,
@@ -45,17 +39,6 @@ void predict_positions_range(const Particles& p, const BlockTimeSteps& steps,
     ops->bytes_store += un * 3 * sizeof(real);
     ops->int_ops += un * 2;
   }
-}
-
-void correct_active(Particles& p, BlockTimeSteps& steps,
-                    std::span<const real> px, std::span<const real> py,
-                    std::span<const real> pz, std::span<const real> ax_new,
-                    std::span<const real> ay_new,
-                    std::span<const real> az_new,
-                    std::span<const real> pot_new, double eta, double eps,
-                    simt::OpCounts* ops) {
-  correct_active_range(p, steps, px, py, pz, ax_new, ay_new, az_new, pot_new,
-                       eta, eps, 0, p.size(), ops);
 }
 
 void correct_active_range(Particles& p, BlockTimeSteps& steps,

@@ -21,35 +21,21 @@ namespace gothic::nbody {
 /// Required time step from the acceleration criterion.
 [[nodiscard]] double required_dt(double eta, double eps, double amag);
 
-/// Predict every particle's position to the current block time. Outputs
-/// go to (px,py,pz); untouched inputs stay valid for the corrector.
-void predict_positions(const Particles& p, const BlockTimeSteps& steps,
-                       std::span<real> px, std::span<real> py,
-                       std::span<real> pz, simt::OpCounts* ops = nullptr);
-
-/// Correct the fired particles: finalize position from the prediction,
-/// kick the velocity with the trapezoidal acceleration, store the new
-/// acceleration/potential, refresh aold_mag and the time-step level.
-/// (ax_new .. pot_new) hold the walk results at predicted positions.
-void correct_active(Particles& p, BlockTimeSteps& steps,
-                    std::span<const real> px, std::span<const real> py,
-                    std::span<const real> pz, std::span<const real> ax_new,
-                    std::span<const real> ay_new,
-                    std::span<const real> az_new,
-                    std::span<const real> pot_new, double eta, double eps,
-                    simt::OpCounts* ops = nullptr);
-
-/// predict_positions restricted to particles [begin, end) — the sharded
-/// pipeline predicts each shard's contiguous body slice on that shard's
-/// device. Spans still cover the full arrays; per-particle arithmetic is
-/// identical to predict_positions, so slice sweeps compose bit-exactly.
+/// Predict the positions of particles [begin, end) to the current block
+/// time. Outputs go to (px,py,pz); untouched inputs stay valid for the
+/// corrector. Spans cover the full arrays and the arithmetic is
+/// per-particle, so the step engine's per-shard slices compose
+/// bit-exactly.
 void predict_positions_range(const Particles& p, const BlockTimeSteps& steps,
                              std::span<real> px, std::span<real> py,
                              std::span<real> pz, std::size_t begin,
                              std::size_t end, simt::OpCounts* ops = nullptr);
 
-/// correct_active restricted to particles [begin, end); same contract as
-/// predict_positions_range.
+/// Correct the fired particles of [begin, end): finalize position from
+/// the prediction, kick the velocity with the trapezoidal acceleration,
+/// store the new acceleration/potential, refresh aold_mag and the
+/// time-step level. (ax_new .. pot_new) hold the walk results at
+/// predicted positions; same slicing contract as predict_positions_range.
 void correct_active_range(Particles& p, BlockTimeSteps& steps,
                           std::span<const real> px, std::span<const real> py,
                           std::span<const real> pz,

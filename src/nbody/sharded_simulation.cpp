@@ -1,7 +1,8 @@
-#include "nbody/sharded_simulation.hpp"
+#include "nbody/simulation.hpp"
 
 #include "nbody/integrator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -10,18 +11,20 @@
 
 namespace gothic::nbody {
 
-/// One shard: a device with its own worker pool and streams, a contiguous
-/// body/group range of the global decomposition, the node ranges it owns,
-/// and a NaN-poisoned view of the tree (geometry + positions) holding
-/// exactly what its walk is entitled to read: its own cells and bodies,
-/// the replicated top cells, and the imported LETs.
+/// One shard: a device (or the ambient one), its streams and sink, a
+/// contiguous body/group range of the global decomposition, the node
+/// ranges it owns, the events of the step in flight and — with imports —
+/// a NaN-poisoned view of the tree (geometry + positions) holding exactly
+/// what its walk is entitled to read: its own cells and bodies, the
+/// replicated top cells, and the imported LETs.
 struct ShardedSimulation::Shard {
   int id = 0;
-  /// Stream names ("shardK/tree", "shardK/integrate") — per-shard trace
-  /// tracks fall out of the stream-name keyed trace writer. Streams hold
-  /// a const char* into these strings; Shard objects are never moved.
+  /// Stream names — per-shard trace tracks fall out of the stream-name
+  /// keyed trace writer. Streams hold a const char* into these strings;
+  /// Shard objects are never moved.
   std::string tree_name;
   std::string integrate_name;
+  /// Null for a Simulation's shard, which runs on Device::current().
   std::unique_ptr<runtime::Device> dev;
   runtime::InstrumentationSink sink;
   runtime::Stream tree_stream;
@@ -35,8 +38,8 @@ struct ShardedSimulation::Shard {
   std::vector<octree::NodeRange> owned;
   std::size_t owned_count = 0;
 
-  // The shard's tree view: topology copied from the global tree at each
-  // rebuild, geometry re-poisoned and re-imported every step.
+  // The shard's tree view (imports only): topology copied from the global
+  // tree at each rebuild, geometry re-poisoned and re-imported every step.
   octree::Octree view;
   std::vector<real> vx, vy, vz;
 
@@ -46,13 +49,63 @@ struct ShardedSimulation::Shard {
   gravity::WalkStats stats;
   std::uint64_t let_cells = 0;  ///< cells imported this step (all sources)
   std::uint64_t let_bodies = 0; ///< bodies imported this step
+  /// Events of the step in flight; null where the shard skipped a launch.
+  runtime::Event e_pred, e_calc, e_let, e_walk;
+
+  [[nodiscard]] runtime::Device& device() const {
+    return dev ? *dev : runtime::Device::current();
+  }
+
+  /// A launch on one of this shard's streams, recording into its sink.
+  runtime::LaunchDesc desc(Kernel kernel, const char* label,
+                           std::size_t items, runtime::Stream& stream) {
+    runtime::LaunchDesc d;
+    d.kernel = kernel;
+    d.label = label;
+    d.items = items;
+    d.stream = &stream;
+    d.sink = &sink;
+    return d;
+  }
+
+  /// Rule 1: an event of this shard's device becomes a device-side
+  /// dependency of `d`; another device's event is waited for here, on
+  /// the host — events cannot cross devices.
+  void depend(runtime::LaunchDesc& d, runtime::Event e) const {
+    if (!e.valid()) return;
+    if (e.device != &device()) {
+      e.wait();
+      return;
+    }
+    for (runtime::Event& slot : d.deps) {
+      if (!slot.valid()) {
+        slot = e;
+        return;
+      }
+    }
+    throw std::logic_error(std::string("ShardedSimulation: '") + d.label +
+                           "' has more same-device dependencies than slots");
+  }
 };
 
 ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
                                      ShardOptions opt)
-    : particles_(std::move(particles)), cfg_(cfg),
-      steps_(cfg.dt_max, cfg.block_time_steps ? cfg.max_level : 0),
-      policy_(cfg.policy) {
+    : ShardedSimulation(std::move(particles), std::move(cfg), opt, false) {}
+
+ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
+                                     AmbientDevice)
+    : ShardedSimulation(std::move(particles), std::move(cfg), ShardOptions{},
+                        true) {}
+
+Simulation::Simulation(Particles particles, SimConfig cfg)
+    : ShardedSimulation(std::move(particles), std::move(cfg),
+                        AmbientDevice{}) {}
+
+ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
+                                     ShardOptions opt, bool ambient)
+    : particles_(std::move(particles)), cfg_(std::move(cfg)),
+      steps_(cfg_.dt_max, cfg_.block_time_steps ? cfg_.max_level : 0),
+      policy_(cfg_.policy) {
   if (particles_.size() == 0) {
     throw std::invalid_argument("ShardedSimulation: empty particle set");
   }
@@ -60,13 +113,9 @@ ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
     throw std::invalid_argument("ShardedSimulation: need at least one shard");
   }
   const std::size_t n = particles_.size();
-  px_.resize(n);
-  py_.resize(n);
-  pz_.resize(n);
-  nax_.resize(n);
-  nay_.resize(n);
-  naz_.resize(n);
-  npot_.resize(n);
+  for (std::vector<real>* v : {&px_, &py_, &pz_, &nax_, &nay_, &naz_, &npot_}) {
+    v->resize(n);
+  }
 
   // Flight recorder before the first launch, so the bootstrap DAG is
   // already on the ring if it faults. It heads the listener chain.
@@ -79,52 +128,51 @@ ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
   for (int s = 0; s < opt.shards; ++s) {
     auto sh = std::make_unique<Shard>();
     sh->id = s;
-    sh->tree_name = cfg_.stream_prefix + "shard" + std::to_string(s) + "/tree";
-    sh->integrate_name =
-        cfg_.stream_prefix + "shard" + std::to_string(s) + "/integrate";
+    const std::string base =
+        cfg_.stream_prefix +
+        (opt.shards > 1 ? "shard" + std::to_string(s) + "/" : "");
+    sh->tree_name = base + "tree";
+    sh->integrate_name = base + "integrate";
     sh->tree_stream = runtime::Stream(sh->tree_name.c_str());
     sh->integrate_stream = runtime::Stream(sh->integrate_name.c_str());
-    sh->dev =
-        std::make_unique<runtime::Device>(opt.workers, opt.async, opt.lanes);
+    if (!ambient) {
+      sh->dev =
+          std::make_unique<runtime::Device>(opt.workers, opt.async, opt.lanes);
+    }
     shards_.push_back(std::move(sh));
   }
 
-  // Bootstrap mirrors Simulation's constructor on shard 0's device, so the
-  // post-construction state is bit-identical to an unsharded Simulation
-  // for every K.
   try {
-    launch_build();
-    launch_permute(false).wait();
-    ++rebuilds_;
-    bootstrap_forces();
+    launch_rebuild(false).wait();
+    whole_tree_forces(true);
   } catch (...) {
-    dump_flight("ShardedSimulation bootstrap error");
-    throw;
+    fail(std::current_exception(), "ShardedSimulation bootstrap error");
   }
   policy_.record_rebuild(step_make_seconds());
-  absorb_records(*shards_[0]);
+  deliver(nullptr);
 
+  // Assign initial block levels from the bootstrap accelerations.
   std::vector<double> dt_req(n);
   for (std::size_t i = 0; i < n; ++i) {
     dt_req[i] = required_dt(cfg_.eta, cfg_.walk.eps, particles_.aold_mag[i]);
   }
   steps_.initialize(dt_req);
-
-  scatter_body_cost();
   refresh_partition();
 }
 
 ShardedSimulation::~ShardedSimulation() = default;
+ShardedSimulation::ShardedSimulation(ShardedSimulation&&) noexcept = default;
+ShardedSimulation& ShardedSimulation::operator=(ShardedSimulation&&) noexcept =
+    default;
 
 runtime::Device& ShardedSimulation::shard_device(int s) {
   if (s < 0 || s >= shard_count()) {
     throw std::out_of_range("ShardedSimulation: shard index out of range");
   }
-  return *shards_[static_cast<std::size_t>(s)]->dev;
+  return shards_[static_cast<std::size_t>(s)]->device();
 }
 
-const runtime::InstrumentationSink& ShardedSimulation::shard_sink(
-    int s) const {
+const runtime::InstrumentationSink& ShardedSimulation::sink(int s) const {
   if (s < 0 || s >= shard_count()) {
     throw std::out_of_range("ShardedSimulation: shard index out of range");
   }
@@ -139,67 +187,60 @@ void ShardedSimulation::permute_scratch(std::vector<real>& v) {
   v.swap(permute_buf_);
 }
 
-void ShardedSimulation::permute_cost() {
-  if (body_cost_.size() != particles_.size()) return;
-  cost_buf_.resize(body_cost_.size());
-  for (std::size_t i = 0; i < body_cost_.size(); ++i) {
-    cost_buf_[i] = body_cost_[perm_[i]];
-  }
-  body_cost_.swap(cost_buf_);
-}
-
-runtime::Event ShardedSimulation::launch_build() {
+runtime::Event ShardedSimulation::launch_rebuild(bool with_pred) {
   Shard& c = *shards_[0];
-  runtime::LaunchDesc desc;
-  desc.kernel = Kernel::MakeTree;
-  desc.label = "makeTree";
-  desc.items = particles_.size();
-  desc.stream = &c.tree_stream;
-  desc.sink = &c.sink;
-  return c.dev->launch(desc, [this](simt::OpCounts& ops) {
-    octree::build_tree(particles_.x, particles_.y, particles_.z, tree_, perm_,
-                       cfg_.build, &ops);
-  });
-}
+  runtime::Device& dev = c.device();
+  const std::size_t n = particles_.size();
 
-runtime::Event ShardedSimulation::launch_permute(bool with_pred) {
-  // Caller contract: every shard's predict has completed (host-side wait)
-  // — the permute rewrites the particle state and the predicted
-  // positions, and cross-device ordering is host-side by design.
-  Shard& c = *shards_[0];
-  runtime::LaunchDesc jd;
-  jd.kernel = Kernel::MakeTree;
-  jd.label = "makeTree(permute)";
-  jd.items = particles_.size();
-  jd.stream = &c.tree_stream;
-  jd.sink = &c.sink;
-  return c.dev->launch(jd, [this, with_pred](simt::OpCounts& ops) {
-    (void)ops;
-    particles_.apply_permutation(perm_);
-    if (steps_.size() == particles_.size()) steps_.apply_permutation(perm_);
-    if (with_pred) {
-      permute_scratch(px_);
-      permute_scratch(py_);
-      permute_scratch(pz_);
-    }
-    permute_cost();
-    groups_ = gravity::walk_groups(tree_, particles_.x, particles_.y,
-                                   particles_.z);
-    group_active_.assign(groups_.size(), 1);
-    // Per-group cost from the permuted per-body costs: the partition's
-    // cost signal survives the reorder. (Uniform at bootstrap, before any
-    // walk has measured anything.)
-    group_cost_.assign(groups_.size(), 1.0);
-    if (body_cost_.size() == particles_.size()) {
-      for (std::size_t g = 0; g < groups_.size(); ++g) {
-        double sum = 0.0;
-        const std::size_t lo = groups_[g].first;
-        const std::size_t hi = lo + groups_[g].count;
-        for (std::size_t i = lo; i < hi; ++i) sum += body_cost_[i];
-        group_cost_[g] = sum;
-      }
-    }
-  });
+  // Build: read-only on the particle state, so it overlaps the predict
+  // launches drifting the same particles on the integration streams.
+  dev.launch(c.desc(Kernel::MakeTree, "makeTree", n, c.tree_stream),
+             [this](simt::OpCounts& ops) {
+               octree::build_tree(particles_.x, particles_.y, particles_.z,
+                                  tree_, perm_, cfg_.build, &ops);
+             });
+
+  // Permute: the join of the streams. It reorders the particle state
+  // (which predict reads) and the predicted positions (which predict
+  // writes), so it waits for every shard's predict; elementwise
+  // prediction commutes with the permutation, so the result is identical
+  // to predicting after the reorder.
+  runtime::LaunchDesc jd =
+      c.desc(Kernel::MakeTree, "makeTree(permute)", n, c.tree_stream);
+  for (const auto& sh : shards_) c.depend(jd, sh->e_pred);
+  const runtime::Event e_perm =
+      dev.launch(jd, [this, with_pred](simt::OpCounts&) {
+        particles_.apply_permutation(perm_);
+        if (steps_.size() == particles_.size()) steps_.apply_permutation(perm_);
+        if (with_pred) {
+          permute_scratch(px_);
+          permute_scratch(py_);
+          permute_scratch(pz_);
+        }
+        // Carry the measured costs through the reorder: spread over the
+        // bodies of the old groups, permuted, summed per new group
+        // (uniform before the bootstrap walk has measured anything).
+        body_cost_.assign(perm_.size(), 1.0);
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+          const double per =
+              group_cost_[g] / static_cast<double>(groups_[g].count);
+          std::fill_n(body_cost_.begin() + groups_[g].first,
+                      groups_[g].count, per);
+        }
+        groups_ = gravity::walk_groups(tree_, particles_.x, particles_.y,
+                                       particles_.z);
+        group_active_.assign(groups_.size(), 1);
+        group_cost_.assign(groups_.size(), 0.0);
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+          const std::size_t lo = groups_[g].first;
+          for (std::size_t i = lo; i < lo + groups_[g].count; ++i) {
+            group_cost_[g] += body_cost_[perm_[i]];
+          }
+        }
+      });
+  ++rebuilds_;
+  steps_since_rebuild_ = 0;
+  return e_perm;
 }
 
 double ShardedSimulation::step_make_seconds() const {
@@ -216,55 +257,48 @@ double ShardedSimulation::step_make_seconds() const {
   return s;
 }
 
-void ShardedSimulation::bootstrap_forces() {
+void ShardedSimulation::whole_tree_forces(bool bootstrap) {
   Shard& c = *shards_[0];
+  runtime::Device& dev = c.device();
+  dev.launch(c.desc(Kernel::CalcNode,
+                    bootstrap ? "calcNode(bootstrap)" : "calcNode(refresh)",
+                    tree_.num_nodes(), c.tree_stream),
+             [this](simt::OpCounts& ops) {
+               octree::calc_node(tree_, particles_.x, particles_.y,
+                                 particles_.z, particles_.m, cfg_.calc, &ops);
+             });
 
-  runtime::LaunchDesc cd;
-  cd.kernel = Kernel::CalcNode;
-  cd.label = "calcNode(bootstrap)";
-  cd.items = tree_.num_nodes();
-  cd.stream = &c.tree_stream;
-  cd.sink = &c.sink;
-  c.dev->launch(cd, [this](simt::OpCounts& ops) {
-    octree::calc_node(tree_, particles_.x, particles_.y, particles_.z,
-                      particles_.m, cfg_.calc, &ops);
-  });
-
-  gravity::WalkConfig boot = cfg_.walk;
-  boot.mac.type = gravity::MacType::OpeningAngle;
-  boot.mac.theta = real(0.7);
-  gravity::GroupCosts boot_costs;
-  runtime::LaunchDesc wd;
-  wd.kernel = Kernel::WalkTree;
-  wd.label = "walkTree(bootstrap)";
-  wd.items = particles_.size();
-  wd.stream = &c.tree_stream;
-  wd.sink = &c.sink;
-  c.dev->launch(wd, [this, &boot, &boot_costs](simt::OpCounts& ops) {
-    gravity::walk_tree(tree_, particles_.x, particles_.y, particles_.z,
-                       particles_.m, {}, boot, particles_.ax, particles_.ay,
-                       particles_.az, particles_.pot, &ops, nullptr, {},
-                       groups_, &boot_costs);
-  });
-  c.dev->synchronize();
-  // The bootstrap's measured per-group costs seed the first partition.
-  group_cost_ = std::move(boot_costs.cost);
+  // The bootstrap has no previous acceleration, so Eq. 2 is unusable:
+  // GOTHIC seeds with a geometric criterion. It walks the rebuild's
+  // groups, so its measured per-group costs seed the first partition.
+  gravity::WalkConfig walk = cfg_.walk;
+  std::span<const real> aold = particles_.aold_mag;
+  std::span<const gravity::GroupSpan> groups;
+  gravity::GroupCosts costs;
+  if (bootstrap) {
+    walk.mac.type = gravity::MacType::OpeningAngle;
+    walk.mac.theta = real(0.7);
+    aold = {};
+    groups = groups_;
+  }
+  dev.launch(c.desc(Kernel::WalkTree,
+                    bootstrap ? "walkTree(bootstrap)" : "walkTree(refresh)",
+                    particles_.size(), c.tree_stream),
+             [&](simt::OpCounts& ops) {
+               gravity::walk_tree(tree_, particles_.x, particles_.y,
+                                  particles_.z, particles_.m, aold, walk,
+                                  particles_.ax, particles_.ay, particles_.az,
+                                  particles_.pot, &ops, nullptr, {}, groups,
+                                  bootstrap ? &costs : nullptr);
+             });
+  dev.synchronize();
+  if (!bootstrap) return;
+  group_cost_ = std::move(costs.cost);
   for (std::size_t i = 0; i < particles_.size(); ++i) {
     particles_.aold_mag[i] = std::sqrt(
         particles_.ax[i] * particles_.ax[i] +
         particles_.ay[i] * particles_.ay[i] +
         particles_.az[i] * particles_.az[i]);
-  }
-}
-
-void ShardedSimulation::scatter_body_cost() {
-  body_cost_.assign(particles_.size(), 1.0);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const std::size_t lo = groups_[g].first;
-    const std::size_t count = groups_[g].count;
-    if (count == 0) continue;
-    const double per = group_cost_[g] / static_cast<double>(count);
-    for (std::size_t i = lo; i < lo + count; ++i) body_cost_[i] = per;
   }
 }
 
@@ -282,6 +316,7 @@ void ShardedSimulation::refresh_partition() {
         gb < groups_.size() ? groups_[gb].first : static_cast<index_t>(n);
   }
 
+  // Nodes straddling a shard boundary (none with one shard).
   top_ = octree::top_node_ranges(tree_, body_bounds_);
   top_count_ = 0;
   top_leaf_.clear();
@@ -298,30 +333,31 @@ void ShardedSimulation::refresh_partition() {
   // calc_node_ranges sweeps must never reallocate shared storage.
   octree::prepare_quadrupole(tree_, cfg_.calc.compute_quadrupole);
 
-  for (int s = 0; s < k; ++s) {
-    Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    sh.body_begin = body_bounds_[static_cast<std::size_t>(s)];
-    sh.body_end = body_bounds_[static_cast<std::size_t>(s) + 1];
-    sh.group_begin = group_bounds_[static_cast<std::size_t>(s)];
-    sh.group_end = group_bounds_[static_cast<std::size_t>(s) + 1];
-    sh.owned = octree::owned_node_ranges(tree_, body_bounds_, s);
+  for (const auto& shp : shards_) {
+    Shard& sh = *shp;
+    const auto s = static_cast<std::size_t>(sh.id);
+    sh.body_begin = body_bounds_[s];
+    sh.body_end = body_bounds_[s + 1];
+    sh.group_begin = group_bounds_[s];
+    sh.group_end = group_bounds_[s + 1];
+    sh.owned = octree::owned_node_ranges(tree_, body_bounds_, sh.id);
     sh.owned_count = 0;
     for (const octree::NodeRange& r : sh.owned) {
       sh.owned_count += r.end - r.begin;
     }
-    sh.view = tree_; // topology + sized geometry arrays
-    sh.vx.resize(n);
-    sh.vy.resize(n);
-    sh.vz.resize(n);
-    const std::size_t gcount = sh.group_end - sh.group_begin;
     sh.costs.cost.assign(group_cost_.begin() +
                              static_cast<std::ptrdiff_t>(sh.group_begin),
                          group_cost_.begin() +
                              static_cast<std::ptrdiff_t>(sh.group_end));
-    sh.costs.weights.assign(gcount, 1.0);
+    sh.costs.weights.assign(sh.group_end - sh.group_begin, 1.0);
     sh.costs.last_imbalance = 0.0;
-    sh.imports.resize(static_cast<std::size_t>(k));
-    sh.bounds = gravity::LetBounds{};
+    if (imports()) {
+      sh.view = tree_; // topology + sized geometry arrays
+      sh.vx.resize(n);
+      sh.vy.resize(n);
+      sh.vz.resize(n);
+      sh.imports.resize(static_cast<std::size_t>(k));
+    }
   }
 }
 
@@ -408,123 +444,128 @@ void ShardedSimulation::let_import(Shard& sh) {
   }
 }
 
-void ShardedSimulation::absorb_records(const Shard& sh) {
-  for (const runtime::LaunchRecord& rec : sh.sink.step_records()) {
-    timers_.add(rec.kernel, rec.seconds);
-    ops_[static_cast<std::size_t>(rec.kernel)] += rec.ops;
-  }
-}
-
-void ShardedSimulation::dump_flight(const std::string& reason) {
-  if (!flight_) return;
-  // An aborted phase's records never reached the listener chain (records
-  // are forwarded only after a successful step), so backfill the shard
-  // sinks into the ring — record_only keeps the downstream listener out
-  // of the error path — then dump the incident.
-  for (auto& sh : shards_) {
+void ShardedSimulation::deliver(const runtime::StepMark* mark) {
+  for (const auto& sh : shards_) {
     for (const runtime::LaunchRecord& rec : sh->sink.step_records()) {
-      flight_->record_only(rec);
+      timers_.add(rec.kernel, rec.seconds);
+      ops_[static_cast<std::size_t>(rec.kernel)] += rec.ops;
+      if (listener_ != nullptr) listener_->on_record(rec);
     }
   }
-  flight_->dump(reason);
+  if (listener_ != nullptr && mark != nullptr) listener_->on_step(*mark);
+}
+
+std::exception_ptr ShardedSimulation::join() {
+  std::exception_ptr first;
+  for (const auto& sh : shards_) {
+    try {
+      sh->device().synchronize();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  return first;
+}
+
+void ShardedSimulation::fail(std::exception_ptr err,
+                             const std::string& reason) {
+  (void)join(); // the devices' own errors are secondary to `err`
+  if (flight_) {
+    // The aborted phase's records never reached the listener chain:
+    // backfill them into the ring — record_only keeps the downstream
+    // listener out of the error path — then dump the incident.
+    for (const auto& sh : shards_) {
+      for (const runtime::LaunchRecord& rec : sh->sink.step_records()) {
+        flight_->record_only(rec);
+      }
+    }
+    flight_->dump(reason);
+  }
+  std::rethrow_exception(err);
 }
 
 StepReport ShardedSimulation::step() {
   StepReport report;
-  const int k = shard_count();
-  for (auto& sh : shards_) {
+  for (const auto& sh : shards_) {
     sh->sink.begin_step();
     sh->stats = gravity::WalkStats{};
     sh->let_cells = 0;
     sh->let_bodies = 0;
+    sh->e_pred = sh->e_calc = sh->e_let = sh->e_walk = runtime::Event{};
   }
 
   report.dt = steps_.advance();
 
-  std::vector<runtime::Event> e_pred(static_cast<std::size_t>(k));
-  std::vector<runtime::Event> e_calc(static_cast<std::size_t>(k));
-  std::vector<runtime::Event> e_let(static_cast<std::size_t>(k));
-  std::vector<runtime::Event> e_walk(static_cast<std::size_t>(k));
-
   try {
-    // --- predict: each shard drifts its own contiguous body slice -------
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sh.body_end <= sh.body_begin) continue;
-      runtime::LaunchDesc pd;
-      pd.kernel = Kernel::PredictCorrect;
-      pd.label = "predict";
-      pd.items = sh.body_end - sh.body_begin;
-      pd.stream = &sh.integrate_stream;
-      pd.sink = &sh.sink;
+    // --- predict: each shard drifts its own body slice ------------------
+    // Issued first so the tree build can overlap it: it drifts the
+    // particles on the integration stream while makeTree reads the same
+    // (unreordered) positions on the tree stream.
+    for (const auto& shp : shards_) {
+      Shard& sh = *shp;
       const std::size_t b0 = sh.body_begin;
       const std::size_t b1 = sh.body_end;
-      e_pred[static_cast<std::size_t>(s)] =
-          sh.dev->launch(pd, [this, b0, b1](simt::OpCounts& ops) {
+      if (b1 <= b0) continue;
+      sh.e_pred = sh.device().launch(
+          sh.desc(Kernel::PredictCorrect, "predict", b1 - b0,
+                  sh.integrate_stream),
+          [this, b0, b1](simt::OpCounts& ops) {
             predict_positions_range(particles_, steps_, px_, py_, pz_, b0,
                                     b1, &ops);
           });
     }
 
-    // --- rebuild (coordinator device) -----------------------------------
+    // --- rebuild, auto-tuned (GOTHIC) or on a fixed cadence -------------
     const bool due = cfg_.auto_rebuild
                          ? policy_.should_rebuild()
                          : steps_since_rebuild_ >= cfg_.fixed_rebuild_interval;
+    runtime::Event e_perm;
     if (due) {
-      launch_build(); // read-only on particles_, overlaps the predicts
-      for (const runtime::Event& e : e_pred) e.wait();
-      launch_permute(true).wait();
-      ++rebuilds_;
-      steps_since_rebuild_ = 0;
+      // The host joins the permute here: refresh_partition and the
+      // group-activity loop read the tree, groups and block levels it
+      // rewrites. That costs no kernel concurrency — everything issued
+      // below depends on it anyway, and the predicts and the build are
+      // already in flight.
+      e_perm = launch_rebuild(true);
+      e_perm.wait();
       report.rebuilt = true;
       refresh_partition();
     }
 
-    // --- calcNode: every shard summarises its owned node ranges ---------
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
+    // --- calcNode: each shard summarises its owned nodes ----------------
+    // From the predicted positions — after the permute that reordered
+    // them, on rebuild steps.
+    for (const auto& shp : shards_) {
+      Shard& sh = *shp;
       if (sh.owned_count == 0) continue;
-      runtime::LaunchDesc cd;
-      cd.kernel = Kernel::CalcNode;
-      cd.label = "calcNode";
-      cd.items = sh.owned_count;
-      cd.stream = &sh.tree_stream;
-      cd.deps = {e_pred[static_cast<std::size_t>(s)]};
-      cd.sink = &sh.sink;
-      Shard* shp = &sh;
-      e_calc[static_cast<std::size_t>(s)] =
-          sh.dev->launch(cd, [this, shp](simt::OpCounts& ops) {
-            octree::calc_node_ranges(tree_, px_, py_, pz_, particles_.m,
-                                     cfg_.calc, shp->owned, &ops);
-          });
+      runtime::LaunchDesc cd = sh.desc(Kernel::CalcNode, "calcNode",
+                                       sh.owned_count, sh.tree_stream);
+      sh.depend(cd, due ? e_perm : sh.e_pred);
+      Shard* p = &sh;
+      sh.e_calc = sh.device().launch(cd, [this, p](simt::OpCounts& ops) {
+        octree::calc_node_ranges(tree_, px_, py_, pz_, particles_.m,
+                                 cfg_.calc, p->owned, &ops);
+      });
     }
 
-    // Host join: the top summarise, the LET bounds and every letImport
-    // read predicted positions and shard-computed node geometry across
-    // devices (events cannot cross devices; the host is the coordinator).
-    for (const runtime::Event& e : e_pred) e.wait();
-    for (const runtime::Event& e : e_calc) e.wait();
-
-    // --- top pass: finish the nodes straddling shard boundaries ---------
+    // --- top pass: the nodes straddling shard boundaries (shard 0) ------
+    // They sum bodies and node moments of every shard.
+    runtime::Event e_top;
     if (top_count_ > 0) {
       Shard& c = *shards_[0];
-      runtime::LaunchDesc td;
-      td.kernel = Kernel::CalcNode;
-      td.label = "calcNode(top)";
-      td.items = top_count_;
-      td.stream = &c.tree_stream;
-      td.sink = &c.sink;
-      c.dev
-          ->launch(td,
-                   [this](simt::OpCounts& ops) {
-                     octree::calc_node_ranges(tree_, px_, py_, pz_,
-                                              particles_.m, cfg_.calc, top_,
-                                              &ops);
-                   })
-          .wait();
+      runtime::LaunchDesc td =
+          c.desc(Kernel::CalcNode, "calcNode(top)", top_count_, c.tree_stream);
+      for (const auto& sh : shards_) {
+        c.depend(td, sh->e_pred);
+        c.depend(td, sh->e_calc);
+      }
+      e_top = c.device().launch(td, [this](simt::OpCounts& ops) {
+        octree::calc_node_ranges(tree_, px_, py_, pz_, particles_.m,
+                                 cfg_.calc, top_, &ops);
+      });
     }
 
-    // --- group activity (host bookkeeping, identical to Simulation) -----
+    // --- group activity (host bookkeeping) ------------------------------
     report.n_active = 0;
     for (std::size_t g = 0; g < groups_.size(); ++g) {
       std::uint8_t any = 0;
@@ -539,130 +580,115 @@ StepReport ShardedSimulation::step() {
       group_active_[g] = any;
     }
 
-    // --- LET bounds (host) + per-shard import ---------------------------
-    const std::span<const gravity::GroupSpan> all_groups(groups_);
-    const std::span<const std::uint8_t> all_active(group_active_);
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      sh.bounds = gravity::LetBounds{};
-      const std::size_t gcount = sh.group_end - sh.group_begin;
-      if (gcount == 0) continue;
-      sh.bounds = gravity::let_bounds(
-          px_, py_, pz_, particles_.aold_mag,
-          all_groups.subspan(sh.group_begin, gcount),
-          all_active.subspan(sh.group_begin, gcount), cfg_.walk.mode);
-      runtime::LaunchDesc ld;
-      ld.kernel = Kernel::MakeTree;
-      ld.label = "letImport";
-      ld.items = tree_.num_nodes();
-      ld.stream = &sh.tree_stream;
-      ld.sink = &sh.sink;
-      Shard* shp = &sh;
-      e_let[static_cast<std::size_t>(s)] =
-          sh.dev->launch(ld, [this, shp](simt::OpCounts& ops) {
-            let_import(*shp);
-            // Data motion: poison + copy of the view arrays.
-            ops.bytes_store +=
-                (static_cast<std::uint64_t>(shp->view.num_nodes()) * 20 +
-                 static_cast<std::uint64_t>(shp->vx.size()) * 12);
-          });
+    // --- LET (rule 2): import what the active groups' MAC can reach ------
+    if (imports()) {
+      const std::span<const gravity::GroupSpan> all_groups(groups_);
+      const std::span<const std::uint8_t> all_active(group_active_);
+      for (const auto& shp : shards_) {
+        Shard& sh = *shp;
+        sh.bounds = gravity::LetBounds{};
+        const std::size_t gcount = sh.group_end - sh.group_begin;
+        if (gcount == 0) continue;
+        sh.e_pred.wait(); // let_bounds reads the predicted slice on the host
+        sh.bounds = gravity::let_bounds(
+            px_, py_, pz_, particles_.aold_mag,
+            all_groups.subspan(sh.group_begin, gcount),
+            all_active.subspan(sh.group_begin, gcount), cfg_.walk.mode);
+        runtime::LaunchDesc ld = sh.desc(Kernel::MakeTree, "letImport",
+                                         tree_.num_nodes(), sh.tree_stream);
+        for (const auto& o : shards_) {
+          sh.depend(ld, o->e_pred);
+          sh.depend(ld, o->e_calc);
+        }
+        sh.depend(ld, e_top);
+        Shard* p = &sh;
+        sh.e_let = sh.device().launch(ld, [this, p](simt::OpCounts& ops) {
+          let_import(*p);
+          // Data motion: poison + copy of the view arrays.
+          ops.bytes_store +=
+              (static_cast<std::uint64_t>(p->view.num_nodes()) * 20 +
+               static_cast<std::uint64_t>(p->vx.size()) * 12);
+        });
+      }
     }
 
-    // --- walk: each shard's groups over its own view --------------------
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
+    // --- walk: each shard's groups --------------------------------------
+    // Over the shard's view when it imports, else straight over the tree
+    // and the predicted positions.
+    for (const auto& shp : shards_) {
+      Shard& sh = *shp;
       const std::size_t gcount = sh.group_end - sh.group_begin;
       if (gcount == 0) continue;
-      runtime::LaunchDesc wd;
-      wd.kernel = Kernel::WalkTree;
-      wd.label = "walkTree";
-      wd.items = gcount;
-      wd.stream = &sh.tree_stream;
-      wd.deps = {e_let[static_cast<std::size_t>(s)]};
-      wd.sink = &sh.sink;
-      Shard* shp = &sh;
-      e_walk[static_cast<std::size_t>(s)] =
-          sh.dev->launch(wd, [this, shp](simt::OpCounts& ops) {
-            const std::size_t gb = shp->group_begin;
-            const std::size_t gc = shp->group_end - gb;
-            gravity::walk_tree(
-                shp->view, shp->vx, shp->vy, shp->vz, particles_.m,
-                particles_.aold_mag, cfg_.walk, nax_, nay_, naz_, npot_,
-                &ops, &shp->stats,
-                std::span<const std::uint8_t>(group_active_).subspan(gb, gc),
-                std::span<const gravity::GroupSpan>(groups_).subspan(gb, gc),
-                &shp->costs);
-          });
+      runtime::LaunchDesc wd =
+          sh.desc(Kernel::WalkTree, "walkTree", gcount, sh.tree_stream);
+      sh.depend(wd, sh.e_pred);
+      sh.depend(wd, sh.e_calc);
+      sh.depend(wd, sh.e_let);
+      Shard* p = &sh;
+      sh.e_walk = sh.device().launch(wd, [this, p](simt::OpCounts& ops) {
+        const bool view = imports();
+        const std::size_t gb = p->group_begin;
+        const std::size_t gc = p->group_end - gb;
+        gravity::walk_tree(
+            view ? p->view : tree_, view ? p->vx : px_, view ? p->vy : py_,
+            view ? p->vz : pz_, particles_.m, particles_.aold_mag, cfg_.walk,
+            nax_, nay_, naz_, npot_, &ops, &p->stats,
+            std::span<const std::uint8_t>(group_active_).subspan(gb, gc),
+            std::span<const gravity::GroupSpan>(groups_).subspan(gb, gc),
+            &p->costs);
+      });
     }
 
     // --- correct: each shard finalises its own slice --------------------
-    for (int s = 0; s < k; ++s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sh.body_end <= sh.body_begin) continue;
-      runtime::LaunchDesc kd;
-      kd.kernel = Kernel::PredictCorrect;
-      kd.label = "correct";
-      kd.items = sh.body_end - sh.body_begin;
-      kd.stream = &sh.integrate_stream;
-      kd.deps = {e_walk[static_cast<std::size_t>(s)]};
-      kd.sink = &sh.sink;
+    for (const auto& shp : shards_) {
+      Shard& sh = *shp;
       const std::size_t b0 = sh.body_begin;
       const std::size_t b1 = sh.body_end;
-      sh.dev->launch(kd, [this, b0, b1](simt::OpCounts& ops) {
+      if (b1 <= b0) continue;
+      runtime::LaunchDesc kd = sh.desc(Kernel::PredictCorrect, "correct",
+                                       b1 - b0, sh.integrate_stream);
+      sh.depend(kd, sh.e_walk);
+      sh.device().launch(kd, [this, b0, b1](simt::OpCounts& ops) {
         correct_active_range(particles_, steps_, px_, py_, pz_, nax_, nay_,
                              naz_, npot_, cfg_.eta, cfg_.walk.eps, b0, b1,
                              &ops);
       });
     }
   } catch (...) {
-    // Host-side issue failure: drain every device (swallowing their
-    // errors) so the next step starts from quiescent devices, then
-    // propagate what stopped the issue phase. The drain completes the
-    // in-flight records, so the incident dump below sees them.
-    for (auto& sh : shards_) {
-      try {
-        sh->dev->synchronize();
-      } catch (...) { // NOLINT(bugprone-empty-catch)
-      }
-    }
-    dump_flight("ShardedSimulation::step host issue failure at step " +
-                std::to_string(step_count_ + 1));
-    throw;
+    fail(std::current_exception(),
+         "ShardedSimulation::step host issue failure at step " +
+             std::to_string(step_count_ + 1));
   }
 
-  // --- join all devices; one shard's failure must not poison the rest ---
-  std::exception_ptr first_error;
-  for (auto& sh : shards_) {
-    try {
-      sh->dev->synchronize();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
+  // --- join every device; one shard's failure must not poison the rest ---
+  const std::exception_ptr err = join();
   ++steps_since_rebuild_;
   ++step_count_;
-  if (first_error) {
-    dump_flight("ShardedSimulation::step shard error at step " +
-                std::to_string(step_count_));
-    std::rethrow_exception(first_error);
+  if (err) {
+    fail(err, "ShardedSimulation::step shard error at step " +
+                  std::to_string(step_count_));
   }
 
   // --- harvest ----------------------------------------------------------
-  last_stats_.busy_seconds.assign(static_cast<std::size_t>(k), 0.0);
-  last_stats_.let_cells.assign(static_cast<std::size_t>(k), 0);
-  last_stats_.let_bodies.assign(static_cast<std::size_t>(k), 0);
+  // The rebuild and walk costs feed the interval auto-tuner, the measured
+  // per-group costs the next partition; the report's per-kernel
+  // seconds/ops are the step's LaunchRecords.
+  const auto k = static_cast<std::size_t>(shard_count());
+  last_stats_.busy_seconds.assign(k, 0.0);
+  last_stats_.let_cells.assign(k, 0);
+  last_stats_.let_bodies.assign(k, 0);
   last_stats_.busy_max = 0.0;
-  last_stats_.busy_mean = 0.0;
   last_stats_.let_cells_total = 0;
   last_stats_.let_bodies_total = 0;
 
   double walk_seconds = 0.0;
-  double wall = 0.0;
+  double busy_sum = 0.0;
   double mark_lo = 0.0;
   double mark_hi = 0.0;
   bool mark_first = true;
-  for (int s = 0; s < k; ++s) {
-    Shard& sh = *shards_[static_cast<std::size_t>(s)];
+  for (const auto& shp : shards_) {
+    const Shard& sh = *shp;
+    const auto s = static_cast<std::size_t>(sh.id);
     double lo = 0.0;
     double hi = 0.0;
     bool first = true;
@@ -670,68 +696,54 @@ StepReport ShardedSimulation::step() {
       const auto ki = static_cast<std::size_t>(rec.kernel);
       report.seconds[ki] += rec.seconds;
       report.ops[ki] += rec.ops;
-      timers_.add(rec.kernel, rec.seconds);
-      ops_[ki] += rec.ops;
       if (rec.kernel == Kernel::WalkTree) walk_seconds += rec.seconds;
-      last_stats_.busy_seconds[static_cast<std::size_t>(s)] += rec.seconds;
+      last_stats_.busy_seconds[s] += rec.seconds;
       if (first || rec.t_begin < lo) lo = rec.t_begin;
       if (first || rec.t_end > hi) hi = rec.t_end;
       first = false;
     }
     // Per-shard span in that shard's device epoch; the step's wall time
-    // is the slowest shard's span (epochs are not comparable across
-    // devices).
+    // is the slowest shard's span.
     if (!first) {
-      wall = std::max(wall, hi - lo);
+      report.wall_seconds = std::max(report.wall_seconds, hi - lo);
       if (mark_first || lo < mark_lo) mark_lo = lo;
       if (mark_first || hi > mark_hi) mark_hi = hi;
       mark_first = false;
     }
     report.walk_stats += sh.stats;
-    last_stats_.let_cells[static_cast<std::size_t>(s)] = sh.let_cells;
-    last_stats_.let_bodies[static_cast<std::size_t>(s)] = sh.let_bodies;
+    busy_sum += last_stats_.busy_seconds[s];
+    last_stats_.busy_max =
+        std::max(last_stats_.busy_max, last_stats_.busy_seconds[s]);
+    last_stats_.let_cells[s] = sh.let_cells;
+    last_stats_.let_bodies[s] = sh.let_bodies;
     last_stats_.let_cells_total += sh.let_cells;
     last_stats_.let_bodies_total += sh.let_bodies;
-    // Cost writeback: the shard's measured per-group costs update the
-    // global vector the next partition (and this shard's next walk) use.
-    for (std::size_t gi = sh.group_begin; gi < sh.group_end; ++gi) {
-      group_cost_[gi] = sh.costs.cost[gi - sh.group_begin];
-    }
+    std::copy(sh.costs.cost.begin(), sh.costs.cost.end(),
+              group_cost_.begin() +
+                  static_cast<std::ptrdiff_t>(sh.group_begin));
   }
-  report.wall_seconds = wall;
-  scatter_body_cost();
-  policy_.record_walk(walk_seconds);
+  last_stats_.busy_mean = busy_sum / static_cast<double>(k);
   if (report.rebuilt) policy_.record_rebuild(step_make_seconds());
-
-  double busy_sum = 0.0;
-  for (const double b : last_stats_.busy_seconds) {
-    busy_sum += b;
-    last_stats_.busy_max = std::max(last_stats_.busy_max, b);
-  }
-  last_stats_.busy_mean = k > 0 ? busy_sum / static_cast<double>(k) : 0.0;
-
+  policy_.record_walk(walk_seconds);
   report.time = steps_.time();
-  if (listener_ != nullptr) {
-    for (auto& sh : shards_) {
-      for (const runtime::LaunchRecord& rec : sh->sink.step_records()) {
-        listener_->on_record(rec);
-      }
-    }
-    runtime::StepMark mark;
-    mark.index = static_cast<std::uint64_t>(step_count_);
-    mark.rebuilt = report.rebuilt;
-    mark.t_begin = mark_lo;
-    mark.t_end = mark_hi;
-    mark.kernel_seconds = report.total_seconds();
-    mark.wall_seconds = report.wall_seconds;
-    mark.walk_imbalance = report.walk_stats.imbalance();
-    mark.shards = k;
+
+  runtime::StepMark mark;
+  mark.index = static_cast<std::uint64_t>(step_count_);
+  mark.rebuilt = report.rebuilt;
+  mark.t_begin = mark_lo;
+  mark.t_end = mark_hi;
+  mark.kernel_seconds = report.total_seconds();
+  mark.wall_seconds = report.wall_seconds;
+  mark.walk_imbalance = report.walk_stats.imbalance();
+  // A one-shard step is unsharded: its shard fields stay zero.
+  if (imports()) {
+    mark.shards = shard_count();
     mark.shard_busy_max = last_stats_.busy_max;
     mark.shard_busy_mean = last_stats_.busy_mean;
     mark.let_cells = last_stats_.let_cells_total;
     mark.let_bodies = last_stats_.let_bodies_total;
-    listener_->on_step(mark);
   }
+  deliver(&mark);
   return report;
 }
 
@@ -740,39 +752,13 @@ void ShardedSimulation::run(int n) {
 }
 
 void ShardedSimulation::refresh_forces() {
-  // Diagnostics path: unsharded on the coordinator, like the bootstrap —
-  // bit-identical to Simulation::refresh_forces because the global tree
-  // and particle state are.
-  Shard& c = *shards_[0];
-  c.sink.begin_step();
-
-  runtime::LaunchDesc cd;
-  cd.kernel = Kernel::CalcNode;
-  cd.label = "calcNode(refresh)";
-  cd.items = tree_.num_nodes();
-  cd.stream = &c.tree_stream;
-  cd.sink = &c.sink;
-  const runtime::Event e_calc =
-      c.dev->launch(cd, [this](simt::OpCounts& ops) {
-        octree::calc_node(tree_, particles_.x, particles_.y, particles_.z,
-                          particles_.m, cfg_.calc, &ops);
-      });
-
-  runtime::LaunchDesc wd;
-  wd.kernel = Kernel::WalkTree;
-  wd.label = "walkTree(refresh)";
-  wd.items = particles_.size();
-  wd.stream = &c.tree_stream;
-  wd.deps = {e_calc};
-  wd.sink = &c.sink;
-  c.dev->launch(wd, [this](simt::OpCounts& ops) {
-    gravity::walk_tree(tree_, particles_.x, particles_.y, particles_.z,
-                       particles_.m, particles_.aold_mag, cfg_.walk,
-                       particles_.ax, particles_.ay, particles_.az,
-                       particles_.pot, &ops);
-  });
-  c.dev->synchronize();
-  absorb_records(c);
+  for (const auto& sh : shards_) sh->sink.begin_step();
+  try {
+    whole_tree_forces(false);
+  } catch (...) {
+    fail(std::current_exception(), "ShardedSimulation::refresh_forces error");
+  }
+  deliver(nullptr);
 }
 
 } // namespace gothic::nbody

@@ -1,230 +1,20 @@
-// The GOTHIC step loop: makeTree / calcNode / walkTree / predict+correct
-// with block time steps and auto-tuned rebuild intervals — the system
-// whose per-function times the paper measures (Figs 3-5).
+// nbody::Simulation — the step engine (nbody/sharded_simulation.hpp) with
+// one shard on the caller's device.
 #pragma once
 
-#include "gravity/walk_tree.hpp"
-#include "nbody/block_steps.hpp"
-#include "nbody/diagnostics.hpp"
-#include "nbody/particles.hpp"
-#include "nbody/rebuild_policy.hpp"
-#include "octree/calc_node.hpp"
-#include "octree/tree_build.hpp"
-#include "runtime/device.hpp"
-#include "trace/flight_recorder.hpp"
-#include "util/timer.hpp"
-
-#include <array>
-#include <memory>
-#include <string>
+#include "nbody/sharded_simulation.hpp"
 
 namespace gothic::nbody {
 
-struct SimConfig {
-  /// The simulation defaults the walk schedule to Auto: the step loop owns
-  /// a GroupCosts feedback vector, so Auto can pick the static split on
-  /// near-uniform steps and the cost-weighted partition on sparse ones
-  /// (standalone walk_tree callers keep WalkConfig's own default).
-  SimConfig() { walk.schedule = gravity::WalkSchedule::Auto; }
-
-  gravity::WalkConfig walk{};
-  octree::BuildConfig build{};
-  octree::CalcNodeConfig calc{};
-
-  /// Time-step accuracy eta of dt = eta sqrt(eps/|a|).
-  double eta = 0.25;
-  /// Largest (level 0) block time step.
-  double dt_max = 1.0 / 32.0;
-  /// Depth of the block hierarchy (dt_min = dt_max/2^max_level).
-  int max_level = 8;
-  /// false = shared global time step (every particle fires every step).
-  bool block_time_steps = true;
-
-  /// true = GOTHIC's auto-tuned rebuild interval; false = fixed interval.
-  bool auto_rebuild = true;
-  int fixed_rebuild_interval = 8;
-  RebuildPolicy::Config policy{};
-
-  /// Name of the scenario-registry entry this configuration came from
-  /// (src/scenario); empty for hand-built configs. A workload label only —
-  /// carried into bench scale fingerprints and error messages, never read
-  /// by the step loop — so nbody stays independent of the registry.
-  /// ShardedSimulation takes the same SimConfig and inherits it.
-  std::string scenario;
-
-  /// Prefix of this simulation's stream names: "tree"/"integrate" become
-  /// "<prefix>tree"/"<prefix>integrate" (sharded: "<prefix>shardK/tree").
-  /// trace::TraceWriter keys Perfetto tracks by stream name, so a service
-  /// pool running many simulations sets a per-session prefix ("s3/") and
-  /// gets one clearly-labelled track group per session. Purely a label:
-  /// stream *identity* (and thus lane mapping) is per-Stream-object
-  /// either way.
-  std::string stream_prefix;
-
-  /// Set the simt scheduling mode of every kernel at once.
-  void set_mode(simt::ExecMode mode) {
-    walk.mode = mode;
-    build.mode = mode;
-    calc.mode = mode;
-  }
-};
-
-/// Per-step record: what ran, how long it took (wall clock) and what it
-/// executed (nvprof-style counts) — the raw material of every figure.
-struct StepReport {
-  double time = 0.0; ///< simulation time after the step
-  double dt = 0.0;   ///< physical time advanced
-  std::size_t n_active = 0;
-  bool rebuilt = false;
-  std::array<double, static_cast<std::size_t>(Kernel::Count)> seconds{};
-  std::array<simt::OpCounts, static_cast<std::size_t>(Kernel::Count)> ops{};
-  gravity::WalkStats walk_stats{};
-  /// Span from the first launch body start to the last body end — the
-  /// step's launch wall time under concurrent streams.
-  double wall_seconds = 0.0;
-
-  [[nodiscard]] double total_seconds() const {
-    double s = 0;
-    for (double v : seconds) s += v;
-    return s;
-  }
-
-  /// Kernel seconds hidden by stream overlap this step (>= 0): the gap
-  /// between sum-of-kernel-times and launch wall time.
-  [[nodiscard]] double overlap_seconds() const {
-    const double o = raw_overlap_seconds();
-    return o > 0.0 ? o : 0.0;
-  }
-
-  /// The same gap, signed. A negative value is a scheduler anomaly (the
-  /// step's wall span exceeded the work it contained) that the clamped
-  /// accessor hides; the metrics registry counts such steps.
-  [[nodiscard]] double raw_overlap_seconds() const {
-    return total_seconds() - wall_seconds;
-  }
-};
-
-class Simulation {
+/// K=1 on the ambient device: construction, step() and refresh_forces()
+/// each launch on runtime::Device::current(), resolved at every call, so
+/// a ScopedDevice decides where each call runs — a test's pinned worker
+/// count, or whichever session-pool driver picked the session up.
+class Simulation : public ShardedSimulation {
 public:
   /// Takes ownership of the particle set (any order) and runs the initial
-  /// build + bootstrap force evaluation (opening-angle MAC, since no
-  /// previous-step acceleration exists yet for Eq. 2).
+  /// build + bootstrap force evaluation on the current device.
   Simulation(Particles particles, SimConfig cfg);
-
-  /// Advance one block step (or one shared step). Returns the report.
-  StepReport step();
-
-  /// Advance `n` steps; returns the accumulated wall-clock per kernel.
-  void run(int n);
-
-  /// Recompute forces/potentials of all particles at the current state
-  /// (for diagnostics; uses the acceleration MAC with current aold).
-  void refresh_forces();
-
-  [[nodiscard]] const Particles& particles() const { return particles_; }
-  [[nodiscard]] Particles& particles() { return particles_; }
-  [[nodiscard]] const octree::Octree& tree() const { return tree_; }
-  [[nodiscard]] const SimConfig& config() const { return cfg_; }
-  [[nodiscard]] double time() const { return steps_.time(); }
-  [[nodiscard]] const KernelTimers& timers() const { return sink_.timers(); }
-  [[nodiscard]] const RebuildPolicy& rebuild_policy() const { return policy_; }
-  [[nodiscard]] int rebuild_count() const { return rebuilds_; }
-  [[nodiscard]] int step_count() const { return step_count_; }
-
-  /// Accumulated per-kernel instruction counts since construction.
-  [[nodiscard]] const simt::OpCounts& kernel_ops(Kernel k) const {
-    return sink_.kernel_ops(k);
-  }
-
-  /// Per-launch instrumentation: every kernel this simulation issues emits
-  /// a LaunchRecord here; step_records() spans the most recent step().
-  [[nodiscard]] const runtime::InstrumentationSink& sink() const {
-    return sink_;
-  }
-
-  /// Attach an observability hook (e.g. trace::Session): `l` receives
-  /// every completed LaunchRecord and one StepMark per step() until
-  /// detached with nullptr. The listener must outlive its attachment; set
-  /// only between steps (never while launches are in flight). When the
-  /// flight recorder is enabled (GOTHIC_FLIGHT) it stays at the head of
-  /// the chain and forwards to `l`.
-  void set_instrumentation_listener(runtime::RecordListener* l) {
-    if (flight_) {
-      flight_->set_next(l);
-    } else {
-      sink_.set_listener(l);
-    }
-  }
-
-  /// The GOTHIC_FLIGHT incident recorder; null when the env var is unset.
-  /// step() dumps it automatically when a step fails; callers may dump()
-  /// on demand (gothic_run --flight-dump).
-  [[nodiscard]] trace::FlightRecorder* flight_recorder() {
-    return flight_.get();
-  }
-
-  [[nodiscard]] Energies energies() const {
-    return compute_energies(particles_);
-  }
-  [[nodiscard]] Momenta momenta() const { return compute_momenta(particles_); }
-
-private:
-  /// Issue the rebuild pair onto the tree stream: a read-only makeTree
-  /// build (overlaps the in-flight predict) and a makeTree(permute) join
-  /// that waits on `e_pred` before reordering the particle state and the
-  /// predicted positions. Returns the join event; pass a null event when
-  /// no predict is in flight (construction).
-  runtime::Event issue_rebuild(runtime::Event e_pred, StepReport* report);
-  /// The step body; step() wraps it with the flight-recorder dump on the
-  /// error path.
-  StepReport step_impl();
-  void bootstrap_forces();
-  /// Apply perm_ to a scratch array out-of-place via permute_buf_ (both
-  /// retain capacity across rebuilds).
-  void permute_scratch(std::vector<real>& v);
-  /// Sum of the current step's MakeTree record seconds (build + permute).
-  [[nodiscard]] double step_make_seconds() const;
-
-  Particles particles_;
-  SimConfig cfg_;
-  octree::Octree tree_;
-  BlockTimeSteps steps_;
-  RebuildPolicy policy_;
-  /// Launch instrumentation (owns the per-kernel timers and op tallies the
-  /// accessors above expose) and the two streams of the step DAG: tree
-  /// work (makeTree -> calcNode -> walkTree) and integration (predict,
-  /// correct), matching GOTHIC's concurrent-stream issue order.
-  runtime::InstrumentationSink sink_;
-  /// Always-on bounded incident recorder, created when GOTHIC_FLIGHT is
-  /// set; sits at the head of the listener chain (see
-  /// set_instrumentation_listener). Null ⇒ the hot path keeps the sink's
-  /// single null-listener pointer test.
-  std::unique_ptr<trace::FlightRecorder> flight_;
-  /// Owned storage of the (possibly prefixed) stream names — Stream holds
-  /// a borrowed const char*. Declared before the streams they feed.
-  std::string tree_stream_name_;
-  std::string integrate_stream_name_;
-  runtime::Stream tree_stream_;
-  runtime::Stream integrate_stream_;
-  int rebuilds_ = 0;
-  int step_count_ = 0;
-  int steps_since_rebuild_ = 0;
-
-  // Scratch (predicted positions, fresh accelerations).
-  std::vector<real> px_, py_, pz_;
-  std::vector<real> nax_, nay_, naz_, npot_;
-  /// Rebuild scratch: the sort permutation handed from the build launch to
-  /// the permute launch, and the out-of-place buffer permute_scratch uses.
-  std::vector<index_t> perm_;
-  std::vector<real> permute_buf_;
-  /// Tree-derived walk groups (refreshed on rebuild) and per-step flags.
-  std::vector<gravity::GroupSpan> groups_;
-  std::vector<std::uint8_t> group_active_;
-  /// Cost-feedback state of the cost-weighted walk schedule: measured
-  /// per-group costs carried across steps, re-seeded uniform at every
-  /// rebuild (the decomposition changed) and first measured by the
-  /// bootstrap walk so step 0 already partitions by real cost.
-  gravity::GroupCosts group_costs_;
 };
 
 } // namespace gothic::nbody

@@ -1,5 +1,5 @@
 // Domain decomposition over the space-filling-curve order (DESIGN.md,
-// "Sharding & local essential trees").
+// "Step engine").
 //
 // A K-shard partition is K contiguous ranges of the SFC-sorted body
 // array, i.e. K+1 non-decreasing body boundaries B[0]=0 .. B[K]=N.

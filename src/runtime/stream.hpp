@@ -108,7 +108,7 @@ struct LaunchRecord {
   [[nodiscard]] std::uint64_t bytes() const { return ops.total_bytes(); }
 };
 
-/// Per-step summary a Simulation hands to its RecordListener after each
+/// Per-step summary the step engine hands to its RecordListener after each
 /// step() completed: the device-epoch span of the step's launches and the
 /// kernel-sum vs wall-span timing whose signed gap is the achieved (or
 /// anomalously negative) stream overlap.
@@ -123,8 +123,7 @@ struct StepMark {
   /// the step's tree walk; 0 when the step recorded no walk timing.
   double walk_imbalance = 0.0;
 
-  // Sharded-pipeline fields (ShardedSimulation; all 0 for a plain
-  // Simulation step).
+  // Sharded-step fields (all 0 for a one-shard step).
   int shards = 0;               ///< shard count (0 = unsharded step)
   double shard_busy_max = 0.0;  ///< busiest shard's summed launch seconds
   double shard_busy_mean = 0.0; ///< mean per-shard summed launch seconds
@@ -149,10 +148,11 @@ struct StepMark {
 };
 
 /// Observer of the instrumentation stream — the hook the trace/metrics
-/// layer attaches to. The sink invokes on_record() for every launch whose
-/// timing completed, and Simulation::step() invokes on_step() once per
-/// step. on_record() runs under the issuing device's launch lock: keep it
-/// short, never call back into the device. A null listener costs one
+/// layer attaches to. A sink's listener gets on_record() for every launch
+/// whose timing completed, under the issuing device's launch lock: keep
+/// it short, never call back into the device. The step engine instead
+/// replays each step's records, then one on_step(), on the thread that
+/// called step(), after the step's join. A null listener costs one
 /// pointer test per launch, so instrumentation consumers add zero overhead
 /// when detached.
 class RecordListener {
@@ -164,7 +164,7 @@ public:
 
 /// Collects LaunchRecords and maintains cumulative per-kernel aggregates.
 /// The record list is bounded by its warm-up capacity as long as the owner
-/// clears it once per step (Simulation::step does), so steady-state
+/// clears it once per step (the step engine does), so steady-state
 /// recording performs no heap allocation.
 ///
 /// Not internally synchronized: the issuing Device serializes begin/finish

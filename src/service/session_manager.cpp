@@ -60,17 +60,10 @@ std::vector<real> packed_state(const nbody::Particles& p) {
 }
 
 std::vector<real> solo_final_state(const SessionConfig& cfg) {
-  if (cfg.shards > 1) {
-    nbody::ShardOptions so;
-    so.shards = cfg.shards;
-    nbody::ShardedSimulation sim(session_workload(cfg),
-                                 session_sim_config(cfg), so);
-    for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
-    return packed_state(sim.particles());
-  }
-  runtime::Device dev;
-  runtime::ScopedDevice scope(dev);
-  nbody::Simulation sim(session_workload(cfg), session_sim_config(cfg));
+  nbody::ShardOptions so;
+  so.shards = std::max(1, cfg.shards);
+  nbody::ShardedSimulation sim(session_workload(cfg), session_sim_config(cfg),
+                               so);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
   return packed_state(sim.particles());
 }
@@ -225,7 +218,6 @@ std::vector<real> SessionManager::final_state(std::uint64_t id) const {
                            " is not terminal");
   }
   if (s.sim != nullptr) return packed_state(s.sim->particles());
-  if (s.sharded != nullptr) return packed_state(s.sharded->particles());
   throw std::logic_error("SessionManager: session " + std::to_string(id) +
                          " never constructed an engine");
 }
@@ -249,10 +241,10 @@ void SessionManager::observe(trace::MetricsRegistry& m) const {
 
 void SessionManager::driver(int device_index) {
   runtime::Device& dev = *devices_[static_cast<std::size_t>(device_index)];
-  // Route every session quantum this driver runs — Simulation construction
-  // and steps resolve Device::current() fresh each time — onto the pool
-  // device. Sessions may migrate between drivers; bit-identity across
-  // worker counts / async modes / schedules makes that invisible.
+  // Route every session quantum this driver runs — a one-shard engine
+  // resolves Device::current() at every call — onto the pool device.
+  // Sessions may migrate between drivers; bit-identity across worker
+  // counts / async modes / schedules makes that invisible.
   runtime::ScopedDevice scope(dev);
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -315,17 +307,14 @@ SessionManager::Session* SessionManager::pick_locked() {
 
 std::size_t SessionManager::engine_capacity(const Session& s,
                                             runtime::Device& dev) const {
-  if (s.sharded != nullptr) {
-    std::size_t sum = 0;
-    for (int k = 0; k < s.sharded->shard_count(); ++k) {
-      sum += s.sharded->shard_device(k).arena_capacity();
-    }
-    return sum;
+  // A session about to construct has no engine yet: a one-shard one will
+  // run on the pool device, a sharded one on devices it has not built.
+  if (s.sim == nullptr) return s.cfg.shards > 1 ? 0 : dev.arena_capacity();
+  std::size_t sum = 0;
+  for (int k = 0; k < s.sim->shard_count(); ++k) {
+    sum += s.sim->shard_device(k).arena_capacity();
   }
-  // A sharded session about to construct runs on its own (not yet
-  // existing) devices: its baseline is zero, not the pool device's.
-  if (s.cfg.shards > 1) return 0;
-  return dev.arena_capacity();
+  return sum;
 }
 
 void SessionManager::construct(Session& s) {
@@ -337,33 +326,28 @@ void SessionManager::construct(Session& s) {
     so.workers = opt_.workers;
     so.async = opt_.async;
     so.lanes = opt_.lanes;
-    s.sharded = std::make_unique<nbody::ShardedSimulation>(std::move(p),
-                                                           std::move(cfg), so);
+    s.sim = std::make_unique<nbody::ShardedSimulation>(std::move(p),
+                                                       std::move(cfg), so);
   } else {
-    s.sim =
-        std::make_unique<nbody::Simulation>(std::move(p), std::move(cfg));
+    // One shard on the ambient device: whichever driver steps the session.
+    s.sim = std::make_unique<nbody::Simulation>(std::move(p), std::move(cfg));
   }
   if (!s.cfg.trace_path.empty() || !s.cfg.telemetry_path.empty()) {
     s.observer = std::make_unique<trace::Session>(s.cfg.trace_path,
                                                   s.cfg.telemetry_path);
-    if (s.sim != nullptr) s.sim->set_instrumentation_listener(s.observer.get());
-    else s.sharded->set_instrumentation_listener(s.observer.get());
+    s.sim->set_instrumentation_listener(s.observer.get());
   }
-  trace::FlightRecorder* fr = s.sim != nullptr
-                                  ? s.sim->flight_recorder()
-                                  : s.sharded->flight_recorder();
   // Per-session incident dumps: concurrent faults on a shared
   // GOTHIC_FLIGHT destination stay identifiable and never clobber.
-  if (fr != nullptr) fr->set_dump_tag(s.cfg.name);
+  if (trace::FlightRecorder* fr = s.sim->flight_recorder()) {
+    fr->set_dump_tag(s.cfg.name);
+  }
 }
 
-void SessionManager::finish_observability(Session& s, runtime::Device& dev) {
+void SessionManager::finish_observability(Session& s) {
   if (s.observer == nullptr) return;
-  if (s.sim != nullptr) s.sim->set_instrumentation_listener(nullptr);
-  else if (s.sharded != nullptr) s.sharded->set_instrumentation_listener(nullptr);
-  runtime::Device& gauges =
-      s.sharded != nullptr ? s.sharded->shard_device(0) : dev;
-  (void)s.observer->finish(gauges);
+  s.sim->set_instrumentation_listener(nullptr);
+  (void)s.observer->finish(s.sim->shard_device(0));
 }
 
 SessionManager::Outcome SessionManager::advance(Session& s,
@@ -372,11 +356,10 @@ SessionManager::Outcome SessionManager::advance(Session& s,
   const std::size_t cap0 = engine_capacity(s, dev);
   Stopwatch sw;
   try {
-    if (s.sim == nullptr && s.sharded == nullptr) {
+    if (s.sim == nullptr) {
       construct(s); // the first quantum: bootstrap build + forces
     } else {
-      if (s.sim != nullptr) (void)s.sim->step();
-      else (void)s.sharded->step();
+      (void)s.sim->step();
       out.steps_add = 1;
     }
     out.seconds = sw.seconds();
@@ -400,10 +383,8 @@ SessionManager::Outcome SessionManager::advance(Session& s,
         (done % s.cfg.snapshot_every == 0 ||
          out.next == SessionState::Completed)) {
       try {
-        const nbody::Particles& p =
-            s.sim != nullptr ? s.sim->particles() : s.sharded->particles();
-        const double t = s.sim != nullptr ? s.sim->time() : s.sharded->time();
-        nbody::write_snapshot(s.cfg.snapshot_path, p, t);
+        nbody::write_snapshot(s.cfg.snapshot_path, s.sim->particles(),
+                              s.sim->time());
       } catch (const std::exception& e) {
         // Observability never kills the physics: keep stepping.
         std::fprintf(stderr, "gothic: session %s checkpoint failed: %s\n",
@@ -421,15 +402,7 @@ SessionManager::Outcome SessionManager::advance(Session& s,
     out.next = SessionState::Failed;
     out.error = "unknown error";
   }
-  if (out.next == SessionState::Failed) {
-    // Drain stragglers of the failed quantum so the device hands the next
-    // session a clean engine (PR 4: first-wins error, reusable after).
-    try {
-      dev.synchronize();
-    } catch (...) { // NOLINT(bugprone-empty-catch)
-    }
-  }
-  if (terminal(out.next)) finish_observability(s, dev);
+  if (terminal(out.next)) finish_observability(s);
   return out;
 }
 

@@ -1,7 +1,6 @@
 // service::SessionManager — the multi-tenant session layer: many
-// independent Simulation / ShardedSimulation instances multiplexed onto a
-// shared pool of runtime::Devices (DESIGN.md, "Session layer &
-// multi-tenancy").
+// independent step engines multiplexed onto a shared pool of
+// runtime::Devices (DESIGN.md, "Session layer & multi-tenancy").
 //
 // The ROADMAP's serving shape is thousands of small scenarios in flight,
 // not one big N. The manager runs one host driver thread per pool device;
@@ -40,7 +39,6 @@
 // bounds each session's marginal footprint.
 #pragma once
 
-#include "nbody/sharded_simulation.hpp"
 #include "nbody/simulation.hpp"
 #include "scenario/registry.hpp"
 #include "trace/metrics.hpp"
@@ -79,9 +77,10 @@ struct SessionConfig {
   std::size_t n = 0;          ///< 0 = scenario.default_n
   std::uint64_t seed = 0;     ///< 0 = scenario.default_seed
   int steps = 8;              ///< quanta to completion
-  /// 1 = a Simulation on the pool device; >1 = a ShardedSimulation, which
-  /// constructs its own per-shard devices (the manager still schedules,
-  /// meters, quota-charges and fault-isolates it).
+  /// Shard count K of the session's engine. K = 1 runs on whichever pool
+  /// device steps the session (nbody::Simulation); K > 1 constructs K
+  /// devices of its own, shaped like the pool's. The manager schedules,
+  /// meters, quota-charges and fault-isolates both alike.
   int shards = 1;
   /// 0 = unlimited. Otherwise the session fails once the arena growth
   /// charged to it exceeds this many bytes (reject-on-exceed).
@@ -208,8 +207,7 @@ private:
     std::string error;
     // Engine state: touched only by the claiming driver (the claim
     // handoff under the manager mutex provides the happens-before).
-    std::unique_ptr<nbody::Simulation> sim;
-    std::unique_ptr<nbody::ShardedSimulation> sharded;
+    std::unique_ptr<nbody::ShardedSimulation> sim;
     std::unique_ptr<trace::Session> observer;
   };
 
@@ -229,7 +227,7 @@ private:
   void construct(Session& s);
   [[nodiscard]] std::size_t engine_capacity(const Session& s,
                                             runtime::Device& dev) const;
-  void finish_observability(Session& s, runtime::Device& dev);
+  void finish_observability(Session& s);
   [[nodiscard]] const Session& session_at(std::uint64_t id) const;
   [[nodiscard]] SessionInfo info_locked(const Session& s) const;
 

@@ -1,6 +1,5 @@
 #include "testkit/fuzz.hpp"
 
-#include "nbody/sharded_simulation.hpp"
 #include "runtime/device.hpp"
 #include "simt/simd.hpp"
 #include "trace/flight_recorder.hpp"
@@ -61,18 +60,33 @@ std::vector<real> pack_state(const nbody::Particles& p) {
   return out;
 }
 
-std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
-                                 runtime::ScheduleController* controller) {
+namespace {
+
+/// `cfg.steps` steps of `p` under `sim_cfg` on a one-shard engine over a
+/// fresh device, optionally driven by `controller` from the first
+/// bootstrap launch on; returns the packed final state.
+std::vector<real> run_on_device(const FuzzConfig& cfg, bool async,
+                                runtime::ScheduleController* controller,
+                                nbody::Particles p,
+                                const nbody::SimConfig& sim_cfg) {
   runtime::Device dev(cfg.workers, async ? 1 : 0, cfg.lanes);
   runtime::ScopedDevice scope(dev);
   if (controller != nullptr) dev.set_schedule_controller(controller);
-  nbody::Simulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
-                        fuzz_sim_config(cfg.rebuild_interval, cfg.schedule));
+  nbody::Simulation sim(std::move(p), sim_cfg);
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
   // step() ends with a synchronize, so the device is idle here and the
   // controller can be detached before it goes out of the caller's scope.
   if (controller != nullptr) dev.set_schedule_controller(nullptr);
   return pack_state(sim.particles());
+}
+
+} // namespace
+
+std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
+                                 runtime::ScheduleController* controller) {
+  return run_on_device(cfg, async, controller,
+                       fuzz_cloud(cfg.n, cfg.workload_seed),
+                       fuzz_sim_config(cfg.rebuild_interval, cfg.schedule));
 }
 
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
@@ -353,26 +367,29 @@ FaultSweepReport sweep_faults(const FuzzConfig& cfg, std::uint64_t base_seed,
 
 // --- Sharded pipeline sweeps ----------------------------------------------
 
-ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
-                            const std::vector<real>& reference) {
-  ShardRunOutcome out;
-  // Low bits so short sequential seed ranges already cover the matrix:
-  // bits 0-1 walk schedule, bit 2 async mode, bits 3+ shard count, bit 5
-  // the SIMD substrate (clamped to a no-op on hosts without AVX2).
+namespace {
+
+/// The seeded engine run of the shard and scenario legs: low seed bits
+/// pick the shard count (bits 3+), async mode (bit 2) and SIMD substrate
+/// (bit 5, a no-op on hosts without AVX2), so short sequential seed
+/// ranges already cover the matrix; `p` runs `cfg.steps` steps under `sim_cfg` with one seeded
+/// stream controller per shard device, and the packed final state is
+/// compared with `reference`.
+void run_seeded_engine(const FuzzConfig& cfg, std::uint64_t seed,
+                       nbody::Particles p, const nbody::SimConfig& sim_cfg,
+                       const std::vector<real>& reference,
+                       ShardRunOutcome& out) {
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
   out.async = ((seed >> 2) & 1) != 0;
   simt::ScopedSimd simd(((seed >> 5) & 1) != 0);
 
-  nbody::SimConfig sim_cfg = fuzz_sim_config(
-      cfg.rebuild_interval, static_cast<gravity::WalkSchedule>(seed % 4));
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
   opt.lanes = cfg.lanes;
-  nbody::ShardedSimulation sim(fuzz_cloud(cfg.n, cfg.workload_seed), sim_cfg,
-                               opt);
+  nbody::ShardedSimulation sim(std::move(p), sim_cfg, opt);
 
   // One seeded stream controller per shard device, installed between the
   // constructor's synchronize and the first step (devices are idle here).
@@ -384,17 +401,29 @@ ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
   }
   for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
   for (int s = 0; s < out.shards; ++s) {
+    const SeededSchedule& ctrl = *ctrls[static_cast<std::size_t>(s)];
     sim.shard_device(s).set_schedule_controller(nullptr);
     if (s != 0) out.signature += '|';
-    out.signature += ctrls[static_cast<std::size_t>(s)]->signature();
-    out.decision_points +=
-        ctrls[static_cast<std::size_t>(s)]->decision_points();
-    for (const std::string& v :
-         ctrls[static_cast<std::size_t>(s)]->violations()) {
+    out.signature += ctrl.signature();
+    out.decision_points += ctrl.decision_points();
+    for (const std::string& v : ctrl.violations()) {
       out.violations.push_back("shard " + std::to_string(s) + ": " + v);
     }
   }
   out.bit_identical = pack_state(sim.particles()) == reference;
+}
+
+} // namespace
+
+ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
+                            const std::vector<real>& reference) {
+  // Bits 0-1 pick the walk schedule; run_seeded_engine decodes the rest.
+  ShardRunOutcome out;
+  run_seeded_engine(
+      cfg, seed, fuzz_cloud(cfg.n, cfg.workload_seed),
+      fuzz_sim_config(cfg.rebuild_interval,
+                      static_cast<gravity::WalkSchedule>(seed % 4)),
+      reference, out);
   return out;
 }
 
@@ -440,58 +469,23 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
 
 std::vector<real> scenario_reference(const FuzzConfig& cfg,
                                      const scenario::Scenario& sc) {
-  runtime::Device dev(cfg.workers, 0, cfg.lanes);
-  runtime::ScopedDevice scope(dev);
-  nbody::Simulation sim(
-      sc.make(cfg.n, cfg.workload_seed),
-      scenario_fuzz_config(sc, cfg.rebuild_interval,
-                           gravity::WalkSchedule::Static));
-  for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
-  return pack_state(sim.particles());
+  return run_on_device(cfg, false, nullptr, sc.make(cfg.n, cfg.workload_seed),
+                       scenario_fuzz_config(sc, cfg.rebuild_interval,
+                                            gravity::WalkSchedule::Static));
 }
 
 ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
                                 const std::vector<real>& reference) {
+  // Same seed-bit encoding as run_sharded, so one token language covers
+  // both sweeps; the scenario is an independent hash of the whole seed.
   const scenario::Scenario& sc = scenario::scenario_from_seed(seed);
   ScenarioRunOutcome out;
   out.scenario = sc.name;
-  // Same seed-bit encoding as run_sharded (bits 0-1 walk schedule, bit 2
-  // async, bits 3+ shard count, bit 5 SIMD) so one token language covers
-  // both sweeps; the scenario is an independent hash of the whole seed.
-  const int shard_choices[] = {1, 2, 4};
-  out.shards = shard_choices[(seed >> 3) % 3];
-  out.async = ((seed >> 2) & 1) != 0;
-  simt::ScopedSimd simd(((seed >> 5) & 1) != 0);
-
-  nbody::SimConfig sim_cfg = scenario_fuzz_config(
-      sc, cfg.rebuild_interval, static_cast<gravity::WalkSchedule>(seed % 4));
-  nbody::ShardOptions opt;
-  opt.shards = out.shards;
-  opt.workers = cfg.workers;
-  opt.async = out.async ? 1 : 0;
-  opt.lanes = cfg.lanes;
-  nbody::ShardedSimulation sim(sc.make(cfg.n, cfg.workload_seed), sim_cfg,
-                               opt);
-
-  std::vector<std::unique_ptr<SeededSchedule>> ctrls;
-  for (int s = 0; s < out.shards; ++s) {
-    ctrls.push_back(std::make_unique<SeededSchedule>(
-        seed ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(s + 1))));
-    sim.shard_device(s).set_schedule_controller(ctrls.back().get());
-  }
-  for (int i = 0; i < cfg.steps; ++i) (void)sim.step();
-  for (int s = 0; s < out.shards; ++s) {
-    sim.shard_device(s).set_schedule_controller(nullptr);
-    if (s != 0) out.signature += '|';
-    out.signature += ctrls[static_cast<std::size_t>(s)]->signature();
-    out.decision_points +=
-        ctrls[static_cast<std::size_t>(s)]->decision_points();
-    for (const std::string& v :
-         ctrls[static_cast<std::size_t>(s)]->violations()) {
-      out.violations.push_back("shard " + std::to_string(s) + ": " + v);
-    }
-  }
-  out.bit_identical = pack_state(sim.particles()) == reference;
+  run_seeded_engine(
+      cfg, seed, sc.make(cfg.n, cfg.workload_seed),
+      scenario_fuzz_config(sc, cfg.rebuild_interval,
+                           static_cast<gravity::WalkSchedule>(seed % 4)),
+      reference, out);
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Schedule-fuzz and fault-sweep drivers over Simulation::step.
+// Schedule-fuzz and fault-sweep drivers over the step engine.
 //
 // One controlled run executes a deterministic workload (fixed particle
 // cloud, fixed rebuild cadence) on a fresh async Device driven by a
@@ -133,8 +133,8 @@ FaultSweepReport sweep_faults(const FuzzConfig& cfg, std::uint64_t base_seed,
 
 // --- Sharded pipeline sweeps ----------------------------------------------
 
-/// Outcome of one sharded controlled run against the plain synchronous
-/// Simulation reference.
+/// Outcome of one sharded controlled run against the one-shard
+/// synchronous reference.
 struct ShardRunOutcome {
   int shards = 1;
   bool async = false;
@@ -144,7 +144,7 @@ struct ShardRunOutcome {
   std::vector<std::string> violations;
 };
 
-/// Run the fuzz workload through ShardedSimulation. The seed is the full
+/// Run the fuzz workload through the step engine. The seed is the full
 /// replay token: walk schedule from seed % 4, async mode from
 /// (seed >> 2) & 1, shard count K in {1, 2, 4} from (seed >> 3) % 3, the
 /// SIMD substrate from (seed >> 5) & 1, and one SeededSchedule stream
@@ -175,14 +175,8 @@ std::vector<real> scenario_reference(const FuzzConfig& cfg,
                                      const scenario::Scenario& sc);
 
 /// Outcome of one scenario-parameterized controlled run.
-struct ScenarioRunOutcome {
+struct ScenarioRunOutcome : ShardRunOutcome {
   std::string scenario; ///< registry entry the seed selected
-  int shards = 1;
-  bool async = false;
-  std::string signature;
-  std::size_t decision_points = 0;
-  bool bit_identical = false;
-  std::vector<std::string> violations;
 };
 
 /// One scenario leg: the seed is the full replay token — the *scenario*

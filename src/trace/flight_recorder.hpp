@@ -12,8 +12,8 @@
 // thus carries its own flight data instead of requiring a re-run under a
 // Perfetto session.
 //
-// Enablement is environment-driven: GOTHIC_FLIGHT=<path> makes Simulation
-// / ShardedSimulation / testkit::run_fault_plan construct a recorder and
+// Enablement is environment-driven: GOTHIC_FLIGHT=<path> makes the step
+// engine and testkit::run_fault_plan construct a recorder and
 // dump to <path> on their error paths ("-" dumps to stderr). When the
 // variable is unset nothing is constructed and the hot path keeps its
 // null-listener pointer test.
@@ -24,8 +24,9 @@
 // two pointer copies and an interned-name probe on top of whatever the
 // downstream costs.
 //
-// Thread discipline matches InstrumentationSink: on_record() runs under
-// the issuing device's launch lock (single device ⇒ serialized);
+// Thread discipline: on_record() runs wherever its feeder calls it — under
+// the issuing device's launch lock for a sink listener (single device ⇒
+// serialized), on the stepping thread for the step engine;
 // record_only()/on_step()/write()/dump() are host-thread calls made while
 // no launch targeting the feeding sink is in flight.
 #pragma once
@@ -61,7 +62,7 @@ public:
 
   /// Ring write without forwarding — the error-path backfill used when a
   /// step aborts before its records were forwarded to the listener chain
-  /// (ShardedSimulation feeds the shard sinks through this before dumping).
+  /// (the step engine feeds its shard sinks through this before dumping).
   void record_only(const runtime::LaunchRecord& rec);
 
   /// Attach (or detach, with nullptr) the downstream listener every

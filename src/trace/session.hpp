@@ -6,7 +6,7 @@
 // explicitly or via GOTHIC_TRACE=<path>, and (c) an optional step
 // TelemetryWriter (JSONL time series) when a telemetry path is configured,
 // explicitly or via GOTHIC_TELEMETRY=<path>. Attach it with
-// Simulation::set_instrumentation_listener(&session) (or
+// ShardedSimulation::set_instrumentation_listener(&session) (or
 // Device::sink().set_listener(&session) for raw device launches), run, and
 // call finish() to sample the device gauges and flush the trace file.
 //

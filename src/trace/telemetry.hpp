@@ -13,8 +13,8 @@
 //                                  gauges from the MetricsRegistry as of
 //                                  that step.
 //
-// The writer is driven from trace::Session::on_step(), which Simulation
-// calls on the host thread after the step's synchronize — file I/O is safe
+// The writer is driven from trace::Session::on_step(), which the step
+// engine calls on the host thread after the step's join — file I/O is safe
 // there and adds nothing to the launch hot path. Enablement follows the
 // same pattern as GOTHIC_TRACE: GOTHIC_TELEMETRY=<path> (or a Session
 // constructed with an explicit path). An unwritable path errors once to

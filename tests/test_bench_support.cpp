@@ -8,7 +8,7 @@
 #include "support/report.hpp"
 #include "trace/metrics.hpp"
 
-#include "mini_json.hpp"
+#include "util/minijson.hpp"
 
 #include <gtest/gtest.h>
 
@@ -156,8 +156,8 @@ TEST(BenchSupport, ScaleReadsEnvironment) {
 // ---------------------------------------------------------------------------
 // BENCH_<name>.json golden schema.
 
-using minijson::JsonParser;
-using minijson::JsonValue;
+using gothic::minijson::JsonParser;
+using gothic::minijson::JsonValue;
 
 const JsonValue& require(const JsonValue& obj, const std::string& key,
                          JsonValue::Type type) {
@@ -378,7 +378,7 @@ TEST(ExternalReport, EnvNamedBenchJsonKeepsGoldenSchema) {
     GTEST_SKIP() << "set GOTHIC_BENCH_VALIDATE_JSON=<BENCH_*.json> to "
                     "validate an emitted report";
   }
-  const JsonValue doc = JsonParser(minijson::read_file(path)).parse();
+  const JsonValue doc = JsonParser(gothic::minijson::read_file(path)).parse();
   ASSERT_EQ(static_cast<int>(doc.type),
             static_cast<int>(JsonValue::Type::Object));
   EXPECT_FALSE(require(doc, "bench", JsonValue::Type::String).str.empty());

@@ -45,10 +45,11 @@ struct KeplerRig {
   void step() {
     (void)steps.advance();
     std::vector<real> px(1), py(1), pz(1);
-    predict_positions(p, steps, px, py, pz);
+    predict_positions_range(p, steps, px, py, pz, 0, 1);
     std::vector<real> ax(1), ay(1), az(1), pot(1, real(0));
     central_force(px[0], py[0], pz[0], ax[0], ay[0], az[0]);
-    correct_active(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01);
+    correct_active_range(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01, 0,
+                         1);
   }
 
   [[nodiscard]] double energy() const {
@@ -108,7 +109,7 @@ TEST(Integrator, PredictMatchesTaylorExpansion) {
   steps.initialize(std::vector<double>{0.5});
   (void)steps.advance();
   std::vector<real> px(1), py(1), pz(1);
-  predict_positions(p, steps, px, py, pz);
+  predict_positions_range(p, steps, px, py, pz, 0, 1);
   // x + v dt + a dt^2/2 = 1 + 1 - 0.5 = 1.5
   EXPECT_FLOAT_EQ(px[0], 1.5f);
 }
@@ -121,7 +122,8 @@ TEST(Integrator, CorrectAppliesTrapezoidalKick) {
   (void)steps.advance();
   std::vector<real> px(1, real(7)), py(1), pz(1);
   std::vector<real> ax(1, real(3)), ay(1), az(1), pot(1, real(-2));
-  correct_active(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01);
+  correct_active_range(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01, 0,
+                       1);
   // v += dt/2 (a_old + a_new) = 0.25 * 4 = 1
   EXPECT_FLOAT_EQ(p.vx[0], 1.0f);
   EXPECT_FLOAT_EQ(p.x[0], 7.0f);
@@ -141,7 +143,8 @@ TEST(Integrator, InactiveParticlesUntouched) {
   ASSERT_FALSE(steps.active(1));
   std::vector<real> px(2, real(9)), py(2), pz(2);
   std::vector<real> ax(2, real(5)), ay(2), az(2), pot(2);
-  correct_active(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01);
+  correct_active_range(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01, 0,
+                       2);
   EXPECT_FLOAT_EQ(p.x[0], 9.0f);
   EXPECT_FLOAT_EQ(p.x[1], 0.0f); // untouched
   EXPECT_FLOAT_EQ(p.ax[1], 1.0f);
@@ -154,11 +157,12 @@ TEST(Integrator, OpCountsScaleWithFiredParticles) {
   (void)steps.advance();
   std::vector<real> px(64), py(64), pz(64);
   simt::OpCounts pred;
-  predict_positions(p, steps, px, py, pz, &pred);
+  predict_positions_range(p, steps, px, py, pz, 0, 64, &pred);
   EXPECT_EQ(pred.fp32_fma, 64u * 6u);
   std::vector<real> ax(64), ay(64), az(64), pot(64);
   simt::OpCounts corr;
-  correct_active(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01, &corr);
+  correct_active_range(p, steps, px, py, pz, ax, ay, az, pot, 0.25, 0.01, 0,
+                       64, &corr);
   EXPECT_EQ(corr.fp32_fma, 64u * 6u);
   EXPECT_EQ(corr.syncwarp, 0u); // pred/corr never syncs (§4.1, Fig 5)
 }

@@ -3,8 +3,10 @@
 // faulted launch captured with its dependency edges), the JSONL step
 // telemetry stream, the unwritable-destination error contracts
 // (GOTHIC_TRACE / GOTHIC_TELEMETRY / flight dumps degrade loudly but never
-// abort the run), and the StepMark shard fields asserted end-to-end from a
-// 2-shard ShardedSimulation through a trace::Session's MetricsRegistry.
+// abort the run), the StepMark shard fields asserted end-to-end from a
+// 2-shard ShardedSimulation through a trace::Session's MetricsRegistry,
+// and the engine's listener contract (callbacks on the stepping thread,
+// each step's records before its mark, refresh_forces() records too).
 #include "trace/flight_recorder.hpp"
 #include "trace/metrics.hpp"
 #include "trace/session.hpp"
@@ -16,7 +18,7 @@
 #include "testkit/fault.hpp"
 #include "util/rng.hpp"
 
-#include "mini_json.hpp"
+#include "util/minijson.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,14 +28,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace gothic {
 namespace {
 
-using minijson::JsonParser;
-using minijson::JsonValue;
-using minijson::read_file;
+using gothic::minijson::JsonParser;
+using gothic::minijson::JsonValue;
+using gothic::minijson::read_file;
 
 const JsonValue& require(const JsonValue& obj, const std::string& key,
                          JsonValue::Type type) {
@@ -515,6 +518,65 @@ TEST(ShardObservability, TwoShardRunFillsShardFieldsThroughTheRegistry) {
   // K=2: gravity is global, so some remote mass is always essential.
   EXPECT_GT(m.let_cells_total(), 0u);
   EXPECT_GT(m.let_bodies_total(), 0u);
+}
+
+// --- listener contract: replayed after the join, on the caller's thread ------
+
+TEST(ListenerContract, CallbacksRunOnTheCallersThreadAfterEachJoin) {
+  struct Call {
+    bool mark = false;
+    std::string label;
+    std::thread::id thread;
+  };
+  struct Recorder final : runtime::RecordListener {
+    std::vector<Call> calls;
+    void on_record(const runtime::LaunchRecord& rec) override {
+      calls.push_back({false, rec.label, std::this_thread::get_id()});
+    }
+    void on_step(const runtime::StepMark&) override {
+      calls.push_back({true, "", std::this_thread::get_id()});
+    }
+  };
+  auto check = [](nbody::ShardedSimulation& sim, const std::string& what) {
+    Recorder rec;
+    sim.set_instrumentation_listener(&rec);
+    sim.run(3);
+    sim.refresh_forces();
+    sim.set_instrumentation_listener(nullptr);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t marks = 0;
+    std::size_t since_mark = 0;
+    std::size_t refresh = 0;
+    for (const Call& c : rec.calls) {
+      EXPECT_EQ(c.thread, caller) << what << ": callback off the caller";
+      if (c.mark) {
+        // predict, calcNode, walkTree, correct per shard at least.
+        EXPECT_GE(since_mark, 4u) << what << ": step " << marks + 1
+                                  << " marked before its records";
+        ++marks;
+        since_mark = 0;
+      } else {
+        ++since_mark;
+        if (marks == 3 && c.label.find("(refresh)") != std::string::npos) {
+          ++refresh;
+        }
+      }
+    }
+    EXPECT_EQ(marks, 3u) << what;
+    EXPECT_EQ(refresh, 2u) << what << ": refresh_forces records";
+  };
+
+  runtime::Device dev(2, /*async=*/1);
+  runtime::ScopedDevice scope(dev);
+  nbody::Simulation one(plummer(1024, 51), small_config());
+  check(one, "Simulation");
+
+  nbody::ShardOptions opt;
+  opt.shards = 2;
+  opt.workers = 2;
+  opt.async = 1;
+  nbody::ShardedSimulation two(plummer(1024, 53), small_config(), opt);
+  check(two, "K=2");
 }
 
 // --- flight recorder wired through the simulations ---------------------------

@@ -712,16 +712,15 @@ TEST(SimulationRuntime, StepReportCarriesWallAndOverlap) {
   EXPECT_DOUBLE_EQ(r.wall_seconds, sim.sink().step_wall_seconds());
 }
 
-TEST(SimulationRuntime, StepReportIsDrainedFromLaunchRecords) {
-  Device dev(2);
-  ScopedDevice scope(dev);
-  nbody::SimConfig cfg;
-  cfg.auto_rebuild = false;
-  cfg.fixed_rebuild_interval = 1 << 30;
-  nbody::Simulation sim(uniform_cloud(512), cfg);
+/// One step of `sim`: its report must be drained from the step's launch
+/// records, which must form GOTHIC's single-device DAG. Copies them to
+/// `out`.
+void ExpectStepDrainedFromRecords(nbody::ShardedSimulation& sim,
+                                  std::vector<LaunchRecord>& out) {
   const nbody::StepReport r = sim.step();
 
   const auto& records = sim.sink().step_records();
+  out = records;
   ASSERT_EQ(records.size(), 4u); // predict, calcNode, walkTree, correct
   EXPECT_EQ(records[0].kernel, Kernel::PredictCorrect);
   EXPECT_EQ(records[1].kernel, Kernel::CalcNode);
@@ -752,6 +751,33 @@ TEST(SimulationRuntime, StepReportIsDrainedFromLaunchRecords) {
   // Cumulative accessors read the same sink.
   EXPECT_GE(sim.timers().calls(Kernel::WalkTree), 2u); // bootstrap + step
   EXPECT_GT(sim.kernel_ops(Kernel::WalkTree).fp32_fma, 0u);
+}
+
+TEST(SimulationRuntime, StepReportIsDrainedFromLaunchRecords) {
+  nbody::SimConfig cfg;
+  cfg.auto_rebuild = false;
+  cfg.fixed_rebuild_interval = 1 << 30;
+  Device dev(2);
+  ScopedDevice scope(dev);
+  nbody::Simulation sim(uniform_cloud(512), cfg);
+  std::vector<LaunchRecord> ambient;
+  ExpectStepDrainedFromRecords(sim, ambient);
+
+  // One shard on an engine-owned device runs the same code path: the
+  // same launches, ids and dependency edges on the same streams.
+  nbody::ShardOptions opt;
+  opt.shards = 1;
+  opt.workers = 2;
+  nbody::ShardedSimulation owned(uniform_cloud(512), cfg, opt);
+  std::vector<LaunchRecord> records;
+  ExpectStepDrainedFromRecords(owned, records);
+  ASSERT_EQ(records.size(), ambient.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_STREQ(records[i].label, ambient[i].label) << "record " << i;
+    EXPECT_STREQ(records[i].stream, ambient[i].stream) << "record " << i;
+    EXPECT_EQ(records[i].id, ambient[i].id) << "record " << i;
+    EXPECT_EQ(records[i].deps, ambient[i].deps) << "record " << i;
+  }
 }
 
 TEST(SimulationRuntime, StepsBitIdenticalAcrossWorkerCounts) {

@@ -11,7 +11,7 @@
 #include "runtime/device.hpp"
 #include "util/rng.hpp"
 
-#include "mini_json.hpp"
+#include "util/minijson.hpp"
 
 #include <gtest/gtest.h>
 
@@ -49,11 +49,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace gothic::trace {
 namespace {
 
-// JsonValue/JsonParser/read_file live in tests/mini_json.hpp (shared with
-// the bench golden-schema test).
-using minijson::JsonParser;
-using minijson::JsonValue;
-using minijson::read_file;
+// JsonValue/JsonParser/read_file come from util/minijson.hpp, the parser
+// the bench_diff gate and the bench golden-schema test share.
+using gothic::minijson::JsonParser;
+using gothic::minijson::JsonValue;
+using gothic::minijson::read_file;
 
 // --- latency histogram -----------------------------------------------------
 

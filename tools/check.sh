@@ -42,6 +42,10 @@
 # streams, and validates a golden-schema BENCH_service.json through the
 # bench_diff gate.
 #
+# The e2e stage builds the end-to-end benchmark (bench/e2e, its own CMake
+# project) against this tree into build/e2e, runs its unit tests, and
+# smokes the two-shard workload with its K=2 bit-identity check.
+#
 # The TSan stage rebuilds test_runtime, test_walk_tree, test_service and
 # gothic_fuzz in a separate build tree (build-tsan/) with
 # GOTHIC_SANITIZE=thread and runs them under both scheduler modes,
@@ -192,6 +196,21 @@ for mode in 1 0; do
   GOTHIC_ASYNC=$mode ./build/tools/gothic_fuzz --schedules=0 --faults=0 \
     --shards=16 --shard-faults=6
 done
+# gothic_run reads GOTHIC_SHARDS as strictly as the telemetry config line
+# does: a malformed value warns and runs one shard, and a shard count
+# beyond INT_MAX is an error rather than a silent wrap to one shard.
+out=$(GOTHIC_SHARDS=4x ./build/tools/gothic_run --model=plummer --n=512 \
+  --steps=1 2>&1)
+if grep -q "sharded pipeline" <<<"$out"; then
+  echo "gothic_run ran sharded under GOTHIC_SHARDS=4x" >&2
+  exit 1
+fi
+if err=$(./build/tools/gothic_run --model=plummer --n=512 --steps=1 \
+    --shards=4294967297 2>&1 >/dev/null); then
+  echo "gothic_run accepted --shards=4294967297" >&2
+  exit 1
+fi
+grep -q -- "--shards must be <=" <<<"$err"
 echo "shard stage passed"
 
 echo "== scenario stage: physics-oracle matrix + bench_scenario =="
@@ -257,6 +276,18 @@ json.load(open('smoke_serve/s0.trace.json'))" &&
     --gtest_filter='ExternalReport.*' >/dev/null &&
   mv BENCH_service.json ../bench-fresh/BENCH_service.json)
 echo "service stage passed"
+
+echo "== e2e benchmark: build + smoke against this tree =="
+# bench/e2e is its own CMake project, so the tier-1 build never compiles
+# it. Build it against this tree, run its unit tests, and smoke the K=2
+# workload, whose shard_identity check compares nbody::Simulation with
+# K=2 bit for bit.
+cmake -S bench/e2e -B build/e2e -DGOTHIC_SOURCE_DIR="$PWD" >/dev/null
+cmake --build build/e2e -j --target gothic_e2e e2e_tests
+(cd build/e2e && ctest --output-on-failure)
+./build/e2e/gothic_e2e --workload=m31-shared-k2 --seed=1 --seconds=0 \
+  >/dev/null
+echo "e2e stage passed"
 
 echo "== perf-regression gate: bench_diff over the BENCH trajectory =="
 # Gate the fresh reports against the archived trajectory in

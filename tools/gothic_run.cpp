@@ -44,27 +44,29 @@
 //                                 rings at the end of the run
 //   --metrics                     print per-kernel latency histograms
 //                                 (p50/p95/max) and arena gauges at exit
-//   --shards=<int>                run the sharded pipeline over K per-shard
+//   --shards=<int>                run the step engine over K per-shard
 //                                 devices (default: $GOTHIC_SHARDS, else 1
-//                                 = the single-device Simulation; results
-//                                 are bit-identical for every K)
+//                                 = one shard on the shared device; results
+//                                 are bit-identical for every K; at most
+//                                 INT_MAX)
 #include "galaxy/m31.hpp"
 #include "galaxy/spherical_sampler.hpp"
 #include "nbody/sharded_simulation.hpp"
 #include "scenario/registry.hpp"
 #include "nbody/simulation.hpp"
 #include "nbody/snapshot.hpp"
-#include "runtime/device.hpp"
 #include "trace/session.hpp"
 #include "util/args.hpp"
+#include "util/env.hpp"
 #include "util/table.hpp"
 
-#include <memory>
-
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 
 namespace {
@@ -160,11 +162,9 @@ std::string snapshot_name(const std::string& prefix, int step) {
   return prefix + buf;
 }
 
-/// The drive loop, shared by the single-device Simulation and the sharded
-/// pipeline (identical interfaces, bit-identical results). `trace_dev` is
-/// the device whose arena gauges the metrics footer samples.
-template <typename Sim>
-int drive(Sim& sim, runtime::Device& trace_dev, const Args& args) {
+/// The drive loop for any shard count (bit-identical results). Shard 0's
+/// device is the one whose arena gauges the metrics footer samples.
+int drive(nbody::ShardedSimulation& sim, const Args& args) {
   const int steps = static_cast<int>(args.get_int("steps", 64));
   const int snap_every = static_cast<int>(args.get_int("snapshot-every", 0));
   const std::string prefix = args.get("out", "gothic_");
@@ -227,7 +227,7 @@ int drive(Sim& sim, runtime::Device& trace_dev, const Args& args) {
   }
   if (session) {
     sim.set_instrumentation_listener(nullptr);
-    const bool ok = session->finish(trace_dev);
+    const bool ok = session->finish(sim.shard_device(0));
     if (metrics) session->metrics().print(std::cout);
     if (session->tracing()) {
       // Non-zero drops mean the bounded trace buffer truncated the
@@ -259,12 +259,16 @@ int drive(Sim& sim, runtime::Device& trace_dev, const Args& args) {
 }
 
 int shard_count(const Args& args) {
-  long long k = 1;
-  if (const char* env = std::getenv("GOTHIC_SHARDS")) {
-    k = std::atoll(env);
-  }
-  k = args.get_int("shards", k);
+  // GOTHIC_SHARDS goes through the strict reader telemetry logs it with,
+  // so a malformed value ("4x") warns and falls back to 1 in both places.
+  const auto env = static_cast<long long>(
+      std::min<std::size_t>(env_size("GOTHIC_SHARDS", 1), LLONG_MAX));
+  const long long k = args.get_int("shards", env);
   if (k < 1) throw std::invalid_argument("--shards must be >= 1");
+  if (k > INT_MAX) {
+    throw std::invalid_argument("--shards must be <= " +
+                                std::to_string(INT_MAX));
+  }
   return static_cast<int>(k);
 }
 
@@ -295,17 +299,18 @@ int main(int argc, char** argv) {
                 << "\n";
     }
     const int shards = shard_count(args);
+    std::unique_ptr<nbody::ShardedSimulation> sim;
     if (shards > 1) {
       nbody::ShardOptions opt;
       opt.shards = shards;
-      nbody::ShardedSimulation sim(make_initial(args, sc.get()),
-                                   make_config(args, sc.get()), opt);
+      sim = std::make_unique<nbody::ShardedSimulation>(
+          make_initial(args, sc.get()), make_config(args, sc.get()), opt);
       std::cout << "sharded pipeline: " << shards << " shards\n";
-      return drive(sim, sim.shard_device(0), args);
+    } else {
+      sim = std::make_unique<nbody::Simulation>(make_initial(args, sc.get()),
+                                                make_config(args, sc.get()));
     }
-    nbody::Simulation sim(make_initial(args, sc.get()),
-                          make_config(args, sc.get()));
-    return drive(sim, runtime::Device::current(), args);
+    return drive(*sim, args);
   } catch (const std::exception& e) {
     std::cerr << "gothic_run: " << e.what() << "\n";
     return 1;
