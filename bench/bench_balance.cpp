@@ -1,18 +1,19 @@
-// Load balancing — static vs dynamic vs cost-weighted scheduling of the
-// gravity walk across block-time-step activity fractions.
+// Load balancing — the gravity walk's work queue across block-time-step
+// activity fractions.
 //
-// GOTHIC balances walkTree by *measured* cost, not item count (Miki &
-// Umemura 2017; Bédorf et al. 2012). With block time steps only a
-// fraction of the groups is active per step, and the active ones cluster
-// in the dense bulk: an equal-count static partition hands one worker
-// most of the work while the rest idle. The dynamic work queue bounds the
-// imbalance by one chunk; the cost-weighted partition uses last step's
-// per-group costs to cut contiguous equal-cost ranges up front.
+// GOTHIC's walkTree gets its balance from the GPU's block scheduler,
+// which hands tree-walk groups to whichever SM frees up (Miki & Umemura
+// 2017). The CPU walk does the same with one chunked work queue
+// (Device::parallel_dynamic): idle workers keep claiming chunks of groups,
+// the chunk sized from the *active* group count so a sparse block step
+// still spreads its few active groups over every worker. With block time
+// steps the active groups cluster in the dense bulk — the case any
+// up-front partition gets wrong.
 //
-// The schedules are numerically invisible (each group writes disjoint
-// output slots) — this bench asserts that bitwise and reports walk
-// seconds plus the imbalance ratio (max worker time / mean worker time)
-// per (activity fraction, schedule).
+// Which worker walks which group is numerically invisible (each group
+// writes disjoint output slots) — this bench asserts that bitwise against
+// a 1-worker run and reports walk seconds plus the imbalance ratio (max
+// worker time / mean worker time) per activity fraction.
 #include "support/experiment.hpp"
 #include "support/report.hpp"
 
@@ -24,33 +25,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <numeric>
 #include <string>
 #include <vector>
-
-namespace {
-
-using namespace gothic;
-
-const char* schedule_name(gravity::WalkSchedule s) {
-  switch (s) {
-    case gravity::WalkSchedule::Static: return "static";
-    case gravity::WalkSchedule::Dynamic: return "dynamic";
-    case gravity::WalkSchedule::CostWeighted: return "cost-weighted";
-    case gravity::WalkSchedule::Auto: return "auto";
-  }
-  return "?";
-}
-
-struct RunResult {
-  std::vector<real> ax, ay, az, pot;
-  double seconds_per_walk = 0.0;
-  double imbalance_mean = 0.0;
-};
-
-} // namespace
 
 int main() {
   using namespace gothic;
@@ -82,14 +60,16 @@ int main() {
   cfg.eps = real(0.0156);
   cfg.mac.dacc = real(1.0 / 512);
 
-  std::cout << "# runtime workers = " << scale.threads
+  const int workers = runtime::Device::current().workers();
+  std::cout << "# runtime workers = " << workers
             << " (override with GOTHIC_THREADS), groups = " << groups.size()
             << ", reps = " << reps << "\n";
   BenchReport rep("balance");
   rep.set_scale(scale);
-  Table t("walk scheduling: seconds per walk and imbalance ratio "
+  Table t("walk work queue: seconds per walk and imbalance ratio "
           "(M31, N = " + std::to_string(scale.n) + ", dacc = 2^-9)",
-          {"active frac", "schedule", "walk [s]", "imbalance", "identical"});
+          {"active frac", "active groups", "walk [s]", "imbalance",
+           "identical"});
 
   // Block-time-step proxy: the f*n particles with the largest |a| have the
   // smallest required time step, so they fire (and their groups walk) most
@@ -100,8 +80,23 @@ int main() {
   std::sort(by_amag.begin(), by_amag.end(),
             [&](std::size_t a, std::size_t b) { return amag[a] > amag[b]; });
 
+  struct Forces {
+    std::vector<real> ax, ay, az, pot;
+    simt::OpCounts ops;
+    bool operator==(const Forces&) const = default;
+  };
+  auto walk = [&](Forces& f, std::span<const std::uint8_t> active,
+                  gravity::WalkStats* stats) {
+    f.ax.assign(n, real(0));
+    f.ay.assign(n, real(0));
+    f.az.assign(n, real(0));
+    f.pot.assign(n, real(0));
+    f.ops = simt::OpCounts{};
+    gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, f.ax, f.ay, f.az,
+                       f.pot, &f.ops, stats, active, groups);
+  };
+
   bool all_identical = true;
-  bool weighted_no_worse = true;
   for (const double frac : {1.0, 0.5, 0.2, 0.05}) {
     const auto n_active =
         std::max<std::size_t>(1, static_cast<std::size_t>(frac * n));
@@ -119,79 +114,51 @@ int main() {
       }
     }
 
-    RunResult results[3];
-    for (const auto schedule :
-         {gravity::WalkSchedule::Static, gravity::WalkSchedule::Dynamic,
-          gravity::WalkSchedule::CostWeighted}) {
-      cfg.schedule = schedule;
-      RunResult& r = results[static_cast<int>(schedule)];
-      r.ax.assign(n, real(0));
-      r.ay.assign(n, real(0));
-      r.az.assign(n, real(0));
-      r.pot.assign(n, real(0));
-      gravity::GroupCosts costs;
-      // Warm-up walk: populates the cost vector so the cost-weighted
-      // partition of the measured reps acts on measured costs, the same
-      // steady state Simulation reaches after its bootstrap walk.
-      gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, r.ax, r.ay,
-                         r.az, r.pot, nullptr, nullptr, group_active, groups,
-                         &costs);
-      double seconds = 0.0;
-      double imb_sum = 0.0;
-      for (int i = 0; i < reps; ++i) {
-        // Fresh stats per rep: imbalance() is a per-walk ratio, and
-        // accumulating reps first would compare reps to each other
-        // instead of workers within one walk.
-        gravity::WalkStats s;
-        const Stopwatch clock;
-        gravity::walk_tree(tree, p.x, p.y, p.z, p.m, amag, cfg, r.ax, r.ay,
-                           r.az, r.pot, nullptr, &s, group_active, groups,
-                           &costs);
-        seconds += clock.seconds();
-        imb_sum += s.imbalance();
-      }
-      r.seconds_per_walk = seconds / reps;
-      r.imbalance_mean = imb_sum / reps;
+    Forces ref;
+    {
+      runtime::Device one(1, /*async=*/0);
+      runtime::ScopedDevice scope(one);
+      walk(ref, group_active, nullptr);
     }
 
-    const RunResult& st = results[static_cast<int>(gravity::WalkSchedule::Static)];
-    for (const auto schedule :
-         {gravity::WalkSchedule::Static, gravity::WalkSchedule::Dynamic,
-          gravity::WalkSchedule::CostWeighted}) {
-      const RunResult& r = results[static_cast<int>(schedule)];
-      const bool identical =
-          std::memcmp(r.ax.data(), st.ax.data(), n * sizeof(real)) == 0 &&
-          std::memcmp(r.ay.data(), st.ay.data(), n * sizeof(real)) == 0 &&
-          std::memcmp(r.az.data(), st.az.data(), n * sizeof(real)) == 0 &&
-          std::memcmp(r.pot.data(), st.pot.data(), n * sizeof(real)) == 0;
-      all_identical = all_identical && identical;
-      t.add_row({Table::fix(frac, 2), schedule_name(schedule),
-                 Table::sci(r.seconds_per_walk), Table::fix(r.imbalance_mean, 3),
-                 identical ? "yes" : "NO"});
+    // Warm-up walk: grows the worker arenas, the steady state a
+    // simulation reaches after its bootstrap walk.
+    Forces f;
+    walk(f, group_active, nullptr);
+    double seconds = 0.0;
+    double imb_sum = 0.0;
+    bool identical = f == ref;
+    for (int i = 0; i < reps; ++i) {
+      // Fresh stats per rep: imbalance() is a per-walk ratio, and
+      // accumulating reps first would compare reps to each other
+      // instead of workers within one walk.
+      gravity::WalkStats s;
+      const Stopwatch clock;
+      walk(f, group_active, &s);
+      seconds += clock.seconds();
+      imb_sum += s.imbalance();
+      identical = identical && f == ref;
     }
-    const double w_imb =
-        results[static_cast<int>(gravity::WalkSchedule::CostWeighted)]
-            .imbalance_mean;
-    // Small tolerance: at frac = 1 with near-uniform costs the two
-    // partitions nearly coincide and timer noise decides the comparison.
-    if (w_imb > st.imbalance_mean * 1.05 + 0.05) weighted_no_worse = false;
+    all_identical = all_identical && identical;
+    t.add_row({Table::fix(frac, 2),
+               std::to_string(std::count(group_active.begin(),
+                                         group_active.end(), 1)),
+               Table::sci(seconds / reps), Table::fix(imb_sum / reps, 3),
+               identical ? "yes" : "NO"});
   }
 
   t.print(std::cout);
   std::cout << "imbalance = busiest worker / mean worker (1 = perfect, "
-            << runtime::Device::current().workers()
-            << " = serialized); identical = bitwise equal to the static "
-               "schedule.\n";
-  std::cout << "bitwise identity across schedules: "
-            << (all_identical ? "PASS" : "FAIL") << "\n";
-  std::cout << "cost-weighted imbalance <= static (with tolerance): "
-            << (weighted_no_worse ? "PASS" : "FAIL") << "\n";
+            << workers
+            << " = serialized); identical = forces, potentials and op "
+               "counts bitwise equal to a 1-worker run.\n";
+  const std::string verdict =
+      std::string("bitwise identity with the 1-worker run: ") +
+      (all_identical ? "PASS" : "FAIL");
+  std::cout << verdict << "\n";
 
   rep.add_table(t);
-  rep.add_note(std::string("bitwise identity across schedules: ") +
-               (all_identical ? "PASS" : "FAIL"));
-  rep.add_note(std::string("cost-weighted imbalance <= static: ") +
-               (weighted_no_worse ? "PASS" : "FAIL"));
+  rep.add_note(verdict);
   rep.write(std::cout);
   return all_identical ? 0 : 1;
 }

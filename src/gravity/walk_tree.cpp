@@ -979,7 +979,8 @@ void walk_tree(const Octree& tree, std::span<const real> x,
                std::span<real> az, std::span<real> pot,
                simt::OpCounts* ops, WalkStats* stats,
                std::span<const std::uint8_t> group_active,
-               std::span<const GroupSpan> groups, GroupCosts* costs) {
+               std::span<const GroupSpan> groups,
+               std::span<double> group_cost) {
   const std::size_t n = x.size();
   if (y.size() != n || z.size() != n || m.size() != n || ax.size() != n ||
       ay.size() != n || az.size() != n ||
@@ -1027,39 +1028,8 @@ void walk_tree(const Octree& tree, std::span<const real> x,
   if (!group_active.empty() && group_active.size() != groups.size()) {
     throw std::invalid_argument("walk_tree: group_active size mismatch");
   }
-
-  // A stale cost vector (tree rebuild changed the decomposition) is
-  // re-seeded uniform; cost-weighted without a vector to act on degrades
-  // to the static partition so standalone callers need no GroupCosts.
-  WalkSchedule schedule = cfg.schedule;
-  if (costs != nullptr && costs->cost.size() != groups.size()) {
-    costs->reset(groups.size());
-  }
-  if (schedule == WalkSchedule::Auto) {
-    if (costs == nullptr) {
-      schedule = WalkSchedule::Static;
-    } else {
-      // Near-uniform steps (most groups active, previous walk balanced)
-      // take the static split; sparse or skewed steps keep the measured
-      // partition. Both inputs are schedule-independent (activity comes
-      // from block steps, last_imbalance only gates a numerically
-      // invisible choice), so Auto stays bit-identical too.
-      std::size_t active = 0;
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        if (group_active.empty() || group_active[gi] != 0) ++active;
-      }
-      const double frac =
-          groups.empty() ? 1.0
-                         : static_cast<double>(active) /
-                               static_cast<double>(groups.size());
-      const bool balanced = costs->last_imbalance <= kAutoImbalanceTolerance;
-      schedule = frac >= kAutoStaticActivityFraction && balanced
-                     ? WalkSchedule::Static
-                     : WalkSchedule::CostWeighted;
-    }
-  }
-  if (schedule == WalkSchedule::CostWeighted && costs == nullptr) {
-    schedule = WalkSchedule::Static;
+  if (!group_cost.empty() && group_cost.size() != groups.size()) {
+    throw std::invalid_argument("walk_tree: group_cost size mismatch");
   }
 
   runtime::Device& dev = runtime::Device::current();
@@ -1095,39 +1065,27 @@ void walk_tree(const Octree& tree, std::span<const real> x,
       const std::uint64_t before = st->local.interactions + st->local.mac_evals;
       walk_group(task, groups[gi].first, static_cast<int>(groups[gi].count),
                  st->ws, st->list, st->counts, st->local);
-      if (costs != nullptr) {
+      if (!group_cost.empty()) {
         // Race-free: group gi is run by exactly one worker and owns its
         // slot. Inactive groups keep their previous cost, so a group
-        // waking up is partitioned by what it cost when last walked.
-        costs->cost[gi] = static_cast<double>(
+        // waking up is cut into a shard by what it cost when last walked.
+        group_cost[gi] = static_cast<double>(
             st->local.interactions + st->local.mac_evals - before);
       }
     }
     st->busy_seconds += clock.seconds();
   };
 
-  switch (schedule) {
-    case WalkSchedule::Dynamic:
-      dev.parallel_dynamic(0, groups.size(), 0, run_range);
-      break;
-    case WalkSchedule::CostWeighted: {
-      // Activity-masked weights: inactive groups cost the walk nothing
-      // this step; active ones get a floor of 1 so a group whose last
-      // walk was trivially cheap still counts as an item.
-      std::vector<double>& wts = costs->weights;
-      wts.resize(groups.size());
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const bool active = group_active.empty() || group_active[gi] != 0;
-        wts[gi] = active ? std::max(costs->cost[gi], 1.0) : 0.0;
-      }
-      dev.parallel_weighted_ranges(0, groups.size(), wts, run_range);
-      break;
-    }
-    case WalkSchedule::Static:
-    default:
-      dev.parallel_ranges(0, groups.size(), run_range);
-      break;
+  // One work queue over all groups, its chunk sized from the active
+  // count: sized from the total, a sparse block step's few active groups
+  // would land in one or two chunks and serialize the walk.
+  std::size_t active = groups.size();
+  if (!group_active.empty()) {
+    active -= static_cast<std::size_t>(
+        std::count(group_active.begin(), group_active.end(), 0));
   }
+  dev.parallel_dynamic(0, groups.size(), dev.dynamic_chunk_size(active),
+                       run_range);
 
   simt::OpCounts total_ops;
   WalkStats total_stats;
@@ -1140,10 +1098,9 @@ void walk_tree(const Octree& tree, std::span<const real> x,
     total_stats.worker_max_seconds =
         std::max(total_stats.worker_max_seconds, st->busy_seconds);
   }
-  // Count every context worker, including ones the schedule left idle, so
+  // Count every context worker, including ones that claimed no group, so
   // imbalance() penalizes idleness rather than hiding it.
   total_stats.workers = static_cast<std::uint64_t>(dev.workers());
-  if (costs != nullptr) costs->last_imbalance = total_stats.imbalance();
 
   if (ops != nullptr) *ops += total_ops;
   if (stats != nullptr) *stats += total_stats;

@@ -22,45 +22,11 @@
 
 namespace gothic::gravity {
 
-/// Worker scheduling of the group loop (DESIGN.md "Load balancing").
-/// Results are bit-identical across all three policies: every group writes
-/// only its own disjoint output slots, and the per-worker tallies merge
-/// commutatively — the schedule picks *who* runs a group, never *what* the
-/// group computes.
-enum class WalkSchedule : int {
-  /// Equal-count contiguous chunks (Device::parallel_ranges). With block
-  /// time steps a worker that draws the dense-bulk groups serializes the
-  /// step — the baseline the bench_balance comparison quantifies.
-  Static = 0,
-  /// Chunked atomic work queue (Device::parallel_dynamic): idle workers
-  /// keep pulling, so imbalance is bounded by one chunk.
-  Dynamic = 1,
-  /// Contiguous equal-cost partition from measured per-group costs
-  /// (Device::parallel_weighted_ranges) — GOTHIC balances its walk by
-  /// measured cost, not item count. Degrades to Static when no GroupCosts
-  /// vector is supplied.
-  CostWeighted = 2,
-  /// Pick Static or CostWeighted per call: near-uniform steps (activity
-  /// fraction ≥ kAutoStaticActivityFraction and previous imbalance ≤
-  /// kAutoImbalanceTolerance) take the zero-overhead static split —
-  /// BENCH_balance showed cost-weighting *costs* ~12% walk time at 100%
-  /// activity, where measured costs are near-uniform and the weighted
-  /// partition only adds boundary jitter — while sparse or skewed steps
-  /// keep the measured-cost partition. Degrades to Static when no
-  /// GroupCosts vector is supplied (no cost signal, no imbalance history).
-  Auto = 3,
-};
-
-/// WalkSchedule::Auto picks Static when at least this fraction of groups
-/// is active...
-inline constexpr double kAutoStaticActivityFraction = 0.75;
-/// ...and the previous walk's imbalance ratio stayed below this bound.
-inline constexpr double kAutoImbalanceTolerance = 1.25;
-
 /// Interaction law evaluated by the flush kernel. The traversal machinery
-/// (group decomposition, frontier batching, list flushing, schedules,
-/// sharding) is shared; only the per-node acceptance test and the per-pair
-/// kernel change — the seam exafmm's van-der-Waals traversal demonstrates.
+/// (group decomposition, frontier batching, list flushing, the work
+/// queue, sharding) is shared; only the per-node acceptance test and the
+/// per-pair kernel change — the seam exafmm's van-der-Waals traversal
+/// demonstrates.
 enum class ForceLaw : int {
   /// Plummer-softened monopole (optionally quadrupole) gravity, Eq. 1,
   /// with MAC-accepted pseudo-particles (MacParams decides acceptance).
@@ -93,27 +59,6 @@ struct LJParams {
   real cutoff = real(2.5);
 };
 
-/// Caller-owned cost-feedback state of the cost-weighted walk schedule:
-/// `cost` persists the per-group measured cost (interaction + MAC work)
-/// across walk_tree calls; `weights` is the activity-masked scratch the
-/// partition consumes. Both retain capacity, so the steady-state feedback
-/// loop allocates nothing; reset(n) (uniform costs) re-seeds after the
-/// group decomposition changed (tree rebuild).
-struct GroupCosts {
-  std::vector<double> cost;
-  std::vector<double> weights;
-  /// Imbalance ratio (WalkStats::imbalance) of the previous walk_tree call
-  /// that used this state — the feedback signal WalkSchedule::Auto reads.
-  /// 0 until the first walk completes.
-  double last_imbalance = 0.0;
-
-  void reset(std::size_t n_groups) {
-    cost.assign(n_groups, 1.0);
-    weights.assign(n_groups, 1.0);
-    last_imbalance = 0.0;
-  }
-};
-
 struct WalkConfig {
   /// Scheduling mode (§2.1); affects synchronisation counts only.
   simt::ExecMode mode = simt::ExecMode::Pascal;
@@ -136,11 +81,6 @@ struct WalkConfig {
   ForceLaw law = ForceLaw::Gravity;
   /// Lennard-Jones parameters; read only when law == LennardJones.
   LJParams lj{};
-  /// How the group loop is spread over the device workers; numerically
-  /// invisible (see WalkSchedule). Cost-weighted is the GOTHIC default —
-  /// it needs a GroupCosts vector to act on and otherwise behaves as
-  /// Static, so standalone callers are unaffected.
-  WalkSchedule schedule = WalkSchedule::CostWeighted;
 };
 
 /// Traversal statistics per walk (drives Figs 6-10 via the cost model).
@@ -155,7 +95,7 @@ struct WalkStats {
 
   // Per-worker busy time of the walk's parallel region (timing only —
   // never feeds back into the numerics). `workers` counts every worker of
-  // the executing context, including ones the schedule left idle, so the
+  // the executing context, including ones that claimed no group, so the
   // imbalance ratio penalizes idle workers.
   double worker_max_seconds = 0.0; ///< busiest worker's walk seconds
   double worker_sum_seconds = 0.0; ///< summed walk seconds over workers
@@ -239,13 +179,20 @@ struct GroupSpan {
 /// `groups`, when non-empty, supplies the decomposition to traverse
 /// (callers with block-step activity flags compute it once per rebuild via
 /// walk_groups); when empty it is derived internally from the positions.
-/// `costs`, when non-null, closes the load-balance feedback loop: the walk
-/// consumes costs->cost to pre-partition the groups (WalkSchedule::
-/// CostWeighted) and records each walked group's measured cost back into
-/// its slot for the next call (inactive groups keep their previous cost).
-/// The vector is (re)seeded uniform whenever its size disagrees with the
-/// decomposition; the recording is race-free because each group owns its
-/// slot exclusively.
+/// `group_cost`, when non-empty, holds one slot per walk group: each
+/// walked group records its measured cost (interactions + MAC
+/// evaluations) into its slot, and inactive groups' slots are untouched.
+/// The sharded engine cuts its shards on these costs
+/// (octree::partition_weighted). Any size other than the group count
+/// throws std::invalid_argument. The recording is race-free because each
+/// group owns its slot exclusively.
+///
+/// The group loop runs on Device::parallel_dynamic (DESIGN.md "Load
+/// balancing"): workers claim chunks of groups from one work queue, the
+/// chunk sized from the *active* group count. Which worker walks which
+/// group varies from run to run, but each group writes only its own
+/// output slots and the per-worker tallies merge commutatively, so
+/// results and op counts are bit-identical for any worker count.
 void walk_tree(const octree::Octree& tree, std::span<const real> x,
                std::span<const real> y, std::span<const real> z,
                std::span<const real> m, std::span<const real> aold_mag,
@@ -254,6 +201,6 @@ void walk_tree(const octree::Octree& tree, std::span<const real> x,
                simt::OpCounts* ops = nullptr, WalkStats* stats = nullptr,
                std::span<const std::uint8_t> group_active = {},
                std::span<const GroupSpan> groups = {},
-               GroupCosts* costs = nullptr);
+               std::span<double> group_cost = {});
 
 } // namespace gothic::gravity

@@ -43,7 +43,6 @@ struct ShardedSimulation::Shard {
   octree::Octree view;
   std::vector<real> vx, vy, vz;
 
-  gravity::GroupCosts costs;
   gravity::LetBounds bounds;
   std::vector<gravity::LetExport> imports; ///< indexed by source shard
   gravity::WalkStats stats;
@@ -274,12 +273,13 @@ void ShardedSimulation::whole_tree_forces(bool bootstrap) {
   gravity::WalkConfig walk = cfg_.walk;
   std::span<const real> aold = particles_.aold_mag;
   std::span<const gravity::GroupSpan> groups;
-  gravity::GroupCosts costs;
+  std::span<double> costs;
   if (bootstrap) {
     walk.mac.type = gravity::MacType::OpeningAngle;
     walk.mac.theta = real(0.7);
     aold = {};
     groups = groups_;
+    costs = group_cost_;
   }
   dev.launch(c.desc(Kernel::WalkTree,
                     bootstrap ? "walkTree(bootstrap)" : "walkTree(refresh)",
@@ -289,11 +289,10 @@ void ShardedSimulation::whole_tree_forces(bool bootstrap) {
                                   particles_.z, particles_.m, aold, walk,
                                   particles_.ax, particles_.ay, particles_.az,
                                   particles_.pot, &ops, nullptr, {}, groups,
-                                  bootstrap ? &costs : nullptr);
+                                  costs);
              });
   dev.synchronize();
   if (!bootstrap) return;
-  group_cost_ = std::move(costs.cost);
   for (std::size_t i = 0; i < particles_.size(); ++i) {
     particles_.aold_mag[i] = std::sqrt(
         particles_.ax[i] * particles_.ax[i] +
@@ -345,12 +344,6 @@ void ShardedSimulation::refresh_partition() {
     for (const octree::NodeRange& r : sh.owned) {
       sh.owned_count += r.end - r.begin;
     }
-    sh.costs.cost.assign(group_cost_.begin() +
-                             static_cast<std::ptrdiff_t>(sh.group_begin),
-                         group_cost_.begin() +
-                             static_cast<std::ptrdiff_t>(sh.group_end));
-    sh.costs.weights.assign(sh.group_end - sh.group_begin, 1.0);
-    sh.costs.last_imbalance = 0.0;
     if (imports()) {
       sh.view = tree_; // topology + sized geometry arrays
       sh.vx.resize(n);
@@ -635,7 +628,7 @@ StepReport ShardedSimulation::step() {
             nax_, nay_, naz_, npot_, &ops, &p->stats,
             std::span<const std::uint8_t>(group_active_).subspan(gb, gc),
             std::span<const gravity::GroupSpan>(groups_).subspan(gb, gc),
-            &p->costs);
+            std::span<double>(group_cost_).subspan(gb, gc));
       });
     }
 
@@ -670,9 +663,8 @@ StepReport ShardedSimulation::step() {
   }
 
   // --- harvest ----------------------------------------------------------
-  // The rebuild and walk costs feed the interval auto-tuner, the measured
-  // per-group costs the next partition; the report's per-kernel
-  // seconds/ops are the step's LaunchRecords.
+  // The rebuild and walk costs feed the interval auto-tuner; the report's
+  // per-kernel seconds/ops are the step's LaunchRecords.
   const auto k = static_cast<std::size_t>(shard_count());
   last_stats_.busy_seconds.assign(k, 0.0);
   last_stats_.let_cells.assign(k, 0);
@@ -718,9 +710,6 @@ StepReport ShardedSimulation::step() {
     last_stats_.let_bodies[s] = sh.let_bodies;
     last_stats_.let_cells_total += sh.let_cells;
     last_stats_.let_bodies_total += sh.let_bodies;
-    std::copy(sh.costs.cost.begin(), sh.costs.cost.end(),
-              group_cost_.begin() +
-                  static_cast<std::ptrdiff_t>(sh.group_begin));
   }
   last_stats_.busy_mean = busy_sum / static_cast<double>(k);
   if (report.rebuilt) policy_.record_rebuild(step_make_seconds());

@@ -51,12 +51,6 @@
 namespace gothic::nbody {
 
 struct SimConfig {
-  /// The simulation defaults the walk schedule to Auto: the step loop owns
-  /// a GroupCosts feedback vector, so Auto can pick the static split on
-  /// near-uniform steps and the cost-weighted partition on sparse ones
-  /// (standalone walk_tree callers keep WalkConfig's own default).
-  SimConfig() { walk.schedule = gravity::WalkSchedule::Auto; }
-
   gravity::WalkConfig walk{};
   octree::BuildConfig build{};
   octree::CalcNodeConfig calc{};
@@ -328,9 +322,9 @@ private:
   std::vector<gravity::GroupSpan> groups_;
   std::vector<std::uint8_t> group_active_;
   /// Measured per-group walk cost (deterministic interaction + MAC
-  /// counts). It is carried through every rebuild — scattered to bodies,
-  /// permuted, summed per new group — so both the shard partition and
-  /// each shard's cost-weighted walk schedule start from measured costs.
+  /// counts), recorded by each shard's walk straight into its slice. It
+  /// is carried through every rebuild — scattered to bodies, permuted,
+  /// summed per new group — so the shard cuts start from measured costs.
   std::vector<double> group_cost_;
 
   // Partition state (refreshed each rebuild).

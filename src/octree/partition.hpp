@@ -12,7 +12,8 @@
 //
 // Boundaries are chosen at walk-group granularity so every walk group
 // lands wholly inside one shard, weighted by measured per-group walk
-// cost (gravity::GroupCosts) so shard splits track work, not counts.
+// cost (the interaction + MAC counts walk_tree records per group) so
+// shard splits track work, not counts.
 #pragma once
 
 #include "octree/calc_node.hpp"
@@ -24,8 +25,8 @@
 namespace gothic::octree {
 
 /// Split items [0, weights.size()) into `shards` contiguous ranges of
-/// near-equal positive weight (prefix thresholds at total*s/K — the same
-/// rule as Device::parallel_weighted_ranges). Returns shards+1
+/// near-equal positive weight (shard s ends at the first item whose
+/// weight prefix sum reaches total*(s+1)/K). Returns shards+1
 /// non-decreasing boundaries with front()==0 and back()==weights.size().
 /// Falls back to equal-count splits when no weight is positive. Pure and
 /// deterministic: depends only on the arguments.

@@ -162,16 +162,16 @@ public:
   virtual void on_step(const StepMark& mark) { (void)mark; }
 };
 
-/// Collects LaunchRecords and maintains cumulative per-kernel aggregates.
-/// The record list is bounded by its warm-up capacity as long as the owner
+/// Collects one step's LaunchRecords; cumulative per-kernel tallies are
+/// the step engine's (ShardedSimulation::timers()/kernel_ops()). The
+/// record list is bounded by its warm-up capacity as long as the owner
 /// clears it once per step (the step engine does), so steady-state
 /// recording performs no heap allocation.
 ///
 /// Not internally synchronized: the issuing Device serializes begin/finish
 /// under its own lock, and readers must not overlap in-flight launches
 /// (wait on the event or Device::synchronize() first). In particular, do
-/// not begin_step()/reset() while launches that target this sink are in
-/// flight.
+/// not begin_step() while launches that target this sink are in flight.
 class InstrumentationSink {
 public:
   InstrumentationSink() { records_.reserve(kReserve); }
@@ -192,10 +192,8 @@ public:
   }
 
   /// Complete the record at `index` with the measured timing and counts
-  /// and fold them into the cumulative aggregates. Returns false (and
-  /// skips the per-record fields) when the sink was cleared between issue
-  /// and completion — the aggregates are still updated so KernelTimers
-  /// stays truthful.
+  /// and notify the listener. Returns false (and records nothing) when
+  /// the sink was cleared between issue and completion.
   bool finish_record(std::size_t index, std::uint64_t id, double t_begin,
                      double t_end, int workers, const simt::OpCounts& ops) {
     const Kernel k = index < records_.size() && records_[index].id == id
@@ -208,20 +206,12 @@ public:
     rec.t_end = t_end;
     rec.workers = workers;
     rec.ops = ops;
-    timers_.add(rec.kernel, rec.seconds);
-    ops_[static_cast<std::size_t>(rec.kernel)] += ops;
     if (listener_ != nullptr) listener_->on_record(rec);
     return true;
   }
 
-  /// One-shot insert of an already-complete record (synchronous callers).
-  void add(const LaunchRecord& r) {
-    const std::size_t i = begin_record(r);
-    (void)finish_record(i, r.id, r.t_begin, r.t_end, r.workers, r.ops);
-  }
-
-  /// Drop the per-launch records (cumulative aggregates are kept). Called
-  /// at the start of each step so step_records() spans exactly one step.
+  /// Drop the per-launch records. Called at the start of each step so
+  /// step_records() spans exactly one step.
   void begin_step() { records_.clear(); }
 
   /// Records added since the last begin_step().
@@ -269,25 +259,17 @@ public:
     return std::max(0.0, step_kernel_seconds() - step_wall_seconds());
   }
 
-  /// Cumulative per-kernel wall-clock and call counts.
-  [[nodiscard]] const KernelTimers& timers() const { return timers_; }
-
-  /// Cumulative per-kernel operation tallies.
-  [[nodiscard]] const simt::OpCounts& kernel_ops(Kernel k) const {
-    return ops_[static_cast<std::size_t>(k)];
-  }
-
   /// Attach (or detach, with nullptr) the observer notified on every
   /// completed record. Set only while no launch targeting this sink is in
-  /// flight (same discipline as begin_step()/reset()). The listener must
+  /// flight (same discipline as begin_step()). The listener must
   /// outlive every launch issued while it is attached.
   void set_listener(RecordListener* l) { listener_ = l; }
   [[nodiscard]] RecordListener* listener() const { return listener_; }
 
   /// Sink-owned copy of `s`, deduplicated: after warm-up every kernel
   /// label / stream name is already present and interning allocates
-  /// nothing. Pointers stay valid for the sink's lifetime (reset() keeps
-  /// the table — it is a cache, not per-step state).
+  /// nothing. Pointers stay valid for the sink's lifetime (begin_step()
+  /// keeps the table — it is a cache, not per-step state).
   [[nodiscard]] const char* intern(const char* s) {
     if (s == nullptr) return "";
     for (const std::string& owned : names_) {
@@ -297,17 +279,9 @@ public:
     return names_.back().c_str();
   }
 
-  void reset() {
-    records_.clear();
-    timers_.reset();
-    ops_.fill(simt::OpCounts{});
-  }
-
 private:
   static constexpr std::size_t kReserve = 64;
   std::vector<LaunchRecord> records_;
-  KernelTimers timers_;
-  std::array<simt::OpCounts, static_cast<std::size_t>(Kernel::Count)> ops_{};
   /// Interned label/stream names (std::deque: stable element addresses).
   std::deque<std::string> names_;
   RecordListener* listener_ = nullptr;

@@ -35,17 +35,15 @@ nbody::Particles fuzz_cloud(std::size_t n, std::uint64_t seed) {
   return p;
 }
 
-nbody::SimConfig fuzz_sim_config(int rebuild_interval,
-                                 gravity::WalkSchedule schedule) {
+nbody::SimConfig fuzz_sim_config(int rebuild_interval) {
   nbody::SimConfig cfg;
   // Shared global step with a fixed rebuild cadence: every run issues the
-  // identical launch DAG, so stream schedules and the (numerically
-  // invisible) walk schedule are the only degrees of freedom.
+  // identical launch DAG, so stream schedules (and which worker walks
+  // which group, numerically invisible) are the only degrees of freedom.
   cfg.block_time_steps = false;
   cfg.dt_max = 1.0 / 4096.0;
   cfg.auto_rebuild = false;
   cfg.fixed_rebuild_interval = rebuild_interval;
-  cfg.walk.schedule = schedule;
   return cfg;
 }
 
@@ -86,22 +84,18 @@ std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
                                  runtime::ScheduleController* controller) {
   return run_on_device(cfg, async, controller,
                        fuzz_cloud(cfg.n, cfg.workload_seed),
-                       fuzz_sim_config(cfg.rebuild_interval, cfg.schedule));
+                       fuzz_sim_config(cfg.rebuild_interval));
 }
 
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
                        const std::vector<real>& reference) {
-  // The walk schedule is part of the replay token: deriving it from the
-  // seed makes a failing seed reproduce the exact run with no extra state
-  // and spreads the seeded sweep across all four schedules. Bit 4 picks
-  // the SIMD substrate the same way, so every sweep cross-checks the AVX2
+  // Bit 4 picks the SIMD substrate, so a failing seed reproduces the
+  // exact run with no extra state and every sweep cross-checks the AVX2
   // and scalar paths against the one reference (the bit is a no-op on
   // hosts without AVX2 — set_simd_enabled clamps to availability).
-  FuzzConfig run_cfg = cfg;
-  run_cfg.schedule = static_cast<gravity::WalkSchedule>(seed % 4);
   simt::ScopedSimd simd(((seed >> 4) & 1) != 0);
   SeededSchedule ctrl(seed);
-  const std::vector<real> state = run_controlled(run_cfg, true, &ctrl);
+  const std::vector<real> state = run_controlled(cfg, true, &ctrl);
   RunOutcome out;
   out.signature = ctrl.signature();
   out.decision_points = ctrl.decision_points();
@@ -135,28 +129,7 @@ void append_run_failure(SweepReport& rep, const std::string& who,
 SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                         std::size_t count) {
   SweepReport rep;
-  // One synchronous reference per walk schedule: the schedule contract
-  // says all three are bit-identical, so verify that up front and let
-  // every async run (whose schedule replay_seed derives from its seed)
-  // compare against the one shared reference.
-  FuzzConfig ref_cfg = cfg;
-  ref_cfg.schedule = gravity::WalkSchedule::Static;
-  const std::vector<real> ref = run_controlled(ref_cfg, false, nullptr);
-  for (const auto schedule :
-       {gravity::WalkSchedule::Dynamic, gravity::WalkSchedule::CostWeighted,
-        gravity::WalkSchedule::Auto}) {
-    ref_cfg.schedule = schedule;
-    if (run_controlled(ref_cfg, false, nullptr) != ref) {
-      const char* name = schedule == gravity::WalkSchedule::Dynamic
-                             ? "dynamic"
-                             : schedule == gravity::WalkSchedule::CostWeighted
-                                   ? "cost-weighted"
-                                   : "auto";
-      rep.failures.push_back(
-          std::string("walk schedule ") + name +
-          " diverged from the static schedule on the synchronous run");
-    }
-  }
+  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t seed = base_seed + i;
     const RunOutcome out = replay_seed(cfg, seed, ref);
@@ -417,13 +390,9 @@ void run_seeded_engine(const FuzzConfig& cfg, std::uint64_t seed,
 
 ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
                             const std::vector<real>& reference) {
-  // Bits 0-1 pick the walk schedule; run_seeded_engine decodes the rest.
   ShardRunOutcome out;
-  run_seeded_engine(
-      cfg, seed, fuzz_cloud(cfg.n, cfg.workload_seed),
-      fuzz_sim_config(cfg.rebuild_interval,
-                      static_cast<gravity::WalkSchedule>(seed % 4)),
-      reference, out);
+  run_seeded_engine(cfg, seed, fuzz_cloud(cfg.n, cfg.workload_seed),
+                    fuzz_sim_config(cfg.rebuild_interval), reference, out);
   return out;
 }
 
@@ -452,9 +421,8 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 // --- Scenario-registry sweeps ---------------------------------------------
 
 nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
-                                      int rebuild_interval,
-                                      gravity::WalkSchedule schedule) {
-  nbody::SimConfig cfg = fuzz_sim_config(rebuild_interval, schedule);
+                                      int rebuild_interval) {
+  nbody::SimConfig cfg = fuzz_sim_config(rebuild_interval);
   sc.configure(cfg);
   // The scenario owns the force law and accuracy; the fuzzer re-pins the
   // cadence fields so every run of a scenario issues the identical launch
@@ -463,15 +431,13 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
   cfg.dt_max = 1.0 / 4096.0;
   cfg.auto_rebuild = false;
   cfg.fixed_rebuild_interval = rebuild_interval;
-  cfg.walk.schedule = schedule;
   return cfg;
 }
 
 std::vector<real> scenario_reference(const FuzzConfig& cfg,
                                      const scenario::Scenario& sc) {
   return run_on_device(cfg, false, nullptr, sc.make(cfg.n, cfg.workload_seed),
-                       scenario_fuzz_config(sc, cfg.rebuild_interval,
-                                            gravity::WalkSchedule::Static));
+                       scenario_fuzz_config(sc, cfg.rebuild_interval));
 }
 
 ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
@@ -481,11 +447,9 @@ ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
   const scenario::Scenario& sc = scenario::scenario_from_seed(seed);
   ScenarioRunOutcome out;
   out.scenario = sc.name;
-  run_seeded_engine(
-      cfg, seed, sc.make(cfg.n, cfg.workload_seed),
-      scenario_fuzz_config(sc, cfg.rebuild_interval,
-                           static_cast<gravity::WalkSchedule>(seed % 4)),
-      reference, out);
+  run_seeded_engine(cfg, seed, sc.make(cfg.n, cfg.workload_seed),
+                    scenario_fuzz_config(sc, cfg.rebuild_interval), reference,
+                    out);
   return out;
 }
 

@@ -39,22 +39,12 @@ struct FuzzConfig {
   int lanes = 2;            ///< stream lanes (pinned, env-independent)
   int rebuild_interval = 1; ///< fixed rebuild cadence (1 = every step)
   std::uint64_t workload_seed = 7; ///< particle-cloud seed
-  /// Walk schedule of the run. Numerically invisible by contract, which
-  /// the seeded sweep verifies: replay_seed overrides this from the seed
-  /// (seed % 4) so every sweep covers all four schedules against one
-  /// reference, and a failing seed alone reproduces the exact run. The
-  /// SIMD substrate is part of the same token — replay_seed pins
-  /// GOTHIC_SIMD from (seed >> 4) & 1, so sweeps cross-check the AVX2 and
-  /// scalar paths too (a no-op on hosts without AVX2).
-  gravity::WalkSchedule schedule = gravity::WalkSchedule::CostWeighted;
 };
 
 /// Deterministic uniform cloud (equal masses), the fuzz workload.
 nbody::Particles fuzz_cloud(std::size_t n, std::uint64_t seed);
 /// Deterministic step configuration: fixed cadence, shared global steps.
-nbody::SimConfig fuzz_sim_config(
-    int rebuild_interval,
-    gravity::WalkSchedule schedule = gravity::WalkSchedule::CostWeighted);
+nbody::SimConfig fuzz_sim_config(int rebuild_interval);
 /// Pack the integration state for exact (bitwise) comparison.
 std::vector<real> pack_state(const nbody::Particles& p);
 
@@ -75,6 +65,10 @@ struct RunOutcome {
 
 /// Replay one seed against a reference state (from run_controlled(cfg,
 /// false, nullptr)). Deterministic: equal seeds yield equal signatures.
+/// The seed is the whole replay token: it drives the SeededSchedule
+/// controller, and bit 4 pins the SIMD substrate, so sweeps cross-check
+/// the AVX2 and scalar paths against one reference (a no-op on hosts
+/// without AVX2).
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
                        const std::vector<real>& reference);
 
@@ -145,10 +139,11 @@ struct ShardRunOutcome {
 };
 
 /// Run the fuzz workload through the step engine. The seed is the full
-/// replay token: walk schedule from seed % 4, async mode from
-/// (seed >> 2) & 1, shard count K in {1, 2, 4} from (seed >> 3) % 3, the
-/// SIMD substrate from (seed >> 5) & 1, and one SeededSchedule stream
-/// controller per shard device derived from (seed, shard). Compares
+/// replay token: async mode from (seed >> 2) & 1, shard count K in
+/// {1, 2, 4} from (seed >> 3) % 3, the SIMD substrate from (seed >> 5) & 1,
+/// and one SeededSchedule stream controller per shard device derived from
+/// (seed, shard). Bits 0-1 are unused; the other fields keep their bits
+/// so every printed seed keeps decoding to the same run. Compares
 /// bit-for-bit against `reference` (from run_controlled(cfg, false,
 /// nullptr) — the unsharded synchronous run).
 ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
@@ -166,8 +161,7 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 /// the force law and accuracy, the fuzzer keeps the launch DAG identical
 /// across runs so stream schedules stay the only degree of freedom.
 nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
-                                      int rebuild_interval,
-                                      gravity::WalkSchedule schedule);
+                                      int rebuild_interval);
 
 /// Synchronous unsharded reference state of a scenario's fuzz workload
 /// (sc.make(cfg.n, cfg.workload_seed), cfg.steps steps).
@@ -181,8 +175,8 @@ struct ScenarioRunOutcome : ShardRunOutcome {
 
 /// One scenario leg: the seed is the full replay token — the *scenario*
 /// comes from scenario::scenario_from_seed(seed) (hashed, so consecutive
-/// seeds land on different registry entries) and the schedule/async/
-/// shard-count/SIMD bits follow run_sharded's encoding. Compares the
+/// seeds land on different registry entries) and the async/shard-count/
+/// SIMD bits follow run_sharded's encoding. Compares the
 /// final state bit-for-bit against `reference` (scenario_reference of the
 /// same scenario); a printed seed therefore reproduces workload (ICs +
 /// force law) and schedule together.

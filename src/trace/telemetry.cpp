@@ -1,5 +1,6 @@
 #include "trace/telemetry.hpp"
 
+#include "simt/simd.hpp"
 #include "trace/metrics.hpp"
 #include "util/env.hpp"
 #include "util/timer.hpp"
@@ -44,12 +45,13 @@ TelemetryWriter::TelemetryWriter(std::string path) : path_(std::move(path)) {
 
 void TelemetryWriter::write_config() {
   // The run's environment fingerprint — enough to group/partition a
-  // scraped time series by scheduler and substrate configuration. Walk
-  // schedule defaults to SimConfig's Auto and is not env-configurable, so
-  // it is not part of the fingerprint.
+  // scraped time series by scheduler and substrate configuration. The
+  // SIMD field is the tier in effect (environment, CPU support, build and
+  // any ScopedSimd override together), not the GOTHIC_SIMD variable. The
+  // walk has one schedule, so it is not part of the fingerprint.
   os_ << "{\"type\": \"config\", \"v\": 1"
       << ", \"async\": " << env_size("GOTHIC_ASYNC", 1)
-      << ", \"simd\": " << env_size("GOTHIC_SIMD", 1)
+      << ", \"simd\": " << (simt::simd_enabled() ? 1 : 0)
       << ", \"lanes\": " << env_size("GOTHIC_ASYNC_LANES", 2)
       << ", \"threads\": " << env_size("GOTHIC_THREADS", 0)
       << ", \"shards\": " << env_size("GOTHIC_SHARDS", 1) << "}\n"

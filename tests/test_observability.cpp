@@ -15,6 +15,7 @@
 #include "nbody/sharded_simulation.hpp"
 #include "nbody/simulation.hpp"
 #include "runtime/device.hpp"
+#include "simt/simd.hpp"
 #include "testkit/fault.hpp"
 #include "util/rng.hpp"
 
@@ -426,6 +427,32 @@ TEST(Telemetry, StreamKeepsGoldenSchema) {
   require(walk, "p95_seconds", JsonValue::Type::Number);
   require(step, "arena_capacity_bytes", JsonValue::Type::Number);
   require(step, "arena_heap_allocations", JsonValue::Type::Number);
+  std::remove(path.c_str());
+}
+
+TEST(Telemetry, ConfigLineLogsTheSimdTierThatRan) {
+  // The tier in effect, not the GOTHIC_SIMD variable: a writer created
+  // under a scalar override logs 0 whatever the environment says.
+  const std::string path = "test_telemetry_simd.jsonl";
+  auto logged_simd = [&path]() {
+    {
+      trace::TelemetryWriter w(path);
+      EXPECT_TRUE(w.ok());
+    }
+    std::ifstream is(path);
+    std::string line;
+    std::getline(is, line);
+    const JsonValue cfg = JsonParser(line).parse();
+    return require(cfg, "simd", JsonValue::Type::Number).number;
+  };
+  {
+    simt::ScopedSimd off(false);
+    EXPECT_EQ(logged_simd(), 0.0);
+  }
+  {
+    simt::ScopedSimd on(true); // clamps to what this host and build support
+    EXPECT_EQ(logged_simd(), simt::simd_enabled() ? 1.0 : 0.0);
+  }
   std::remove(path.c_str());
 }
 

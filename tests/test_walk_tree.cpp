@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -362,126 +363,86 @@ TEST(WalkTree, RejectsNonPositiveEps) {
   }
 }
 
+// The walk's one schedule, the work queue, hands groups to whichever
+// worker frees up; nothing it computes may depend on the worker count
+// or on how few groups are active.
 TEST(WalkTree, SchedulesAreBitIdenticalAcrossWorkerCounts) {
   System s = plummer(4096, 14);
   s.build();
   const auto groups = walk_groups(s.tree, s.x, s.y, s.z);
-  // Block-step-style activity: two thirds of the groups active.
-  std::vector<std::uint8_t> active(groups.size(), 1);
-  for (std::size_t g = 2; g < active.size(); g += 3) active[g] = 0;
+
+  // Rank bodies by |a| from an opening-angle walk, as bench_balance does:
+  // the most strongly accelerated fire most often under block time
+  // steps, so the active set clusters in the dense bulk.
+  WalkConfig boot;
+  boot.eps = kEps;
+  boot.mac.type = MacType::OpeningAngle;
+  const ForceResult b = run_walk(s, boot);
+  std::vector<real> amag(s.n());
+  for (std::size_t i = 0; i < s.n(); ++i) {
+    amag[i] = std::sqrt(b.ax[i] * b.ax[i] + b.ay[i] * b.ay[i] +
+                        b.az[i] * b.az[i]);
+  }
+  std::vector<std::size_t> by_amag(s.n());
+  std::iota(by_amag.begin(), by_amag.end(), std::size_t{0});
+  std::sort(by_amag.begin(), by_amag.end(),
+            [&](std::size_t i, std::size_t j) { return amag[i] > amag[j]; });
 
   WalkConfig cfg;
   cfg.eps = kEps;
-  cfg.mac.type = MacType::OpeningAngle;
-
-  auto run = [&](WalkSchedule schedule, GroupCosts* costs) {
-    cfg.schedule = schedule;
-    ForceResult r;
-    r.ax.assign(s.n(), real(0));
-    r.ay.assign(s.n(), real(0));
-    r.az.assign(s.n(), real(0));
-    r.pot.assign(s.n(), real(0));
-    walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, r.ax, r.ay, r.az, r.pot,
-              nullptr, nullptr, active, groups, costs);
-    return r;
+  constexpr double kUntouched = -1.0;
+  struct Run {
+    ForceResult f;
+    simt::OpCounts ops;
+    WalkStats stats;
+    std::vector<double> cost;
   };
-
-  const ForceResult ref = run(WalkSchedule::Static, nullptr);
-  for (const int workers : {1, 3, 4}) {
+  auto run = [&](int workers, std::span<const std::uint8_t> active) {
     runtime::Device dev(workers, /*async=*/0);
     runtime::ScopedDevice scope(dev);
-    GroupCosts costs;
-    GroupCosts auto_costs;
-    // Two cost-weighted walks: the first partitions on the uniform seed,
-    // the second on measured costs — both must stay bit-identical. Auto
-    // rides along with its own cost vector so its internal branch choice
-    // (here CostWeighted: only two thirds of the groups are active) is
-    // exercised against the same reference.
-    for (int rep = 0; rep < 2; ++rep) {
-      for (const auto schedule :
-           {WalkSchedule::Static, WalkSchedule::Dynamic,
-            WalkSchedule::CostWeighted, WalkSchedule::Auto}) {
-        GroupCosts* c = schedule == WalkSchedule::CostWeighted ? &costs
-                        : schedule == WalkSchedule::Auto      ? &auto_costs
-                                                              : nullptr;
-        const ForceResult r = run(schedule, c);
-        EXPECT_TRUE(r.ax == ref.ax && r.ay == ref.ay && r.az == ref.az &&
-                    r.pot == ref.pot)
-            << "workers = " << workers
-            << ", schedule = " << static_cast<int>(schedule)
-            << ", rep = " << rep;
-      }
+    Run r;
+    for (auto* v : {&r.f.ax, &r.f.ay, &r.f.az, &r.f.pot}) {
+      v->assign(s.n(), real(0));
     }
-  }
-}
-
-TEST(WalkTree, AutoScheduleResolvesBothBranchesBitIdentically) {
-  System s = plummer(4096, 17);
-  s.build();
-  const auto groups = walk_groups(s.tree, s.x, s.y, s.z);
-  ASSERT_GE(groups.size(), 4u);
-
-  WalkConfig cfg;
-  cfg.eps = kEps;
-  cfg.mac.type = MacType::OpeningAngle;
-
-  auto run = [&](WalkSchedule schedule, std::span<const std::uint8_t> active,
-                 GroupCosts* costs) {
-    cfg.schedule = schedule;
-    ForceResult r;
-    r.ax.assign(s.n(), real(0));
-    r.ay.assign(s.n(), real(0));
-    r.az.assign(s.n(), real(0));
-    r.pot.assign(s.n(), real(0));
-    walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, r.ax, r.ay, r.az, r.pot,
-              nullptr, nullptr, active, groups, costs);
+    r.cost.assign(groups.size(), kUntouched);
+    walk_tree(s.tree, s.x, s.y, s.z, s.m, amag, cfg, r.f.ax, r.f.ay, r.f.az,
+              r.f.pot, &r.ops, &r.stats, active, groups, r.cost);
     return r;
   };
 
-  runtime::Device dev(3, /*async=*/0);
-  runtime::ScopedDevice scope(dev);
+  for (const double frac : {1.0, 0.2, 0.05}) {
+    std::vector<std::uint8_t> body_active(s.n(), 0);
+    const auto n_active = static_cast<std::size_t>(frac * s.n());
+    for (std::size_t i = 0; i < n_active; ++i) body_active[by_amag[i]] = 1;
+    std::vector<std::uint8_t> active(groups.size(), 0);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::size_t lo = groups[g].first;
+      for (std::size_t i = lo; i < lo + groups[g].count; ++i) {
+        active[g] = static_cast<std::uint8_t>(active[g] | body_active[i]);
+      }
+    }
+    const auto n_groups = static_cast<std::size_t>(
+        std::count(active.begin(), active.end(), 1));
+    ASSERT_GT(n_groups, 0u);
+    if (frac < 1.0) {
+      ASSERT_LT(n_groups, groups.size());
+    }
 
-  // Without a cost vector Auto can only degrade to the static split.
-  const ForceResult ref_all = run(WalkSchedule::Static, {}, nullptr);
-  EXPECT_EQ(run(WalkSchedule::Auto, {}, nullptr).ax, ref_all.ax);
-
-  // Branch 1 — near-uniform step: every group active, previous walk
-  // balanced (fresh vector, last_imbalance == 0) -> the static split.
-  // Only the cost-weighted path touches costs.weights, so an untouched
-  // weights vector is the witness of the branch taken.
-  GroupCosts costs;
-  costs.reset(groups.size());
-  costs.weights.clear();
-  const ForceResult a1 = run(WalkSchedule::Auto, {}, &costs);
-  EXPECT_TRUE(costs.weights.empty())
-      << "all-active balanced step should take the static branch";
-  EXPECT_TRUE(a1.ax == ref_all.ax && a1.ay == ref_all.ay &&
-              a1.az == ref_all.az && a1.pot == ref_all.pot);
-
-  // Branch 2 — skewed history: same activity, but the previous walk left
-  // workers imbalanced beyond tolerance -> the measured partition.
-  costs.last_imbalance = kAutoImbalanceTolerance * 4.0;
-  const ForceResult a2 = run(WalkSchedule::Auto, {}, &costs);
-  EXPECT_EQ(costs.weights.size(), groups.size())
-      << "imbalanced history should take the cost-weighted branch";
-  EXPECT_TRUE(a2.ax == ref_all.ax && a2.ay == ref_all.ay &&
-              a2.az == ref_all.az && a2.pot == ref_all.pot);
-
-  // Branch 3 — sparse step: one group in three active (frac < 0.75)
-  // forces the cost-weighted branch even with a balanced history.
-  std::vector<std::uint8_t> sparse(groups.size(), 0);
-  for (std::size_t g = 0; g < sparse.size(); g += 3) sparse[g] = 1;
-  const ForceResult ref_sparse = run(WalkSchedule::Static, sparse, nullptr);
-  GroupCosts costs2;
-  costs2.reset(groups.size());
-  costs2.weights.clear();
-  const ForceResult a3 = run(WalkSchedule::Auto, sparse, &costs2);
-  EXPECT_EQ(costs2.weights.size(), groups.size())
-      << "sparse step should take the cost-weighted branch";
-  EXPECT_TRUE(a3.ax == ref_sparse.ax && a3.ay == ref_sparse.ay &&
-              a3.az == ref_sparse.az && a3.pot == ref_sparse.pot);
-  // The walk recorded the step's imbalance for the next Auto decision.
-  EXPECT_GE(costs2.last_imbalance, 1.0);
+    const Run ref = run(1, active);
+    for (const int workers : {1, 2, 3, 4}) {
+      const Run r = run(workers, active);
+      EXPECT_TRUE(r.f.ax == ref.f.ax && r.f.ay == ref.f.ay &&
+                  r.f.az == ref.f.az && r.f.pot == ref.f.pot)
+          << "workers = " << workers << ", activity = " << frac;
+      EXPECT_EQ(r.ops, ref.ops)
+          << "workers = " << workers << ", activity = " << frac;
+      EXPECT_EQ(r.stats.interactions, ref.stats.interactions);
+      EXPECT_EQ(r.stats.mac_evals, ref.stats.mac_evals);
+      EXPECT_EQ(r.stats.groups, ref.stats.groups);
+      EXPECT_EQ(r.cost, ref.cost)
+          << "workers = " << workers << ", activity = " << frac;
+    }
+  }
 }
 
 TEST(WalkTree, CostVectorIsRecordedReseededAndRetained) {
@@ -489,34 +450,50 @@ TEST(WalkTree, CostVectorIsRecordedReseededAndRetained) {
   s.build();
   const auto groups = walk_groups(s.tree, s.x, s.y, s.z);
   ASSERT_GE(groups.size(), 4u);
+  // Block-step-style activity: one group in three inactive.
   std::vector<std::uint8_t> active(groups.size(), 1);
-  active[1] = 0;
+  for (std::size_t g = 1; g < active.size(); g += 3) active[g] = 0;
 
   WalkConfig cfg;
   cfg.eps = kEps;
   cfg.mac.type = MacType::OpeningAngle;
-  cfg.schedule = WalkSchedule::CostWeighted;
-
-  // Wrong-sized vector: the walk must re-seed it to the decomposition.
-  GroupCosts costs;
-  costs.reset(3);
+  runtime::Device dev(3, /*async=*/0);
+  runtime::ScopedDevice scope(dev);
   std::vector<real> ax(s.n()), ay(s.n()), az(s.n());
-  walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, ax, ay, az, {}, nullptr,
-            nullptr, active, groups, &costs);
-  ASSERT_EQ(costs.cost.size(), groups.size());
-  // Active groups got a measured cost (at least one MAC evaluation each);
-  // the inactive group kept its (re-seeded uniform) value.
-  EXPECT_GT(costs.cost[0], 0.0);
-  EXPECT_EQ(costs.cost[1], 1.0);
+  auto walk = [&](std::span<double> cost) {
+    walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, ax, ay, az, {}, nullptr,
+              nullptr, active, groups, cost);
+  };
 
-  // A sentinel on an inactive group survives the next walk untouched.
-  costs.cost[1] = 7.5;
-  const double cost0 = costs.cost[0];
-  walk_tree(s.tree, s.x, s.y, s.z, s.m, {}, cfg, ax, ay, az, {}, nullptr,
-            nullptr, active, groups, &costs);
-  EXPECT_EQ(costs.cost[1], 7.5);
-  // Re-walked active groups re-record the same deterministic cost.
-  EXPECT_EQ(costs.cost[0], cost0);
+  // Every walked group records a cost (at least one MAC evaluation); no
+  // inactive slot is written.
+  constexpr double kUntouched = -1.0;
+  std::vector<double> cost(groups.size(), kUntouched);
+  walk(cost);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (active[g] != 0) {
+      EXPECT_GT(cost[g], 0.0) << "group " << g;
+    } else {
+      EXPECT_EQ(cost[g], kUntouched) << "group " << g;
+    }
+  }
+
+  // Re-seeded by the caller, the span gets the same deterministic cost
+  // back on every walked group and keeps the seed on every inactive one.
+  const std::vector<double> first = cost;
+  constexpr double kSeed = 7.5;
+  std::fill(cost.begin(), cost.end(), kSeed);
+  walk(cost);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(cost[g], active[g] != 0 ? first[g] : kSeed) << "group " << g;
+  }
+
+  // A cost span must hold one slot per group, like the activity flags.
+  for (const std::size_t size : {std::size_t{1}, groups.size() - 1,
+                                 groups.size() + 1}) {
+    std::vector<double> wrong(size);
+    EXPECT_THROW(walk(wrong), std::invalid_argument) << "cost size " << size;
+  }
 }
 
 TEST(WalkTree, StatsReportWorkerTimingAndImbalance) {

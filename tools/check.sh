@@ -6,7 +6,9 @@
 #
 # The tier-1 suite runs twice: once with GOTHIC_ASYNC=1 (the default
 # asynchronous stream scheduler) and once with GOTHIC_ASYNC=0 (the
-# synchronous escape hatch) — results must be identical.
+# synchronous escape hatch) — results must be identical. Those two runs
+# are every test's once-per-scheduler-mode run; the later stages add only
+# what ctest does not cover (benches, fuzz legs, tool smokes).
 #
 # The SIMD stage repeats tier-1 plus a fuzz smoke under GOTHIC_SIMD=1
 # (AVX2 lane kernels) and GOTHIC_SIMD=0 (scalar oracle) — the two warp
@@ -28,16 +30,14 @@
 # bits also select the workload from the scenario registry, so one
 # printed seed reproduces ICs + force law + schedule together.
 #
-# The scenario stage runs the physics-oracle matrix (force error vs
-# direct summation, energy drift, momentum balance — parameterized over
-# every registry entry) plus the per-scenario bit-identity suite under
-# both scheduler modes, then sweeps bench_scenario and validates one
-# golden-schema BENCH_scenario_<name>.json per scenario before the
-# bench_diff gate promotes them into bench-results/.
+# The scenario stage sweeps bench_scenario and validates one golden-schema
+# BENCH_scenario_<name>.json per scenario before the bench_diff gate
+# promotes them into bench-results/ (the physics-oracle matrix runs in
+# tier-1).
 #
-# The service stage runs the session-pool suites (ctest -L service) under
-# both scheduler modes, sweeps the gothic_fuzz service leg (seeded pooled
-# fault plans asserting session isolation + solo bit-identity), smokes
+# The service stage sweeps the gothic_fuzz service leg under both
+# scheduler modes (seeded pooled fault plans asserting session isolation
+# + solo bit-identity; the session-pool suites run in tier-1), smokes
 # gothic_serve end-to-end with per-session telemetry/trace/checkpoint
 # streams, and validates a golden-schema BENCH_service.json through the
 # bench_diff gate.
@@ -126,8 +126,9 @@ done
 echo "telemetry stage passed"
 
 echo "== bench smoke: load balancing (both scheduler modes) =="
-# bench_balance compares the three walk schedules at a small N, asserts
-# bit-identical accelerations, and must emit a BENCH_balance.json that
+# bench_balance runs the walk's work queue at a small N over four activity
+# fractions, asserts accelerations, potentials and op counts bit-identical
+# to a 1-worker run, and must emit a BENCH_balance.json that
 # passes both a raw JSON parse and the golden-schema test. 4 workers so
 # the imbalance ratio is meaningful on single-core CI runners. Fresh
 # reports land in bench-fresh/ (kept on failure as evidence); the
@@ -175,17 +176,15 @@ done
 echo "fuzz stage passed"
 
 echo "== shard stage: K-shard bit-identity + LET traffic (both scheduler modes) =="
-# The sharded pipeline's oracle, three ways under each ambient scheduler:
-# ctest -L shard runs the partition/LET invariants and the K in {1,2,4}
-# bit-identity suite (>= 8 steps, rebuilds included); bench_shard re-runs
-# the oracle on the M31 workload and must emit a golden-schema
-# BENCH_shard.json reporting busy-time imbalance and LET traffic; the
-# sharded fuzz legs drive seeded per-shard-device schedules plus launch
-# faults injected into one shard (one shard's failure must not poison the
-# other shards' devices).
+# The sharded pipeline's oracle beyond its tier-1 suites (ctest -L shard),
+# two ways under each ambient scheduler: bench_shard re-runs the oracle on
+# the M31 workload and must emit a golden-schema BENCH_shard.json
+# reporting busy-time imbalance and LET traffic; the sharded fuzz legs
+# drive seeded per-shard-device schedules plus launch faults injected into
+# one shard (one shard's failure must not poison the other shards'
+# devices).
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build && GOTHIC_ASYNC=$mode ctest --output-on-failure -L shard -j)
   (cd build &&
     GOTHIC_ASYNC=$mode GOTHIC_THREADS=4 GOTHIC_BENCH_N=4096 \
       GOTHIC_BENCH_STEPS=8 ./bench/bench_shard >/dev/null &&
@@ -213,20 +212,12 @@ fi
 grep -q -- "--shards must be <=" <<<"$err"
 echo "shard stage passed"
 
-echo "== scenario stage: physics-oracle matrix + bench_scenario =="
-# The parameterized invariance suite (force oracle vs direct summation,
-# energy drift, momentum balance) and the per-scenario shard/SIMD/async
-# bit-identity matrix, under both scheduler modes; then bench_scenario
-# sweeps the registry and must emit one golden-schema
+echo "== scenario stage: bench_scenario =="
+# bench_scenario sweeps the registry and must emit one golden-schema
 # BENCH_scenario_<name>.json per scenario — each validated by a raw JSON
 # parse plus the ExternalReport schema test and handed to the bench_diff
 # gate below (the scale fingerprint carries scenario name + force law, so
 # the gate refuses cross-scenario comparisons).
-for mode in 1 0; do
-  echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build && GOTHIC_ASYNC=$mode ctest --output-on-failure -j \
-    -R 'Scenario|WalkTreeLJ')
-done
 (cd build &&
   rm -f BENCH_scenario_*.json &&
   GOTHIC_THREADS=4 GOTHIC_BENCH_N=2048 GOTHIC_BENCH_STEPS=8 \
@@ -240,17 +231,15 @@ done
 echo "scenario stage passed"
 
 echo "== service stage: session pool (both scheduler modes) =="
-# The multi-tenant session layer: ctest -L service runs the SessionManager
-# suites (solo bit-identity oracle, quota reject-on-exceed, starvation
-# bound, mixed-fault isolation stress) under each ambient scheduler; the
-# gothic_fuzz service leg sweeps seeded pooled fault plans; gothic_serve
-# drives a GOTHIC_SESSIONS-sized registry-cycled batch end-to-end with
-# per-session telemetry / trace / checkpoint streams plus the oracle; and
+# The multi-tenant session layer beyond its tier-1 suites (ctest -L
+# service): the gothic_fuzz service leg sweeps seeded pooled fault plans
+# under each ambient scheduler; gothic_serve drives a
+# GOTHIC_SESSIONS-sized registry-cycled batch end-to-end with per-session
+# telemetry / trace / checkpoint streams plus the oracle; and
 # bench_service must emit a golden-schema BENCH_service.json for the
 # bench_diff gate.
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build && GOTHIC_ASYNC=$mode ctest --output-on-failure -L service -j)
   GOTHIC_ASYNC=$mode ./build/tools/gothic_fuzz --schedules=0 --faults=0 \
     --service=6 --n=128 --steps=3
 done
@@ -343,7 +332,7 @@ fi
 
 echo "== TSan: runtime + walk_tree + service + fuzz (both scheduler modes) =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \
-      -DGOTHIC_BUILD_BENCH=OFF -DGOTHIC_BUILD_EXAMPLES=OFF >/dev/null
+      -DGOTHIC_BUILD_BENCH=OFF >/dev/null
 cmake --build build-tsan -j --target test_runtime test_walk_tree \
       test_service gothic_fuzz
 (cd build-tsan &&

@@ -11,10 +11,10 @@
 //   --faults=N      N randomized fault plans (launch-body exceptions, lane
 //                   stalls) through a cross-stream DAG, asserting the error
 //                   contract: one first-wins error, device reusable after.
-//   --shards=N      N seeded sharded runs (K in {1,2,4}, async mode and
-//                   walk schedule from the seed, one schedule controller
-//                   per shard device), each compared bit-for-bit against
-//                   the unsharded synchronous reference.
+//   --shards=N      N seeded sharded runs (K in {1,2,4} and async mode
+//                   from the seed, one schedule controller per shard
+//                   device), each compared bit-for-bit against the
+//                   unsharded synchronous reference.
 //   --shard-faults=N  N launch-body throws injected into one shard of a
 //                   sharded step (devices follow GOTHIC_ASYNC), asserting
 //                   the isolation contract: the fault surfaces from step()
@@ -27,9 +27,9 @@
 //                   its solo run, every failure carried by one session.
 //   --scenarios=N   N seeded scenario runs: each seed hashes to a
 //                   scenario-registry entry (ICs + force law) and encodes
-//                   walk schedule, async mode, shard count and SIMD
-//                   substrate in its bits, compared bit-for-bit against
-//                   that scenario's synchronous reference.
+//                   async mode, shard count and SIMD substrate in its
+//                   bits, compared bit-for-bit against that scenario's
+//                   synchronous reference.
 //
 //   --replay=SEED   re-run one seeded schedule (accepts 0x... hex) and
 //                   print its interleaving — the repro entry point.
