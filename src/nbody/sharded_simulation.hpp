@@ -136,6 +136,8 @@ struct ShardOptions {
   int shards = 1;
   int workers = 0;
   int async = -1;
+  /// Streams each device may execute at once (a lane is a launch queue
+  /// plus a leader thread); every launch's collectives use all `workers`.
   int lanes = 0;
 };
 

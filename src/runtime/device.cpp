@@ -23,25 +23,38 @@ namespace {
 /// issuing device).
 thread_local Device* tl_current = nullptr;
 /// Execution context of the calling thread: when `tl_ctx_device` owns the
-/// thread as a lane leader, collectives route to lane `tl_ctx_lane`'s team
-/// instead of the full pool.
+/// thread as a lane leader, collectives run on lane `tl_ctx_lane`'s worker
+/// slots instead of the host pool's.
 thread_local Device* tl_ctx_device = nullptr;
 thread_local int tl_ctx_lane = -1;
+
+/// `n` fresh worker slots with ids 0..n-1.
+std::vector<std::unique_ptr<Worker>> make_slots(int n) {
+  std::vector<std::unique_ptr<Worker>> slots;
+  slots.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    slots.push_back(std::make_unique<Worker>());
+    slots.back()->id = i;
+  }
+  return slots;
+}
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Team: one fork/join group. Member 0 is the calling thread of run(); the
-// remaining members are dedicated threads parked on a condition variable.
-// The synchronous path uses one team over the whole pool; each lane of the
-// asynchronous engine owns a team over its slice.
+// Team: the device's fork/join threads. Member 0 of a collective is the
+// calling thread of run(); members 1..n-1 are dedicated threads parked on a
+// condition variable. run() is handed the calling context's worker slots
+// (the host's or one lane's) and member i executes on slot i. It admits
+// one caller at a time — a lane leader or a host thread — so every
+// collective gets the whole pool.
 // ---------------------------------------------------------------------------
 
 class Device::Team {
 public:
-  explicit Team(std::vector<Worker*> members) : members_(std::move(members)) {
-    threads_.reserve(members_.size() - 1);
-    for (std::size_t i = 1; i < members_.size(); ++i) {
-      threads_.emplace_back([this, i] { member_loop(*members_[i]); });
+  explicit Team(int size) {
+    threads_.reserve(static_cast<std::size_t>(size - 1));
+    for (int i = 1; i < size; ++i) {
+      threads_.emplace_back([this, i] { member_loop(i); });
     }
   }
 
@@ -57,16 +70,6 @@ public:
   Team(const Team&) = delete;
   Team& operator=(const Team&) = delete;
 
-  [[nodiscard]] int size() const { return static_cast<int>(members_.size()); }
-  [[nodiscard]] Worker& member(int i) {
-    return *members_[static_cast<std::size_t>(i)];
-  }
-
-  /// Run `fn(ctx, worker)` once per member; the caller executes member 0.
-  /// All member exceptions land in one first-recorded-wins slot and exactly
-  /// that one is rethrown after every member finished, leaving the team
-  /// reusable. (The previous pool dropped a worker error whenever member 0
-  /// threw too, and left it set for the next collective.)
   /// Run the job on `w`, charging the elapsed wall time to the worker's
   /// busy counter (imbalance observability). The counter also ticks while
   /// a body waits on a fault-injected stall — busy means "occupied", which
@@ -84,22 +87,28 @@ public:
                         std::memory_order_relaxed);
   }
 
-  void run(JobFn fn, void* ctx) {
+  /// Run `fn(ctx, *slots[i])` once per member i; the caller executes
+  /// member 0. All member exceptions land in one first-recorded-wins slot
+  /// and exactly that one is rethrown after every member finished, leaving
+  /// the team reusable.
+  void run(JobFn fn, void* ctx, const Slots& slots) {
     if (threads_.empty()) {
-      run_timed(fn, ctx, *members_.front());
+      run_timed(fn, ctx, *slots.front());
       return;
     }
+    const std::lock_guard<std::mutex> admitted(admit_);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       job_ = fn;
       job_ctx_ = ctx;
+      job_slots_ = &slots;
       error_ = nullptr;
       unfinished_ = static_cast<int>(threads_.size());
       ++generation_;
     }
     start_cv_.notify_all();
     try {
-      run_timed(fn, ctx, *members_.front());
+      run_timed(fn, ctx, *slots.front());
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!error_) error_ = std::current_exception();
@@ -112,11 +121,12 @@ public:
   }
 
 private:
-  void member_loop(Worker& w) {
+  void member_loop(int i) {
     std::uint64_t seen = 0;
     for (;;) {
       JobFn job = nullptr;
       void* ctx = nullptr;
+      Worker* w = nullptr;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         start_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
@@ -124,9 +134,10 @@ private:
         seen = generation_;
         job = job_;
         ctx = job_ctx_;
+        w = (*job_slots_)[static_cast<std::size_t>(i)].get();
       }
       try {
-        run_timed(job, ctx, w);
+        run_timed(job, ctx, *w);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         if (!error_) error_ = std::current_exception();
@@ -140,8 +151,8 @@ private:
     }
   }
 
-  std::vector<Worker*> members_;
   std::vector<std::thread> threads_;
+  std::mutex admit_; ///< held by the one caller whose collective is running
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
@@ -150,6 +161,7 @@ private:
   int unfinished_ = 0;
   JobFn job_ = nullptr;
   void* job_ctx_ = nullptr;
+  const Slots* job_slots_ = nullptr;
   std::exception_ptr error_;
 };
 
@@ -171,14 +183,12 @@ struct Device::LaunchNode {
   LaunchNode* next = nullptr;
 };
 
-/// One stream-execution lane: a slice of the worker budget with its own
-/// Worker slots (local ids 0..k-1, own arenas), a leader thread that pops
-/// the lane's FIFO queue, and a team the leader forks launch collectives
-/// onto.
+/// One stream-execution lane: a leader thread that pops the lane's FIFO
+/// queue, plus one Worker slot per pool worker (ids 0..n-1, own arenas,
+/// never shared with another lane) that the lane's collectives run on.
 struct Device::Lane {
   int index = 0;
-  std::vector<std::unique_ptr<Worker>> slots;
-  std::unique_ptr<Team> team;
+  Slots slots;
   std::thread leader;
   LaunchNode* head = nullptr;
   LaunchNode* tail = nullptr;
@@ -207,16 +217,8 @@ Device::Device(int workers, int async, int lanes)
       lanes_requested_(lanes) {
   const int n = std::min(workers > 0 ? workers : default_workers(),
                          kMaxWorkers);
-  slots_.reserve(static_cast<std::size_t>(n));
-  std::vector<Worker*> members;
-  members.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    slots_.push_back(std::make_unique<Worker>());
-    slots_.back()->id = i;
-    members.push_back(slots_.back().get());
-  }
-  // Full-pool team: worker 0 is whatever thread runs the collective.
-  pool_ = std::make_unique<Team>(std::move(members));
+  slots_ = make_slots(n);
+  team_ = std::make_unique<Team>(n);
   completed_gaps_.reserve(64);
 }
 
@@ -236,8 +238,8 @@ Device::~Device() {
   for (auto& lane : lanes_) {
     if (lane->leader.joinable()) lane->leader.join();
   }
-  lanes_.clear(); // joins each lane team's member threads
-  pool_.reset();
+  lanes_.clear();
+  team_.reset();
 }
 
 Device& Device::shared() {
@@ -249,27 +251,21 @@ Device& Device::current() {
   return tl_current != nullptr ? *tl_current : shared();
 }
 
-int Device::workers() const {
+int Device::workers() const { return static_cast<int>(slots_.size()); }
+
+Device::Slots& Device::context_slots() {
   if (tl_ctx_device == this && tl_ctx_lane >= 0) {
-    return lanes_[static_cast<std::size_t>(tl_ctx_lane)]->team->size();
+    return lanes_[static_cast<std::size_t>(tl_ctx_lane)]->slots;
   }
-  return static_cast<int>(slots_.size());
+  return slots_;
 }
 
 Worker& Device::context_worker(int i) {
-  if (tl_ctx_device == this && tl_ctx_lane >= 0) {
-    return *lanes_[static_cast<std::size_t>(tl_ctx_lane)]
-                ->slots[static_cast<std::size_t>(i)];
-  }
-  return *slots_[static_cast<std::size_t>(i)];
+  return *context_slots()[static_cast<std::size_t>(i)];
 }
 
 void Device::dispatch(JobFn fn, void* ctx) {
-  if (tl_ctx_device == this && tl_ctx_lane >= 0) {
-    lanes_[static_cast<std::size_t>(tl_ctx_lane)]->team->run(fn, ctx);
-    return;
-  }
-  pool_->run(fn, ctx);
+  team_->run(fn, ctx, context_slots());
 }
 
 // --- issue path ------------------------------------------------------------
@@ -429,20 +425,11 @@ void Device::ensure_engine_locked() {
                    "and cannot overlap\n");
     }
   }
-  const int l = cfg.lanes;
-  lanes_.reserve(static_cast<std::size_t>(l));
-  for (int i = 0; i < l; ++i) {
+  lanes_.reserve(static_cast<std::size_t>(cfg.lanes));
+  for (int i = 0; i < cfg.lanes; ++i) {
     auto lane = std::make_unique<Lane>();
     lane->index = i;
-    const int k = n / l + (i < n % l ? 1 : 0);
-    std::vector<Worker*> members;
-    members.reserve(static_cast<std::size_t>(k));
-    for (int j = 0; j < k; ++j) {
-      lane->slots.push_back(std::make_unique<Worker>());
-      lane->slots.back()->id = j;
-      members.push_back(lane->slots.back().get());
-    }
-    lane->team = std::make_unique<Team>(std::move(members));
+    lane->slots = make_slots(n);
     lanes_.push_back(std::move(lane));
   }
   // Leaders start after lanes_ is fully built: they index into it.
@@ -471,7 +458,7 @@ Device::Lane& Device::lane_for_locked(const Stream* stream) {
 
 void Device::lane_loop(Lane& lane) {
   // Launch bodies run on this thread; Device::current() must resolve to
-  // the issuing device, and collectives must fork onto the lane's team.
+  // the issuing device, and collectives must run on the lane's slots.
   tl_current = this;
   tl_ctx_device = this;
   tl_ctx_lane = lane.index;
@@ -518,8 +505,8 @@ void Device::run_node(Lane& lane, LaunchNode& node) {
   node.destroy(node.storage);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    node.sink->finish_record(node.record_index, node.id, t0, t1,
-                             lane.team->size(), ops);
+    node.sink->finish_record(node.record_index, node.id, t0, t1, workers(),
+                             ops);
     // Move (don't copy) so this lane drops its reference here: the thread
     // that later rethrows the error must be the only one releasing the
     // exception object, or its teardown races with the consumer's what().

@@ -7,15 +7,17 @@
 //
 //  * a persistent worker pool (replacing per-call OpenMP fork/join) whose
 //    size is GOTHIC_THREADS-overridable, with one cache-line-padded Worker
-//    per thread carrying a scratch Arena that retains its high-water
-//    capacity across launches;
+//    slot per pool worker carrying a scratch Arena that retains its
+//    high-water capacity across launches;
 //  * Stream/Event scheduling: launches enqueue onto their stream's lane —
-//    a partitioned slice of the worker pool — and execute as soon as their
-//    dependency events complete, so independent streams (the step loop's
-//    predict ∥ makeTree) genuinely overlap. Event::wait() and
+//    a FIFO queue plus a leader thread, not a slice of the pool — and
+//    execute as soon as their dependency events complete, so independent
+//    streams (the step loop's predict ∥ makeTree) genuinely overlap, while
+//    each collective runs on the whole pool (one at a time), as a kernel
+//    on any stream can fill every SM of a GPU. Event::wait() and
 //    synchronize() are real completion handles. GOTHIC_ASYNC=0 selects
 //    the synchronous escape hatch: launches run to completion on the
-//    calling thread plus the full pool, bit-identically;
+//    calling thread plus the pool, bit-identically;
 //  * per-launch instrumentation: every launch emits a LaunchRecord (with
 //    begin/end timestamps, so the sink can report achieved overlap) into
 //    an InstrumentationSink.
@@ -24,8 +26,9 @@
 // override installed by ScopedDevice (tests pin worker counts this way) or
 // else the process-wide shared() device. Inside an asynchronous launch
 // body, current() resolves to the issuing device and its collectives run
-// on the launch's lane (workers() reports the lane width), so kernels are
-// oblivious to which scheduler drives them.
+// on the whole pool over the lane's own worker slots (workers() reports
+// the pool size everywhere), so kernels are oblivious to which scheduler
+// drives them.
 #pragma once
 
 #include "runtime/arena.hpp"
@@ -47,10 +50,11 @@
 
 namespace gothic::runtime {
 
-/// Per-thread execution context handed to range bodies: a stable worker
-/// index (within the executing context — a lane under async scheduling,
-/// the full pool otherwise) and the worker's scratch arena. Padded to a
-/// cache line so neighbouring workers never false-share.
+/// Per-member execution context handed to range bodies: a stable worker
+/// index 0..workers()-1 and the slot's scratch arena. The host and each
+/// lane own a full set of slots, so a launch body keeps its arenas across
+/// all its collectives. Padded to a cache line so neighbouring workers
+/// never false-share.
 struct alignas(64) Worker {
   int id = 0;
   Arena arena;
@@ -73,7 +77,8 @@ public:
   /// the synchronous path, > 0 forces asynchronous scheduling. `lanes` = 0
   /// defers to GOTHIC_ASYNC_LANES (default 2); any other value requests
   /// that many stream lanes (clamped to [1, workers] with a warning, see
-  /// resolve_lanes).
+  /// resolve_lanes). A lane is a launch queue plus a leader thread, not a
+  /// share of the workers: every launch's collectives use all `workers`.
   explicit Device(int workers = 0, int async = -1, int lanes = 0);
   ~Device();
   Device(const Device&) = delete;
@@ -86,13 +91,14 @@ public:
   /// shared().
   static Device& current();
 
-  /// Workers of the current execution context: the lane width inside an
-  /// asynchronous launch body, the full pool size otherwise.
+  /// Workers every collective runs on: the pool size, inside a launch body
+  /// or not.
   [[nodiscard]] int workers() const;
 
-  /// The `i`-th worker of the current execution context (lane worker
-  /// inside an async launch body, pool worker otherwise). Serial access
-  /// only — never while a collective is in flight.
+  /// The `i`-th worker slot of the current execution context (the lane's
+  /// slot inside an async launch body, the host pool's otherwise). Serial
+  /// access only — never while a collective *of this context* is in
+  /// flight; other lanes' collectives use their own slots.
   [[nodiscard]] Worker& context_worker(int i);
 
   /// The worker-count default the constructor would resolve for
@@ -106,10 +112,11 @@ public:
 
   // --- collectives --------------------------------------------------------
   // All collectives run on the calling thread (context worker 0) plus the
-  // context's remaining workers and return only when every worker
-  // finished. Exceptions thrown by bodies are recorded first-wins and
-  // exactly one is rethrown on the caller; the pool stays reusable.
-  // Bodies must not re-enter the device.
+  // pool's remaining threads, over the calling context's worker slots, and
+  // return only when every worker finished; a collective issued while
+  // another context's is running waits for it. Exceptions thrown by bodies
+  // are recorded first-wins and exactly one is rethrown on the caller; the
+  // pool stays reusable. Bodies must not re-enter the device.
 
   /// Invoke `fn(Worker&)` once per context worker.
   template <typename Fn>
@@ -294,8 +301,8 @@ public:
 
   // --- introspection (runtime tests) --------------------------------------
 
-  /// Sum of heap allocations performed by all worker arenas (pool and
-  /// lane workers) — stable after warm-up when steady-state launches
+  /// Sum of heap allocations performed by all worker arenas (host and
+  /// lane slots) — stable after warm-up when steady-state launches
   /// reuse retained capacity.
   [[nodiscard]] std::uint64_t arena_heap_allocations() const;
   /// Total bytes retained by all worker arenas.
@@ -303,7 +310,7 @@ public:
   /// Launches issued so far.
   [[nodiscard]] std::uint64_t launch_count() const;
 
-  // Worker busy-time gauges (pool and lane workers; relaxed samples of the
+  // Worker busy-time gauges (host and lane slots; relaxed samples of the
   // per-worker counters, safe to read while collectives run). The spread
   // between the busiest worker and the mean is the device-lifetime load
   // imbalance trace::MetricsRegistry turns into a ratio.
@@ -311,7 +318,7 @@ public:
   [[nodiscard]] double worker_busy_seconds_max() const;
   /// Sum of collective-body seconds across every worker slot.
   [[nodiscard]] double worker_busy_seconds_total() const;
-  /// Worker slots (pool + materialized lanes) that have recorded any
+  /// Worker slots (host + materialized lanes) that have recorded any
   /// collective-body busy time so far.
   [[nodiscard]] int busy_worker_count() const;
 
@@ -323,6 +330,7 @@ private:
 
   class Team;
   struct Lane;
+  using Slots = std::vector<std::unique_ptr<Worker>>;
   struct LaunchNode;
   struct Context;
 
@@ -336,6 +344,8 @@ private:
   };
 
   void dispatch(JobFn fn, void* ctx);
+  /// Worker slots of the calling thread's execution context.
+  [[nodiscard]] Slots& context_slots();
   [[nodiscard]] double now() const { return epoch_.seconds(); }
   /// Synchronous-path fault hook: forwards to the controller's
   /// before_body() with lane -1. One pointer test when none is installed.
@@ -365,14 +375,14 @@ private:
   template <typename Pred>
   void pump_locked(std::unique_lock<std::mutex>& lock, Pred done);
 
-  std::vector<std::unique_ptr<Worker>> slots_;
-  std::unique_ptr<Team> pool_;   ///< full-pool team of the synchronous path
+  Slots slots_;                  ///< the host context's worker slots
+  std::unique_ptr<Team> team_;   ///< the pool's threads, shared by all contexts
   const bool async_;
   const int lanes_requested_;    ///< ctor lane request (0 = env default)
   Stopwatch epoch_;              ///< timestamp origin of every LaunchRecord
 
   // Launch bookkeeping (ids, completion, queues, sinks) — one lock; the
-  // per-collective fork/join hot path uses the teams' own locks.
+  // per-collective fork/join hot path uses the team's own locks.
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;  ///< lane leaders: work available / stop
   std::condition_variable event_cv_;  ///< completions: event waits, sync, free nodes

@@ -11,9 +11,10 @@
 // into an InstrumentationSink.
 //
 // Execution is asynchronous by default: launch() enqueues the kernel onto
-// its stream's lane (a partitioned slice of the device worker pool) and
-// returns immediately; Event::wait() and Device::synchronize() are real
-// completion handles, and independent streams execute concurrently.
+// its stream's lane (a queue plus a leader thread; the kernel's
+// collectives use the whole device worker pool) and returns immediately;
+// Event::wait() and Device::synchronize() are real completion handles, and
+// independent streams execute concurrently.
 // GOTHIC_ASYNC=0 restores the old synchronous path (run-to-completion on
 // the calling thread plus the full pool) for A/B comparison and debugging
 // — results are bit-identical either way.
@@ -99,7 +100,7 @@ struct LaunchRecord {
   std::uint64_t id = 0;                 ///< launch sequence number
   std::array<std::uint64_t, 4> deps{};  ///< dependency launch ids (0 = none)
   std::size_t items = 0;                ///< launch configuration: work items
-  int workers = 0;                      ///< workers of the executing context
+  int workers = 0;                      ///< workers its collectives ran on
   double seconds = 0.0;                 ///< wall-clock of the launch body
   double t_begin = 0.0;                 ///< body start, seconds since device epoch
   double t_end = 0.0;                   ///< body end, seconds since device epoch

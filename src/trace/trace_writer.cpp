@@ -223,7 +223,7 @@ void TraceWriter::write(std::ostream& os) const {
   }
 
   // Counter tracks: cumulative op categories sampled at each completion
-  // (in completion order), plus the workers-busy occupancy derived from
+  // (in completion order), plus the launches-in-flight count derived from
   // the launch begin/end edges.
   std::vector<std::size_t> by_end(records_.size());
   std::iota(by_end.begin(), by_end.end(), std::size_t{0});
@@ -255,18 +255,19 @@ void TraceWriter::write(std::ostream& os) const {
   std::vector<Edge> edges;
   edges.reserve(records_.size() * 2);
   for (const runtime::LaunchRecord& rec : records_) {
-    edges.push_back({rec.t_begin, rec.workers});
-    edges.push_back({rec.t_end, -rec.workers});
+    edges.push_back({rec.t_begin, 1});
+    edges.push_back({rec.t_end, -1});
   }
   std::stable_sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
     return a.t < b.t || (a.t == b.t && a.delta < b.delta);
   });
-  int busy = 0;
+  int in_flight = 0;
   for (const Edge& e : edges) {
-    busy += e.delta;
-    events.emit("\"name\":\"workers_busy\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-                usec(e.t) + ",\"args\":{\"workers\":" + std::to_string(busy) +
-                "}");
+    in_flight += e.delta;
+    events.emit(
+        "\"name\":\"launches_in_flight\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
+        usec(e.t) + ",\"args\":{\"launches\":" + std::to_string(in_flight) +
+        "}");
   }
 
   events.close();

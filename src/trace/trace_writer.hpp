@@ -15,7 +15,9 @@
 //  * cumulative counter tracks ("ph":"C") for the paper's op categories
 //    (fp32, int32, load/store bytes, syncwarp — the Volta-vs-Pascal
 //    headline metric) sampled at each launch completion, plus a
-//    "workers_busy" occupancy counter derived from launch begin/end.
+//    "launches_in_flight" counter (+1 at each body's begin, -1 at its
+//    end): every launch's collectives use its device's whole pool, so
+//    bodies, not workers, are what overlap.
 //
 // Buffering is bounded: the writer holds at most `max_records` records
 // (excess launches are counted as dropped and noted in the JSON metadata),

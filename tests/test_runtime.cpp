@@ -14,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -366,6 +369,55 @@ TEST(Launch, IndependentStreamsOverlap) {
   EXPECT_GE(sink.step_kernel_seconds(), 0.18);
   EXPECT_LT(sink.step_wall_seconds(), 0.9 * sink.step_kernel_seconds());
   EXPECT_GT(sink.step_overlap_seconds(), 0.0);
+}
+
+TEST(Launch, BodyCollectivesUseTheWholePool) {
+  // A lane is a queue plus a leader, not a slice of the pool: a body on
+  // any lane sees every worker, its collectives fork onto all of them, and
+  // its record carries the pool width — with the default 2 lanes and with
+  // one lane per worker.
+  for (int lanes : {0, 4}) {
+    Device dev(4, /*async=*/1, lanes);
+    const int expect_lanes = dev.lane_count();
+    if (lanes != 0 || std::getenv("GOTHIC_ASYNC_LANES") == nullptr) {
+      ASSERT_EQ(expect_lanes, lanes == 0 ? 2 : lanes);
+    }
+    InstrumentationSink sink;
+    std::vector<Stream> streams;
+    streams.reserve(static_cast<std::size_t>(expect_lanes));
+    for (int l = 0; l < expect_lanes; ++l) streams.emplace_back("s");
+    struct Seen {
+      int workers = 0;
+      std::array<std::thread::id, 4> threads{};
+    };
+    std::vector<Seen> seen(streams.size());
+    for (std::size_t l = 0; l < streams.size(); ++l) {
+      LaunchDesc desc;
+      desc.stream = &streams[l];
+      desc.sink = &sink;
+      Seen* out = &seen[l];
+      (void)dev.launch(desc, [out](simt::OpCounts&) {
+        Device& d = Device::current();
+        out->workers = d.workers();
+        d.for_workers([out](Worker& w) {
+          out->threads[static_cast<std::size_t>(w.id)] =
+              std::this_thread::get_id();
+        });
+      });
+    }
+    dev.synchronize();
+    for (const Seen& s : seen) {
+      EXPECT_EQ(s.workers, 4) << "lanes " << expect_lanes;
+      const std::set<std::thread::id> distinct(s.threads.begin(),
+                                               s.threads.end());
+      EXPECT_EQ(distinct.size(), 4u) << "lanes " << expect_lanes;
+      EXPECT_EQ(distinct.count(std::thread::id{}), 0u);
+    }
+    ASSERT_EQ(sink.step_records().size(), streams.size());
+    for (const LaunchRecord& rec : sink.step_records()) {
+      EXPECT_EQ(rec.workers, 4) << "lanes " << expect_lanes;
+    }
+  }
 }
 
 TEST(Launch, AsyncBodyErrorSurfacesAtSynchronize) {
@@ -910,6 +962,99 @@ TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
           << "launch " << i << " never ran";
     }
   }
+}
+
+TEST(LaunchEngine, SharedTeamKeepsEachLanesArenasPrivate) {
+  // Two lanes and the host take turns on the one team. Every body fills
+  // each of its lane's worker arenas with a body-unique pattern on its
+  // serial path, rewrites it in several parallel_ranges collectives (each
+  // worker checking what the previous pass left in its own slot) and
+  // verifies the end state serially; meanwhile the host runs parallel_for
+  // collectives on the same device. A body that saw another lane's or the
+  // host's writes in its scratch, or a slot shared across contexts, fails
+  // a verification (and, under TSan, races).
+  Device dev(4, /*async=*/1, 2);
+  ASSERT_EQ(dev.lane_count(), 2);
+  Stream a("a"), b("b");
+  constexpr std::size_t kWords = 512;
+  constexpr int kPasses = 3;
+  std::atomic<int> failures{0};
+  std::atomic<int> bodies{0};
+  auto pattern = [](int key, int slot, int pass, std::size_t j) {
+    return (static_cast<std::uint64_t>(key) << 32) ^
+           (static_cast<std::uint64_t>(slot) << 24) ^
+           (static_cast<std::uint64_t>(pass) << 16) ^ j;
+  };
+  auto launch_body = [&](Stream& s, int key) {
+    LaunchDesc desc;
+    desc.stream = &s;
+    (void)dev.launch(desc, [&failures, &bodies, pattern,
+                            key](simt::OpCounts&) {
+      Device& d = Device::current();
+      const int nw = d.workers();
+      std::array<std::span<std::uint64_t>, Device::kMaxWorkers> scratch{};
+      for (int t = 0; t < nw; ++t) {
+        Arena& arena = d.context_worker(t).arena;
+        arena.reset();
+        auto span = arena.alloc_span<std::uint64_t>(kWords);
+        for (std::size_t j = 0; j < kWords; ++j) {
+          span[j] = pattern(key, t, 0, j);
+        }
+        scratch[static_cast<std::size_t>(t)] = span;
+      }
+      for (int pass = 1; pass <= kPasses; ++pass) {
+        d.parallel_ranges(
+            0, static_cast<std::size_t>(nw) * kWords,
+            [&](Worker& w, std::size_t lo, std::size_t hi) {
+              auto span = scratch[static_cast<std::size_t>(w.id)];
+              for (std::size_t i = lo; i < hi; ++i) {
+                const std::size_t j = i % kWords;
+                if (span[j] != pattern(key, w.id, pass - 1, j)) {
+                  failures.fetch_add(1, std::memory_order_relaxed);
+                }
+                span[j] = pattern(key, w.id, pass, j);
+              }
+            });
+      }
+      for (int t = 0; t < nw; ++t) {
+        const auto span = scratch[static_cast<std::size_t>(t)];
+        for (std::size_t j = 0; j < kWords; ++j) {
+          if (span[j] != pattern(key, t, kPasses, j)) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+      bodies.fetch_add(1, std::memory_order_relaxed);
+    });
+  };
+  std::vector<std::size_t> host(4096);
+  int host_failures = 0;
+  auto host_collective = [&](std::size_t round) {
+    dev.parallel_for(0, host.size(),
+                     [&](std::size_t i) { host[i] = i * 31 + round; });
+    for (std::size_t i = 0; i < host.size(); ++i) {
+      if (host[i] != i * 31 + round) ++host_failures;
+    }
+  };
+
+  // Warm-up: every lane's slots reach their high-water capacity.
+  launch_body(a, 1);
+  launch_body(b, 2);
+  dev.synchronize();
+  const std::uint64_t warm = dev.arena_heap_allocations();
+  EXPECT_GT(warm, 0u);
+
+  constexpr int kLaunches = 200;
+  for (int i = 0; i < kLaunches; ++i) {
+    launch_body(a, 3 + 2 * i);
+    launch_body(b, 4 + 2 * i);
+    host_collective(static_cast<std::size_t>(i));
+  }
+  dev.synchronize();
+  EXPECT_EQ(bodies.load(), 2 + 2 * kLaunches);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(host_failures, 0);
+  EXPECT_EQ(dev.arena_heap_allocations(), warm);
 }
 
 } // namespace

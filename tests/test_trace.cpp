@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 // --- global allocation counter (for the zero-overhead-when-off test) ------
@@ -343,9 +346,61 @@ TEST(TraceWriter, SerializesSyntheticDagWithFlows) {
   EXPECT_EQ(f, 1);
   EXPECT_EQ(flow_ids.count("2->3"), 1u);
   EXPECT_EQ(instant, 2); // "step 1" + "rebuild"
-  // 3 cumulative ops samples + 6 workers_busy edges + 1 per-step
+  // 3 cumulative ops samples + 6 launches_in_flight edges + 1 per-step
   // walk_imbalance sample.
   EXPECT_EQ(counter, 10);
+}
+
+TEST(TraceWriter, LaunchesInFlightCountsOverlappingBodiesOnOneDevice) {
+  // Two launches on independent streams of one 4-worker device, each held
+  // until the other has started, so their bodies overlap. Both carry the
+  // whole pool's width, so a worker-occupancy counter would read 8 on a
+  // 4-worker device; the launch counter peaks at 2 and returns to 0.
+  runtime::Device dev(4, /*async=*/1, /*lanes=*/2);
+  runtime::InstrumentationSink sink;
+  TraceWriter w;
+  sink.set_listener(&w);
+  runtime::Stream a("a"), b("b");
+  std::atomic<int> started{0};
+  auto body = [&started](simt::OpCounts&) {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  for (runtime::Stream* s : {&a, &b}) {
+    runtime::LaunchDesc desc;
+    desc.stream = s;
+    desc.sink = &sink;
+    (void)dev.launch(desc, body);
+  }
+  dev.synchronize();
+  sink.set_listener(nullptr);
+  ASSERT_EQ(started.load(), 2);
+  ASSERT_EQ(w.record_count(), 2u);
+  for (const runtime::LaunchRecord& rec : w.records()) {
+    EXPECT_EQ(rec.workers, 4);
+  }
+
+  std::ostringstream os;
+  w.write(os);
+  const JsonValue doc = JsonParser(os.str()).parse();
+  int samples = 0;
+  int peak = 0;
+  int last = -1;
+  for (const JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("ph").str != "C" || e.at("name").str != "launches_in_flight") {
+      continue;
+    }
+    ++samples;
+    last = static_cast<int>(e.at("args").at("launches").number);
+    peak = std::max(peak, last);
+  }
+  EXPECT_EQ(samples, 4); // one begin and one end edge per launch
+  EXPECT_EQ(peak, 2);
+  EXPECT_EQ(last, 0);
 }
 
 // --- session + simulation round trip ---------------------------------------

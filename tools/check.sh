@@ -46,13 +46,14 @@
 # project) against this tree into build/e2e, runs its unit tests, and
 # smokes the two-shard workload with its K=2 bit-identity check.
 #
-# The TSan stage rebuilds test_runtime, test_walk_tree, test_service and
-# gothic_fuzz in a separate build tree (build-tsan/) with
+# The TSan stage rebuilds test_runtime, test_walk_tree, test_service,
+# test_shard and gothic_fuzz in a separate build tree (build-tsan/) with
 # GOTHIC_SANITIZE=thread and runs them under both scheduler modes,
 # exercising the lane leaders' queue handshake, the cross-stream event
-# waits, the team fork/join, the per-launch merge locks, the
-# fault-injection paths and the session pool's driver handoff under a
-# real data-race detector.
+# waits, the shared team's admission and fork/join, the per-launch merge
+# locks, the fault-injection paths, the session pool's handoff between
+# device threads and the sharded engine's K devices with their host-side
+# cross-device waits under a real data-race detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -330,18 +331,20 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== TSan: runtime + walk_tree + service + fuzz (both scheduler modes) =="
+echo "== TSan: runtime + walk_tree + service + shard + fuzz (both scheduler modes) =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \
       -DGOTHIC_BUILD_BENCH=OFF >/dev/null
 cmake --build build-tsan -j --target test_runtime test_walk_tree \
-      test_service gothic_fuzz
+      test_service test_shard gothic_fuzz
 (cd build-tsan &&
   GOTHIC_ASYNC=1 ./tests/test_runtime &&
   GOTHIC_ASYNC=1 ./tests/test_walk_tree &&
   GOTHIC_ASYNC=1 ./tests/test_service &&
+  GOTHIC_ASYNC=1 ./tests/test_shard &&
   GOTHIC_ASYNC=0 ./tests/test_runtime &&
   GOTHIC_ASYNC=0 ./tests/test_walk_tree &&
   GOTHIC_ASYNC=0 ./tests/test_service &&
+  GOTHIC_ASYNC=0 ./tests/test_shard &&
   GOTHIC_ASYNC=1 ./tools/gothic_fuzz --schedules=8 --faults=8 --steps=4 \
     --service=4 --n=128)
 
