@@ -131,14 +131,12 @@ struct StepReport {
 /// Device shape of an engine with its own devices. `shards` is K; the
 /// remaining knobs are forwarded to each shard's runtime::Device
 /// constructor (0 / -1 = that device's environment defaults,
-/// GOTHIC_THREADS / GOTHIC_ASYNC / GOTHIC_ASYNC_LANES).
+/// GOTHIC_THREADS / GOTHIC_ASYNC). An asynchronous shard device runs
+/// Device::kLanes stream lanes.
 struct ShardOptions {
   int shards = 1;
   int workers = 0;
   int async = -1;
-  /// Streams each device may execute at once (a lane is a launch queue
-  /// plus a leader thread); every launch's collectives use all `workers`.
-  int lanes = 0;
 };
 
 /// Per-shard observability of the most recent step.

@@ -3,8 +3,6 @@
 #include "util/env.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -46,7 +44,9 @@ std::vector<std::unique_ptr<Worker>> make_slots(int n) {
 // condition variable. run() is handed the calling context's worker slots
 // (the host's or one lane's) and member i executes on slot i. It admits
 // one caller at a time — a lane leader or a host thread — so every
-// collective gets the whole pool.
+// collective gets the whole pool. A 1-worker team has no threads: each
+// caller runs its collective inline on its own slot 0, so the lanes and
+// the host then run collectives at the same time.
 // ---------------------------------------------------------------------------
 
 class Device::Team {
@@ -90,7 +90,8 @@ public:
   /// Run `fn(ctx, *slots[i])` once per member i; the caller executes
   /// member 0. All member exceptions land in one first-recorded-wins slot
   /// and exactly that one is rethrown after every member finished, leaving
-  /// the team reusable.
+  /// the team reusable. Without member threads the job runs inline and
+  /// unadmitted: `slots` belong to the caller's context alone.
   void run(JobFn fn, void* ctx, const Slots& slots) {
     if (threads_.empty()) {
       run_timed(fn, ctx, *slots.front());
@@ -212,14 +213,36 @@ int Device::default_workers() {
 
 bool Device::default_async() { return env_size("GOTHIC_ASYNC", 1) != 0; }
 
-Device::Device(int workers, int async, int lanes)
-    : async_(async < 0 ? default_async() : async != 0),
-      lanes_requested_(lanes) {
+Device::Device(int workers, int async)
+    : async_(async < 0 ? default_async() : async != 0) {
   const int n = std::min(workers > 0 ? workers : default_workers(),
                          kMaxWorkers);
   slots_ = make_slots(n);
   team_ = std::make_unique<Team>(n);
   completed_gaps_.reserve(64);
+  if (!async_) return;
+  for (int i = 0; i < kLanes; ++i) {
+    auto lane = std::make_unique<Lane>();
+    lane->index = i;
+    lane->slots = make_slots(n);
+    lanes_.push_back(std::move(lane));
+  }
+  nodes_.reserve(64);
+  for (int i = 0; i < 64; ++i) {
+    nodes_.push_back(std::make_unique<LaunchNode>());
+    nodes_.back()->next = free_nodes_;
+    free_nodes_ = nodes_.back().get();
+  }
+  // Leaders start after lanes_ is fully built: they index into it.
+  try {
+    for (auto& lane : lanes_) {
+      Lane* l_ptr = lane.get();
+      lane->leader = std::thread([this, l_ptr] { lane_loop(*l_ptr); });
+    }
+  } catch (...) {
+    stop_lanes();
+    throw;
+  }
 }
 
 Device::~Device() {
@@ -232,6 +255,14 @@ Device::~Device() {
     } else {
       event_cv_.wait(lock, [&] { return inflight_ == 0; });
     }
+  }
+  stop_lanes();
+  team_.reset();
+}
+
+void Device::stop_lanes() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   queue_cv_.notify_all();
@@ -239,7 +270,6 @@ Device::~Device() {
     if (lane->leader.joinable()) lane->leader.join();
   }
   lanes_.clear();
-  team_.reset();
 }
 
 Device& Device::shared() {
@@ -336,7 +366,6 @@ Event Device::launch_async(const LaunchDesc& desc, BodyInvoke invoke,
   std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ensure_engine_locked();
     Lane& lane = lane_for_locked(desc.stream);
     const LaunchRecord rec = make_record_locked(desc); // may throw: no node yet
     LaunchNode* node = free_nodes_;
@@ -370,90 +399,14 @@ Event Device::launch_async(const LaunchDesc& desc, BodyInvoke invoke,
 
 // --- asynchronous engine ---------------------------------------------------
 
-Device::LaneConfig Device::resolve_lanes(int requested, int workers) {
-  LaneConfig cfg;
-  cfg.requested = requested;
-  cfg.lanes = std::clamp(requested, 1, std::max(1, workers));
-  cfg.clamped = cfg.lanes != requested;
-  return cfg;
-}
-
-namespace {
-// Once-per-process latches of the two lane-resolution warnings: every
-// device of a pool resolves the same GOTHIC_ASYNC_LANES setting, and one
-// line is diagnostic while dozens are stderr flooding.
-std::atomic<bool> g_warned_lane_clamp{false};
-std::atomic<bool> g_warned_single_lane{false};
-} // namespace
-
-void Device::reset_lane_warnings() {
-  g_warned_lane_clamp.store(false);
-  g_warned_single_lane.store(false);
-}
-
-void Device::ensure_engine_locked() {
-  if (!lanes_.empty()) return;
-  const int n = static_cast<int>(slots_.size());
-  // A lane request from the constructor wins; otherwise GOTHIC_ASYNC_LANES;
-  // otherwise the default of 2. Out-of-range explicit requests (0, or more
-  // lanes than workers) clamp loudly instead of silently misconfiguring
-  // the lane partition, and an explicit single lane warns that stream
-  // overlap is off.
-  int requested = lanes_requested_;
-  bool explicit_request = lanes_requested_ != 0;
-  if (!explicit_request) {
-    if (std::getenv("GOTHIC_ASYNC_LANES") != nullptr) {
-      explicit_request = true;
-      requested = static_cast<int>(
-          std::min<std::size_t>(env_size("GOTHIC_ASYNC_LANES", 2), 1 << 20));
-    } else {
-      requested = 2;
-    }
-  }
-  const LaneConfig cfg = resolve_lanes(requested, n);
-  if (explicit_request && cfg.clamped) {
-    if (!g_warned_lane_clamp.exchange(true)) {
-      std::fprintf(stderr,
-                   "gothic: requested %d stream lanes, clamped to %d "
-                   "(valid range 1..%d for %d workers)\n",
-                   cfg.requested, cfg.lanes, n, n);
-    }
-  } else if (explicit_request && cfg.lanes == 1) {
-    if (!g_warned_single_lane.exchange(true)) {
-      std::fprintf(stderr,
-                   "gothic: 1 stream lane requested; all streams share it "
-                   "and cannot overlap\n");
-    }
-  }
-  lanes_.reserve(static_cast<std::size_t>(cfg.lanes));
-  for (int i = 0; i < cfg.lanes; ++i) {
-    auto lane = std::make_unique<Lane>();
-    lane->index = i;
-    lane->slots = make_slots(n);
-    lanes_.push_back(std::move(lane));
-  }
-  // Leaders start after lanes_ is fully built: they index into it.
-  for (auto& lane : lanes_) {
-    Lane* l_ptr = lane.get();
-    lane->leader = std::thread([this, l_ptr] { lane_loop(*l_ptr); });
-  }
-  nodes_.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    nodes_.push_back(std::make_unique<LaunchNode>());
-    nodes_.back()->next = free_nodes_;
-    free_nodes_ = nodes_.back().get();
-  }
-}
-
-Device::Lane& Device::lane_for_locked(const Stream* stream) {
-  for (const auto& [s, idx] : stream_lanes_) {
-    if (s == stream) return *lanes_[idx];
-  }
-  // Round-robin new streams over the lanes; several streams may share a
+Device::Lane& Device::lane_for_locked(Stream* stream) {
+  if (stream == nullptr) return *lanes_.front();
+  // New streams round-robin over the lanes; several streams may share a
   // lane (they serialize, which is always correct — just less overlap).
-  const std::size_t idx = stream_lanes_.size() % lanes_.size();
-  stream_lanes_.emplace_back(stream, idx);
-  return *lanes_[idx];
+  if (stream->lane_ < 0) {
+    stream->lane_ = static_cast<int>(streams_placed_++ % kLanes);
+  }
+  return *lanes_[static_cast<std::size_t>(stream->lane_)];
 }
 
 void Device::lane_loop(Lane& lane) {
@@ -625,13 +578,6 @@ void Device::set_schedule_controller(ScheduleController* c) {
 ScheduleController* Device::schedule_controller() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return controller_;
-}
-
-int Device::lane_count() {
-  if (!async_) return 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  ensure_engine_locked();
-  return static_cast<int>(lanes_.size());
 }
 
 // --- waits -----------------------------------------------------------------

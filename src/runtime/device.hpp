@@ -10,14 +10,14 @@
 //    slot per pool worker carrying a scratch Arena that retains its
 //    high-water capacity across launches;
 //  * Stream/Event scheduling: launches enqueue onto their stream's lane —
-//    a FIFO queue plus a leader thread, not a slice of the pool — and
-//    execute as soon as their dependency events complete, so independent
-//    streams (the step loop's predict ∥ makeTree) genuinely overlap, while
-//    each collective runs on the whole pool (one at a time), as a kernel
-//    on any stream can fill every SM of a GPU. Event::wait() and
-//    synchronize() are real completion handles. GOTHIC_ASYNC=0 selects
-//    the synchronous escape hatch: launches run to completion on the
-//    calling thread plus the pool, bit-identically;
+//    one of two FIFO queues, each with a leader thread, built with the
+//    device — and execute as soon as their dependency events complete, so
+//    independent streams (the step loop's predict ∥ makeTree) genuinely
+//    overlap, while each collective runs on the whole pool (one at a
+//    time), as a kernel on any stream can fill every SM of a GPU.
+//    Event::wait() and synchronize() are real completion handles.
+//    GOTHIC_ASYNC=0 selects the synchronous escape hatch: launches run to
+//    completion on the calling thread plus the pool, bit-identically;
 //  * per-launch instrumentation: every launch emits a LaunchRecord (with
 //    begin/end timestamps, so the sink can report achieved overlap) into
 //    an InstrumentationSink.
@@ -74,12 +74,9 @@ public:
   /// `workers` <= 0 selects the default: GOTHIC_THREADS when set, else the
   /// OpenMP thread count / hardware concurrency. `async` < 0 selects the
   /// GOTHIC_ASYNC default (asynchronous unless GOTHIC_ASYNC=0); 0 forces
-  /// the synchronous path, > 0 forces asynchronous scheduling. `lanes` = 0
-  /// defers to GOTHIC_ASYNC_LANES (default 2); any other value requests
-  /// that many stream lanes (clamped to [1, workers] with a warning, see
-  /// resolve_lanes). A lane is a launch queue plus a leader thread, not a
-  /// share of the workers: every launch's collectives use all `workers`.
-  explicit Device(int workers = 0, int async = -1, int lanes = 0);
+  /// the synchronous path, > 0 forces asynchronous scheduling. An
+  /// asynchronous device starts its kLanes lane leaders here.
+  explicit Device(int workers = 0, int async = -1);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -275,29 +272,17 @@ public:
   void set_schedule_controller(ScheduleController* c);
   [[nodiscard]] ScheduleController* schedule_controller() const;
 
-  // --- lane configuration -------------------------------------------------
+  // --- lanes --------------------------------------------------------------
 
-  /// Resolved lane request. `lanes` is always in [1, workers]; `clamped`
-  /// marks a request outside that range (0, negative, or > workers) that
-  /// had to be adjusted; a resolved count of 1 means every stream shares
-  /// one lane and streams cannot overlap.
-  struct LaneConfig {
-    int requested = 0;
-    int lanes = 1;
-    bool clamped = false;
-  };
-  /// Pure lane-count resolution: clamp `requested` into [1, workers].
-  /// The engine warns on stderr when an *explicit* request (ctor argument
-  /// or GOTHIC_ASYNC_LANES) was clamped or disables overlap (1 lane).
-  static LaneConfig resolve_lanes(int requested, int workers);
-  /// The clamp / single-lane warnings fire once per *process*, not once
-  /// per Device: a session pool constructs many devices under the same
-  /// GOTHIC_ASYNC_LANES setting and must not repeat the identical line.
-  /// This test seam re-arms them.
-  static void reset_lane_warnings();
-  /// Lanes this device schedules streams over; materializes the engine on
-  /// first call. Always 0 for synchronous devices (no lanes exist).
-  [[nodiscard]] int lane_count();
+  /// Stream lanes of every asynchronous device. The step engine issues on
+  /// two streams per device, and a lane costs a leader thread, not a
+  /// worker (every launch's collectives use the whole pool), so two lanes
+  /// let those streams overlap on any worker count. A stream keeps the
+  /// lane of its first asynchronous launch, on any device.
+  static constexpr int kLanes = 2;
+  /// Lanes this device schedules streams over: kLanes, or 0 for a
+  /// synchronous device (no lanes exist).
+  [[nodiscard]] int lane_count() const { return async_ ? kLanes : 0; }
 
   // --- introspection (runtime tests) --------------------------------------
 
@@ -318,7 +303,7 @@ public:
   [[nodiscard]] double worker_busy_seconds_max() const;
   /// Sum of collective-body seconds across every worker slot.
   [[nodiscard]] double worker_busy_seconds_total() const;
-  /// Worker slots (host + materialized lanes) that have recorded any
+  /// Worker slots (host and lanes) that have recorded any
   /// collective-body busy time so far.
   [[nodiscard]] int busy_worker_count() const;
 
@@ -360,8 +345,9 @@ private:
   Event launch_async(const LaunchDesc& desc, BodyInvoke invoke, BodyCopy copy,
                      BodyDestroy destroy, const void* body);
 
-  void ensure_engine_locked();
-  Lane& lane_for_locked(const Stream* stream);
+  /// Stop and join the lane leaders (the device is idle).
+  void stop_lanes();
+  Lane& lane_for_locked(Stream* stream);
   void lane_loop(Lane& lane);
   void run_node(Lane& lane, LaunchNode& node);
   void mark_complete_locked(std::uint64_t id);
@@ -378,7 +364,6 @@ private:
   Slots slots_;                  ///< the host context's worker slots
   std::unique_ptr<Team> team_;   ///< the pool's threads, shared by all contexts
   const bool async_;
-  const int lanes_requested_;    ///< ctor lane request (0 = env default)
   Stopwatch epoch_;              ///< timestamp origin of every LaunchRecord
 
   // Launch bookkeeping (ids, completion, queues, sinks) — one lock; the
@@ -393,10 +378,10 @@ private:
   int inflight_ = 0;
   std::exception_ptr async_error_;
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<std::unique_ptr<Lane>> lanes_; ///< kLanes when async, else none
   std::vector<std::unique_ptr<LaunchNode>> nodes_;
   LaunchNode* free_nodes_ = nullptr;
-  std::vector<std::pair<const Stream*, std::size_t>> stream_lanes_;
+  std::uint64_t streams_placed_ = 0; ///< streams given a lane (round-robin)
 
   // Schedule-control seam (runtime/schedule.hpp). `controller_` is set
   // only while the device is idle, so leaders may read it unlocked while a

@@ -66,6 +66,9 @@ private:
   friend class Device;
   const char* name_ = "default";
   Event last_{};
+  /// Lane of the stream's first asynchronous launch, kept on every device
+  /// it later launches on (-1 before one).
+  int lane_ = -1;
 };
 
 class InstrumentationSink;

@@ -68,7 +68,6 @@ ServiceFaultOutcome run_service_fault(const ServiceFuzzConfig& cfg,
   PoolOptions pool;
   pool.devices = out.devices;
   pool.workers = cfg.workers;
-  pool.lanes = cfg.lanes;
   SessionManager mgr(pool);
 
   // Fault installation (pool idle: nothing submitted yet).

@@ -33,7 +33,6 @@ struct ServiceFuzzConfig {
   std::size_t n = 192;  ///< particles per session
   int steps = 4;        ///< steps per session
   int workers = 2;      ///< per-device workers
-  int lanes = 2;        ///< per-device stream lanes
   int min_sessions = 4; ///< batch size range the seed picks from
   int max_sessions = 6;
 };

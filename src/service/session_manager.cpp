@@ -74,8 +74,7 @@ SessionManager::SessionManager(PoolOptions opt) : opt_(opt) {
   opt_.devices = std::max(1, opt_.devices);
   devices_.reserve(static_cast<std::size_t>(opt_.devices));
   for (int i = 0; i < opt_.devices; ++i) {
-    devices_.push_back(std::make_unique<runtime::Device>(
-        opt_.workers, opt_.async, opt_.lanes));
+    devices_.push_back(std::make_unique<runtime::Device>(opt_.workers));
   }
   drivers_.reserve(static_cast<std::size_t>(opt_.devices));
   for (int i = 0; i < opt_.devices; ++i) {
@@ -324,8 +323,6 @@ void SessionManager::construct(Session& s) {
     nbody::ShardOptions so;
     so.shards = s.cfg.shards;
     so.workers = opt_.workers;
-    so.async = opt_.async;
-    so.lanes = opt_.lanes;
     s.sim = std::make_unique<nbody::ShardedSimulation>(std::move(p),
                                                        std::move(cfg), so);
   } else {

@@ -56,15 +56,12 @@
 namespace gothic::service {
 
 /// Shape of the shared device pool. `devices` is the driver/device count;
-/// the remaining knobs forward to each runtime::Device constructor
-/// (0 / -1 = that device's environment defaults).
+/// `workers` forwards to each runtime::Device constructor (0 = the
+/// GOTHIC_THREADS default). Scheduling follows GOTHIC_ASYNC, and an
+/// asynchronous device runs Device::kLanes stream lanes.
 struct PoolOptions {
   int devices = 1;
   int workers = 0;
-  int async = -1;
-  /// Streams each device may execute at once (a lane is a launch queue
-  /// plus a leader thread); every launch's collectives use all `workers`.
-  int lanes = 0;
 };
 
 enum class SessionState { Pending, Running, Completed, Failed };

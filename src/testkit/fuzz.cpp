@@ -67,7 +67,7 @@ std::vector<real> run_on_device(const FuzzConfig& cfg, bool async,
                                 runtime::ScheduleController* controller,
                                 nbody::Particles p,
                                 const nbody::SimConfig& sim_cfg) {
-  runtime::Device dev(cfg.workers, async ? 1 : 0, cfg.lanes);
+  runtime::Device dev(cfg.workers, async ? 1 : 0);
   runtime::ScopedDevice scope(dev);
   if (controller != nullptr) dev.set_schedule_controller(controller);
   nbody::Simulation sim(std::move(p), sim_cfg);
@@ -188,7 +188,7 @@ std::size_t count_in_dag(const std::vector<std::uint64_t>& ids) {
 FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
   FaultOutcome out;
   FaultController ctrl(plan);
-  runtime::Device dev(cfg.workers, 1, cfg.lanes);
+  runtime::Device dev(cfg.workers, 1);
   dev.set_schedule_controller(&ctrl);
 
   // GOTHIC_FLIGHT turns every fault-plan failure into a self-describing
@@ -361,7 +361,6 @@ void run_seeded_engine(const FuzzConfig& cfg, std::uint64_t seed,
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = out.async ? 1 : 0;
-  opt.lanes = cfg.lanes;
   nbody::ShardedSimulation sim(std::move(p), sim_cfg, opt);
 
   // One seeded stream controller per shard device, installed between the
@@ -499,7 +498,6 @@ ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed) {
   opt.shards = out.shards;
   opt.workers = cfg.workers;
   opt.async = -1; // follow GOTHIC_ASYNC — check.sh sweeps both modes
-  opt.lanes = cfg.lanes;
   nbody::ShardedSimulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
                                fuzz_sim_config(cfg.rebuild_interval), opt);
   (void)sim.step(); // a healthy step first, so the fault hits steady state

@@ -32,11 +32,13 @@
 
 namespace gothic::testkit {
 
+/// Workload of the fuzz legs; a seed replays only under the same values.
+/// Every device the legs build runs Device::kLanes stream lanes, whatever
+/// `workers` is.
 struct FuzzConfig {
   std::size_t n = 192;      ///< particles of the fuzz workload
   int steps = 10;           ///< steps per controlled run
   int workers = 2;          ///< device worker pool
-  int lanes = 2;            ///< stream lanes (pinned, env-independent)
   int rebuild_interval = 1; ///< fixed rebuild cadence (1 = every step)
   std::uint64_t workload_seed = 7; ///< particle-cloud seed
 };

@@ -1,5 +1,6 @@
 #include "trace/telemetry.hpp"
 
+#include "runtime/device.hpp"
 #include "simt/simd.hpp"
 #include "trace/metrics.hpp"
 #include "util/env.hpp"
@@ -46,13 +47,16 @@ TelemetryWriter::TelemetryWriter(std::string path) : path_(std::move(path)) {
 void TelemetryWriter::write_config() {
   // The run's environment fingerprint — enough to group/partition a
   // scraped time series by scheduler and substrate configuration. The
-  // SIMD field is the tier in effect (environment, CPU support, build and
-  // any ScopedSimd override together), not the GOTHIC_SIMD variable. The
-  // walk has one schedule, so it is not part of the fingerprint.
+  // async, lanes and SIMD fields are what runs: the scheduling default a
+  // Device resolves, its lane count, and the tier in effect (environment,
+  // CPU support, build and any ScopedSimd override together), not the
+  // variables. The walk has one schedule, so it is not part of the
+  // fingerprint.
+  const bool async = runtime::Device::default_async();
   os_ << "{\"type\": \"config\", \"v\": 1"
-      << ", \"async\": " << env_size("GOTHIC_ASYNC", 1)
+      << ", \"async\": " << (async ? 1 : 0)
       << ", \"simd\": " << (simt::simd_enabled() ? 1 : 0)
-      << ", \"lanes\": " << env_size("GOTHIC_ASYNC_LANES", 2)
+      << ", \"lanes\": " << (async ? runtime::Device::kLanes : 0)
       << ", \"threads\": " << env_size("GOTHIC_THREADS", 0)
       << ", \"shards\": " << env_size("GOTHIC_SHARDS", 1) << "}\n"
       << std::flush;

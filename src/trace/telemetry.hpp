@@ -4,8 +4,9 @@
 // series any external scraper can tail:
 //
 //   {"type":"config","v":1,...}    once, at construction — the run's
-//                                  config fingerprint (async/simd/lanes/
-//                                  threads/shards environment settings)
+//                                  config fingerprint (async/simd/lanes
+//                                  as they run, threads/shards from the
+//                                  environment)
 //   {"type":"step","v":1,...}      once per step — the StepMark's timing,
 //                                  walk/shard imbalance and LET traffic,
 //                                  plus cumulative per-kernel launch

@@ -235,7 +235,7 @@ TEST(FlightRecorder, DumpKeepsGoldenSchema) {
 
 TEST(FlightRecorder, FaultedLaunchAppearsInTheDumpWithItsDependencyEdges) {
   trace::FlightRecorder flight;
-  runtime::Device dev(2, /*async=*/1, /*lanes=*/2);
+  runtime::Device dev(2, /*async=*/1);
   runtime::InstrumentationSink sink;
   sink.set_listener(&flight);
 
@@ -456,6 +456,62 @@ TEST(Telemetry, ConfigLineLogsTheSimdTierThatRan) {
   std::remove(path.c_str());
 }
 
+/// Sets an environment variable for a scope, then restores its previous
+/// value or absence.
+class ScopedEnv {
+public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+private:
+  const char* name_;
+  bool had_ = false;
+  std::string old_;
+};
+
+TEST(Telemetry, ConfigLineLogsTheLanesThatRun) {
+  // The scheduling and lane count devices run with, not the variables: a
+  // lane count in the environment changes nothing, and a synchronous run
+  // has no lanes.
+  const std::string path = "test_telemetry_lanes.jsonl";
+  auto logged = [&path](const char* key) {
+    {
+      trace::TelemetryWriter w(path);
+      EXPECT_TRUE(w.ok());
+    }
+    std::ifstream is(path);
+    std::string line;
+    std::getline(is, line);
+    const JsonValue cfg = JsonParser(line).parse();
+    return require(cfg, key, JsonValue::Type::Number).number;
+  };
+  {
+    const ScopedEnv async("GOTHIC_ASYNC", "1");
+    const ScopedEnv lanes("GOTHIC_ASYNC_LANES", "3");
+    EXPECT_EQ(logged("async"), 1.0);
+    EXPECT_EQ(logged("lanes"), 2.0);
+  }
+  {
+    const ScopedEnv sync("GOTHIC_ASYNC", "0");
+    EXPECT_EQ(logged("async"), 0.0);
+    EXPECT_EQ(logged("lanes"), 0.0);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Telemetry, UnwritablePathErrorsOnceToStderrAndDisablesTheStream) {
   const std::string path = "no-such-dir/telemetry.jsonl";
   testing::internal::CaptureStderr();
@@ -639,7 +695,6 @@ TEST(FlightIntegration, ShardFaultDumpsTheRingOnTheErrorPath) {
   opt.shards = 2;
   opt.workers = 2;
   opt.async = 1;
-  opt.lanes = 2;
   nbody::ShardedSimulation sim(plummer(512, 41), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);
   ASSERT_NE(sim.flight_recorder(), nullptr);
@@ -677,7 +732,6 @@ TEST(FlightIntegration, TwoFaultingInstancesKeepDistinctDumps) {
   opt.shards = 2;
   opt.workers = 2;
   opt.async = 1;
-  opt.lanes = 2;
   nbody::ShardedSimulation one(plummer(512, 41), small_config(), opt);
   nbody::ShardedSimulation two(plummer(512, 43), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);

@@ -350,73 +350,70 @@ TEST(Launch, CrossStreamEventOrdering) {
 
 TEST(Launch, IndependentStreamsOverlap) {
   // Two sleeping launches on independent streams must genuinely overlap:
-  // the step wall span stays well under the serial sum.
-  Device dev(2, /*async=*/1);
-  InstrumentationSink sink;
-  Stream a("a"), b("b");
-  auto sleeper = [](simt::OpCounts&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  };
-  LaunchDesc da;
-  da.stream = &a;
-  da.sink = &sink;
-  LaunchDesc db;
-  db.stream = &b;
-  db.sink = &sink;
-  (void)dev.launch(da, sleeper);
-  (void)dev.launch(db, sleeper);
-  dev.synchronize();
-  EXPECT_GE(sink.step_kernel_seconds(), 0.18);
-  EXPECT_LT(sink.step_wall_seconds(), 0.9 * sink.step_kernel_seconds());
-  EXPECT_GT(sink.step_overlap_seconds(), 0.0);
+  // the step wall span stays well under the serial sum. A lane costs a
+  // thread, not a worker, so a 1-worker device overlaps them too.
+  for (int workers : {2, 1}) {
+    Device dev(workers, /*async=*/1);
+    InstrumentationSink sink;
+    Stream a("a"), b("b");
+    auto sleeper = [](simt::OpCounts&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    };
+    LaunchDesc da;
+    da.stream = &a;
+    da.sink = &sink;
+    LaunchDesc db;
+    db.stream = &b;
+    db.sink = &sink;
+    (void)dev.launch(da, sleeper);
+    (void)dev.launch(db, sleeper);
+    dev.synchronize();
+    EXPECT_GE(sink.step_kernel_seconds(), 0.18) << workers << " workers";
+    EXPECT_LT(sink.step_wall_seconds(), 0.9 * sink.step_kernel_seconds())
+        << workers << " workers";
+    EXPECT_GT(sink.step_overlap_seconds(), 0.0) << workers << " workers";
+  }
 }
 
 TEST(Launch, BodyCollectivesUseTheWholePool) {
   // A lane is a queue plus a leader, not a slice of the pool: a body on
   // any lane sees every worker, its collectives fork onto all of them, and
-  // its record carries the pool width — with the default 2 lanes and with
-  // one lane per worker.
-  for (int lanes : {0, 4}) {
-    Device dev(4, /*async=*/1, lanes);
-    const int expect_lanes = dev.lane_count();
-    if (lanes != 0 || std::getenv("GOTHIC_ASYNC_LANES") == nullptr) {
-      ASSERT_EQ(expect_lanes, lanes == 0 ? 2 : lanes);
-    }
-    InstrumentationSink sink;
-    std::vector<Stream> streams;
-    streams.reserve(static_cast<std::size_t>(expect_lanes));
-    for (int l = 0; l < expect_lanes; ++l) streams.emplace_back("s");
-    struct Seen {
-      int workers = 0;
-      std::array<std::thread::id, 4> threads{};
-    };
-    std::vector<Seen> seen(streams.size());
-    for (std::size_t l = 0; l < streams.size(); ++l) {
-      LaunchDesc desc;
-      desc.stream = &streams[l];
-      desc.sink = &sink;
-      Seen* out = &seen[l];
-      (void)dev.launch(desc, [out](simt::OpCounts&) {
-        Device& d = Device::current();
-        out->workers = d.workers();
-        d.for_workers([out](Worker& w) {
-          out->threads[static_cast<std::size_t>(w.id)] =
-              std::this_thread::get_id();
-        });
+  // its record carries the pool width — for four streams over the two
+  // lanes.
+  Device dev(4, /*async=*/1);
+  ASSERT_EQ(dev.lane_count(), 2);
+  InstrumentationSink sink;
+  std::vector<Stream> streams(4, Stream("s"));
+  struct Seen {
+    int workers = 0;
+    std::array<std::thread::id, 4> threads{};
+  };
+  std::vector<Seen> seen(streams.size());
+  for (std::size_t l = 0; l < streams.size(); ++l) {
+    LaunchDesc desc;
+    desc.stream = &streams[l];
+    desc.sink = &sink;
+    Seen* out = &seen[l];
+    (void)dev.launch(desc, [out](simt::OpCounts&) {
+      Device& d = Device::current();
+      out->workers = d.workers();
+      d.for_workers([out](Worker& w) {
+        out->threads[static_cast<std::size_t>(w.id)] =
+            std::this_thread::get_id();
       });
-    }
-    dev.synchronize();
-    for (const Seen& s : seen) {
-      EXPECT_EQ(s.workers, 4) << "lanes " << expect_lanes;
-      const std::set<std::thread::id> distinct(s.threads.begin(),
-                                               s.threads.end());
-      EXPECT_EQ(distinct.size(), 4u) << "lanes " << expect_lanes;
-      EXPECT_EQ(distinct.count(std::thread::id{}), 0u);
-    }
-    ASSERT_EQ(sink.step_records().size(), streams.size());
-    for (const LaunchRecord& rec : sink.step_records()) {
-      EXPECT_EQ(rec.workers, 4) << "lanes " << expect_lanes;
-    }
+    });
+  }
+  dev.synchronize();
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.workers, 4);
+    const std::set<std::thread::id> distinct(s.threads.begin(),
+                                             s.threads.end());
+    EXPECT_EQ(distinct.size(), 4u);
+    EXPECT_EQ(distinct.count(std::thread::id{}), 0u);
+  }
+  ASSERT_EQ(sink.step_records().size(), streams.size());
+  for (const LaunchRecord& rec : sink.step_records()) {
+    EXPECT_EQ(rec.workers, 4);
   }
 }
 
@@ -784,132 +781,9 @@ TEST(SimulationRuntime, StepsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-// --- lane configuration boundaries ----------------------------------------
-
-void LaneConfigCheck(const Device::LaneConfig& cfg, int lanes, bool clamped) {
-  EXPECT_EQ(cfg.lanes, lanes) << "requested " << cfg.requested;
-  EXPECT_EQ(cfg.clamped, clamped) << "requested " << cfg.requested;
-}
-
-TEST(LaneConfig, ResolveLanesClampsEveryBoundary) {
-  // Zero / negative requests clamp to one lane.
-  LaneConfigCheck(Device::resolve_lanes(0, 4), 1, true);
-  LaneConfigCheck(Device::resolve_lanes(-3, 4), 1, true);
-  // One lane is valid (no overlap, but legal) — not clamped.
-  LaneConfigCheck(Device::resolve_lanes(1, 4), 1, false);
-  // More lanes than workers clamp to the pool size.
-  LaneConfigCheck(Device::resolve_lanes(9, 4), 4, true);
-  LaneConfigCheck(Device::resolve_lanes(5, 4), 4, true);
-  // In-range requests pass through.
-  LaneConfigCheck(Device::resolve_lanes(3, 4), 3, false);
-  LaneConfigCheck(Device::resolve_lanes(4, 4), 4, false);
-  // A degenerate pool still yields one lane.
-  LaneConfigCheck(Device::resolve_lanes(2, 0), 1, true);
-}
-
-TEST(LaneConfig, RequestAboveWorkerCountClampsWithWarning) {
-  Device::reset_lane_warnings(); // warnings are once-per-process
-  Device dev(2, 1, 8);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(dev.lane_count(), 2);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("clamped to 2"), std::string::npos) << err;
-}
-
-TEST(LaneConfig, SingleLaneRequestWarnsThatStreamsCannotOverlap) {
-  Device::reset_lane_warnings(); // warnings are once-per-process
-  Device dev(2, 1, 1);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(dev.lane_count(), 1);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("cannot overlap"), std::string::npos) << err;
-}
-
-TEST(LaneConfig, ZeroLaneEnvRequestClampsToOneWithWarning) {
-  const char* old = std::getenv("GOTHIC_ASYNC_LANES");
-  const std::string saved = old != nullptr ? old : "";
-  setenv("GOTHIC_ASYNC_LANES", "0", 1);
-  {
-    Device::reset_lane_warnings(); // warnings are once-per-process
-    Device dev(2, 1); // lanes from the environment
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(dev.lane_count(), 1);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("clamped to 1"), std::string::npos) << err;
-  }
-  if (old != nullptr) {
-    setenv("GOTHIC_ASYNC_LANES", saved.c_str(), 1);
-  } else {
-    unsetenv("GOTHIC_ASYNC_LANES");
-  }
-}
-
-TEST(LaneConfig, DefaultLaneCountNeverWarns) {
-  Device dev(2, 1); // no ctor request; default when env is unset
-  if (std::getenv("GOTHIC_ASYNC_LANES") != nullptr) {
-    GTEST_SKIP() << "GOTHIC_ASYNC_LANES set in the environment";
-  }
-  testing::internal::CaptureStderr();
-  EXPECT_GE(dev.lane_count(), 1);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
 TEST(LaneConfig, SyncDeviceReportsZeroLanes) {
   Device dev(2, 0);
   EXPECT_EQ(dev.lane_count(), 0);
-}
-
-TEST(LaneConfig, ClampWarningPrintsOncePerProcess) {
-  // A pool of misconfigured devices must not repeat the identical clamp
-  // warning once per device — one line per process, period.
-  Device::reset_lane_warnings();
-  testing::internal::CaptureStderr();
-  for (int i = 0; i < 3; ++i) {
-    Device dev(2, 1, 8);
-    EXPECT_EQ(dev.lane_count(), 2);
-  }
-  const std::string err = testing::internal::GetCapturedStderr();
-  const std::string needle = "clamped to 2";
-  std::size_t count = 0;
-  for (std::size_t pos = err.find(needle); pos != std::string::npos;
-       pos = err.find(needle, pos + needle.size())) {
-    ++count;
-  }
-  EXPECT_EQ(count, 1u) << err;
-}
-
-TEST(LaneConfig, ClampedAndSingleLaneDevicesExecuteCrossStreamDags) {
-  // Boundary lane counts must stay functionally correct: a single shared
-  // lane and a clamped over-request both execute a cross-stream DAG with
-  // its dependency order intact.
-  for (int lanes : {1, 8}) {
-    Device dev(2, 1, lanes);
-    Stream a("A");
-    Stream b("B");
-    std::atomic<int> stage{0};
-    LaunchDesc desc;
-    desc.items = 1;
-    desc.label = "lane-dag";
-    desc.stream = &a;
-    const Event e1 = dev.launch(desc, [&stage](simt::OpCounts&) {
-      int expected = 0;
-      stage.compare_exchange_strong(expected, 1);
-    });
-    desc.stream = &b;
-    desc.deps = {e1, Event{}, Event{}, Event{}};
-    const Event e2 = dev.launch(desc, [&stage](simt::OpCounts&) {
-      int expected = 1;
-      stage.compare_exchange_strong(expected, 2);
-    });
-    desc.stream = &a;
-    desc.deps = {e2, Event{}, Event{}, Event{}};
-    (void)dev.launch(desc, [&stage](simt::OpCounts&) {
-      int expected = 2;
-      stage.compare_exchange_strong(expected, 3);
-    });
-    dev.synchronize();
-    EXPECT_EQ(stage.load(), 3) << "lanes " << lanes;
-  }
 }
 
 // --- schedule stress -------------------------------------------------------
@@ -917,12 +791,11 @@ TEST(LaneConfig, ClampedAndSingleLaneDevicesExecuteCrossStreamDags) {
 TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
   // Free-running stress over random DAGs: every body asserts that all of
   // its dependencies published their completion flags before it started,
-  // across varying lane counts.
+  // with four streams sharing the two lanes.
   Xoshiro256 rng(99);
   constexpr int kN = 200;
   for (int round = 0; round < 4; ++round) {
-    const int lanes = 1 + static_cast<int>(rng.next() % 4);
-    Device dev(4, 1, lanes);
+    Device dev(4, 1);
     Stream streams[4] = {Stream{"s0"}, Stream{"s1"}, Stream{"s2"},
                          Stream{"s3"}};
     std::vector<std::atomic<int>> done(kN + 1);
@@ -964,16 +837,16 @@ TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
   }
 }
 
-TEST(LaunchEngine, SharedTeamKeepsEachLanesArenasPrivate) {
-  // Two lanes and the host take turns on the one team. Every body fills
-  // each of its lane's worker arenas with a body-unique pattern on its
-  // serial path, rewrites it in several parallel_ranges collectives (each
-  // worker checking what the previous pass left in its own slot) and
-  // verifies the end state serially; meanwhile the host runs parallel_for
-  // collectives on the same device. A body that saw another lane's or the
-  // host's writes in its scratch, or a slot shared across contexts, fails
-  // a verification (and, under TSan, races).
-  Device dev(4, /*async=*/1, 2);
+// Two lanes and the host share the one team. Every body fills each of its
+// lane's worker arenas with a body-unique pattern on its serial path,
+// rewrites it in several parallel_ranges collectives (each worker checking
+// what the previous pass left in its own slot) and verifies the end state
+// serially; meanwhile the host runs parallel_for collectives on the same
+// device. A body that saw another lane's or the host's writes in its
+// scratch, or a slot shared across contexts, fails a verification (and,
+// under TSan, races).
+void ExpectLanesKeepArenasPrivate(int workers) {
+  Device dev(workers, /*async=*/1);
   ASSERT_EQ(dev.lane_count(), 2);
   Stream a("a"), b("b");
   constexpr std::size_t kWords = 512;
@@ -1055,6 +928,16 @@ TEST(LaunchEngine, SharedTeamKeepsEachLanesArenasPrivate) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(host_failures, 0);
   EXPECT_EQ(dev.arena_heap_allocations(), warm);
+}
+
+TEST(LaunchEngine, SharedTeamKeepsEachLanesArenasPrivate) {
+  // With 4 workers the lanes and the host take turns on the team. With one
+  // worker the team has no threads, so the two lanes and the host each run
+  // their collectives inline, at the same time, on their own slot 0.
+  for (int workers : {4, 1}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    ExpectLanesKeepArenasPrivate(workers);
+  }
 }
 
 } // namespace

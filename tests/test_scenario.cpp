@@ -172,7 +172,6 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
     opt.shards = shards;
     opt.workers = fc.workers;
     opt.async = async ? 1 : 0;
-    opt.lanes = fc.lanes;
     nbody::ShardedSimulation sim(
         sc.make(fc.n, fc.workload_seed),
         testkit::scenario_fuzz_config(sc, fc.rebuild_interval), opt);

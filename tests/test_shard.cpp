@@ -75,7 +75,6 @@ TEST(Shard, BitIdenticalToUnshardedAcrossShardCounts) {
       opt.shards = shards;
       opt.workers = 3;
       opt.async = async;
-      opt.lanes = 2;
       ShardedSimulation sim(plummer(kN, 5), shard_config(), opt);
       sim.run(kSteps);
       expect_state_equal(sim.particles(), ref.particles(),
@@ -96,7 +95,6 @@ TEST(Shard, BitIdenticalAcrossWorkerCounts) {
     opt.shards = 2;
     opt.workers = workers;
     opt.async = 1;
-    opt.lanes = 2;
     ShardedSimulation sim(plummer(kN, 6), shard_config(), opt);
     sim.run(kSteps);
     expect_state_equal(sim.particles(), ref.particles(),
@@ -176,7 +174,6 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
   opt.shards = 3;
   opt.workers = 2;
   opt.async = 1;
-  opt.lanes = 2;
   ShardedSimulation sim(plummer(512, 10), shard_config(), opt);
   (void)sim.step(); // fault against steady state, not the bootstrap
 

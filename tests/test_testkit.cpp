@@ -82,7 +82,7 @@ TEST(ScheduleControl, TwoIndependentChainsEnumerateAllSixInterleavings) {
   int runs = 0;
   for (;;) {
     ScriptedSchedule ctrl(path);
-    Device dev(2, 1, 2);
+    Device dev(2, 1);
     dev.set_schedule_controller(&ctrl);
     Stream a("A");
     Stream b("B");
@@ -115,7 +115,7 @@ TEST(ScheduleControl, TwoIndependentChainsEnumerateAllSixInterleavings) {
 TEST(ScheduleControl, SeededReplayReproducesTheExactInterleaving) {
   auto run = [](std::uint64_t seed) {
     SeededSchedule ctrl(seed);
-    Device dev(2, 1, 2);
+    Device dev(2, 1);
     dev.set_schedule_controller(&ctrl);
     Stream a("A");
     Stream b("B");
@@ -142,7 +142,7 @@ TEST(ScheduleControl, SeededReplayReproducesTheExactInterleaving) {
 
 TEST(ScheduleControl, EventWaitObservesACompletedLaunch) {
   SeededSchedule ctrl(11);
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   dev.set_schedule_controller(&ctrl);
   Stream a("A");
   std::mutex mu;
@@ -158,7 +158,7 @@ TEST(ScheduleControl, EventWaitObservesACompletedLaunch) {
 }
 
 TEST(ScheduleControl, InstallingWhileLaunchesAreInFlightThrows) {
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   Stream a("A");
   std::atomic<bool> release{false};
   LaunchDesc desc;
@@ -321,7 +321,7 @@ TEST(FaultInjection, ArenaExhaustionFailsAllocationAndArenaRecovers) {
 }
 
 TEST(FaultInjection, ArenaExhaustionInLaunchBodyPropagatesAndDeviceRecovers) {
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   Stream a("A");
   LaunchDesc desc;
   desc.label = "arena-fault";
@@ -366,7 +366,7 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   plan.throw_at = {2};
   FaultController ctrl(plan);
   CollectingListener listener;
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   dev.sink().set_listener(&listener);
   dev.set_schedule_controller(&ctrl);
   Stream a("A");
@@ -394,7 +394,7 @@ TEST(ScheduleControl, NoControllerSteadyStateLaunchesAreAllocationFree) {
   // The schedule seam must cost nothing when unused: with no controller
   // installed, steady-state async launches perform zero heap allocations
   // (same discipline as the trace layer's zero-overhead guarantee).
-  Device dev(2, 1, 2);
+  Device dev(2, 1);
   ASSERT_EQ(dev.schedule_controller(), nullptr);
   Stream a("A");
   Stream b("B");

@@ -356,7 +356,7 @@ TEST(TraceWriter, LaunchesInFlightCountsOverlappingBodiesOnOneDevice) {
   // until the other has started, so their bodies overlap. Both carry the
   // whole pool's width, so a worker-occupancy counter would read 8 on a
   // 4-worker device; the launch counter peaks at 2 and returns to 0.
-  runtime::Device dev(4, /*async=*/1, /*lanes=*/2);
+  runtime::Device dev(4, /*async=*/1);
   runtime::InstrumentationSink sink;
   TraceWriter w;
   sink.set_listener(&w);

@@ -103,8 +103,9 @@ echo "observability smoke passed"
 
 echo "== telemetry stream (GOTHIC_ASYNC x GOTHIC_SIMD) =="
 # GOTHIC_TELEMETRY streams one schema-pinned JSONL record per step plus a
-# leading config line; every line must parse and the stream must cover
-# every step under each scheduler x warp-substrate combination.
+# leading config line; every line must parse, the stream must cover
+# every step under each scheduler x warp-substrate combination, and the
+# config line must log the mode that ran (async, and 2 lanes or none).
 for mode in 1 0; do
   for simd in 1 0; do
     echo "-- GOTHIC_ASYNC=$mode GOTHIC_SIMD=$simd --"
@@ -117,6 +118,9 @@ for mode in 1 0; do
 import json
 lines = [json.loads(l) for l in open('smoke_telemetry.jsonl') if l.strip()]
 assert lines and lines[0]['type'] == 'config', 'missing config line'
+cfg = lines[0]
+assert cfg['async'] == $mode, 'config async %r, ran $mode' % cfg['async']
+assert cfg['lanes'] == (2 if $mode else 0), 'config lanes %r' % cfg['lanes']
 steps = [l for l in lines if l['type'] == 'step']
 assert len(steps) == 3, 'expected 3 step records, got %d' % len(steps)
 for s in steps:

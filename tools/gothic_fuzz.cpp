@@ -35,7 +35,7 @@
 //                   print its interleaving — the repro entry point.
 //   --replay-scenario=SEED  re-run one scenario seed the same way.
 //
-// Workload knobs (--n, --steps, --workers, --lanes, --rebuild-interval)
+// Workload knobs (--n, --steps, --workers, --rebuild-interval)
 // must match between a failing sweep and its replay. Exit code 0 iff every
 // leg passed.
 #include "service/fuzz.hpp"
@@ -60,7 +60,6 @@ int run(const gothic::Args& args) {
   cfg.n = static_cast<std::size_t>(args.get_int("n", 192));
   cfg.steps = static_cast<int>(args.get_int("steps", 10));
   cfg.workers = static_cast<int>(args.get_int("workers", 2));
-  cfg.lanes = static_cast<int>(args.get_int("lanes", 2));
   cfg.rebuild_interval =
       static_cast<int>(args.get_int("rebuild-interval", 1));
   const std::uint64_t base_seed =
@@ -95,8 +94,8 @@ int run(const gothic::Args& args) {
     return 2;
   }
 
-  std::printf("gothic_fuzz: n=%zu steps=%d workers=%d lanes=%d rebuild=%d\n",
-              cfg.n, cfg.steps, cfg.workers, cfg.lanes, cfg.rebuild_interval);
+  std::printf("gothic_fuzz: n=%zu steps=%d workers=%d rebuild=%d\n", cfg.n,
+              cfg.steps, cfg.workers, cfg.rebuild_interval);
   bool ok = true;
 
   if (replay) {
@@ -121,9 +120,9 @@ int run(const gothic::Args& args) {
     print_failures(rep.failures);
     for (std::uint64_t s : rep.failing_seeds) {
       std::printf("  replay with: gothic_fuzz --replay=%s --n=%zu --steps=%d "
-                  "--workers=%d --lanes=%d --rebuild-interval=%d\n",
+                  "--workers=%d --rebuild-interval=%d\n",
                   hex_seed(s).c_str(), cfg.n, cfg.steps, cfg.workers,
-                  cfg.lanes, cfg.rebuild_interval);
+                  cfg.rebuild_interval);
     }
     ok = ok && rep.ok();
   }
@@ -184,10 +183,9 @@ int run(const gothic::Args& args) {
     print_failures(rep.failures);
     for (std::uint64_t s : rep.failing_seeds) {
       std::printf("  replay with: gothic_fuzz --replay-scenario=%s --n=%zu "
-                  "--steps=%d --workers=%d --lanes=%d "
-                  "--rebuild-interval=%d\n",
+                  "--steps=%d --workers=%d --rebuild-interval=%d\n",
                   hex_seed(s).c_str(), cfg.n, cfg.steps, cfg.workers,
-                  cfg.lanes, cfg.rebuild_interval);
+                  cfg.rebuild_interval);
     }
     ok = ok && rep.ok();
   }
@@ -206,7 +204,6 @@ int run(const gothic::Args& args) {
     scfg.n = cfg.n;
     scfg.steps = cfg.steps;
     scfg.workers = cfg.workers;
-    scfg.lanes = cfg.lanes;
     const auto rep =
         gothic::service::sweep_service_faults(scfg, base_seed, service);
     std::printf("service: %zu pooled runs from %s (%zu sessions faulted, "

@@ -7,7 +7,6 @@
 //                     --scenario pins one.
 //   --devices=N       pool devices / driver threads (default 1)
 //   --workers=N       per-device workers (0 = GOTHIC_THREADS default)
-//   --lanes=N         per-device stream lanes (0 = GOTHIC_ASYNC_LANES)
 //   --steps=N         steps per session (default 8)
 //   --n=N             particles per session (0 = scenario default)
 //   --seed=S          base seed; session i runs under S + i (default 1)
@@ -49,7 +48,6 @@ int run(const gothic::Args& args) {
   gothic::service::PoolOptions pool;
   pool.devices = static_cast<int>(args.get_int("devices", 1));
   pool.workers = static_cast<int>(args.get_int("workers", 0));
-  pool.lanes = static_cast<int>(args.get_int("lanes", 0));
   const auto steps = static_cast<int>(args.get_int("steps", 8));
   const auto n = static_cast<std::size_t>(args.get_int("n", 0));
   const auto base_seed =
@@ -111,12 +109,13 @@ int run(const gothic::Args& args) {
     batch.push_back(sc);
   }
 
+  gothic::service::SessionManager mgr(pool);
+  gothic::runtime::Device& first = mgr.pool_device(0);
   std::printf("gothic_serve: %d sessions x %d steps on %d device(s)"
               " (workers=%d lanes=%d shards=%d quota=%zu B)\n",
-              sessions, steps, pool.devices, pool.workers, pool.lanes,
-              shards, quota);
+              sessions, steps, mgr.device_count(), first.workers(),
+              first.lane_count(), shards, quota);
 
-  gothic::service::SessionManager mgr(pool);
   std::vector<std::uint64_t> ids;
   ids.reserve(batch.size());
   for (const SessionConfig& sc : batch) ids.push_back(mgr.submit(sc));
