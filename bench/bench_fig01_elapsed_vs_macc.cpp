@@ -61,5 +61,7 @@ int main() {
   rep.add_table(st);
 
   rep.write(std::cout);
-  return 0;
+  // Substrate parity gates the exit status; the report is written first so
+  // a failing run still leaves its evidence.
+  return sp.ops_identical && sp.forces_identical ? 0 : 1;
 }

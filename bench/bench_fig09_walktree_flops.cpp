@@ -63,5 +63,7 @@ int main() {
                    : "AVX2 unavailable; scalar substrate on both rows");
 
   rep.write(std::cout);
-  return 0;
+  // Substrate parity gates the exit status; the report is written first so
+  // a failing run still leaves its evidence.
+  return sp.ops_identical && sp.forces_identical ? 0 : 1;
 }

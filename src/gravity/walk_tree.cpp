@@ -7,7 +7,7 @@
 #include "util/timer.hpp"
 
 #include <algorithm>
-
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -499,14 +499,14 @@ int flush_list_lj_avx2(const GroupTask& t, const InteractionList& list,
 /// like the scalar `!(deff > bsize)`). The Gadget MAC derives bsize from
 /// the per-node depth instead of bmax and stays on the scalar loop.
 /// The remainder block runs with a masked index load (dead lanes read
-/// index 0, gather the root and are discarded), so all bn nodes are
+/// index 0, gather the root and are masked off), so all bn nodes are
 /// handled here and the caller's scalar loop never runs; all op tallies
 /// are charged by the caller in bulk per batch and are path-independent.
-/// Returns bn.
-int mac_eval_avx2(const Octree& tree, const WalkConfig& cfg, float ctr_x,
-                  float ctr_y, float ctr_z, float rgrp, float amin,
-                  const index_t* nodes, int bn, LaneArray<bool>& accepted,
-                  LaneArray<bool>& spill_leaf, LaneArray<int>& child_n) {
+/// Returns the accepted lanes (bit k = nodes[k]).
+simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
+                              float ctr_x, float ctr_y, float ctr_z,
+                              float rgrp, float amin, const index_t* nodes,
+                              int bn) {
   namespace v = simt::simd;
   const v::f32x8 cxv = v::broadcast(ctr_x);
   const v::f32x8 cyv = v::broadcast(ctr_y);
@@ -518,6 +518,7 @@ int mac_eval_avx2(const Octree& tree, const WalkConfig& cfg, float ctr_x,
   const v::f32x8 gv = v::broadcast(cfg.g);
   const v::f32x8 dav = v::broadcast(cfg.mac.dacc * amin);
   const v::f32x8 thv = v::broadcast(cfg.mac.theta);
+  simt::lane_mask accepted = 0;
   for (int b = 0; b < bn; b += 8) {
     const int n = std::min(8, bn - b);
     const v::i32x8 idx =
@@ -551,17 +552,10 @@ int mac_eval_avx2(const Octree& tree, const WalkConfig& cfg, float ctr_x,
       okv = _mm256_and_ps(conv,
                           _mm256_cmp_ps(lhs, v::mul(dav, d4), _CMP_LE_OQ));
     }
-    const int okbits = _mm256_movemask_ps(okv);
-    for (int k = 0; k < n; ++k) {
-      const bool ok = ((okbits >> k) & 1) != 0;
-      const index_t node = nodes[b + k];
-      const bool leaf = tree.is_leaf(node);
-      accepted[b + k] = ok;
-      spill_leaf[b + k] = !ok && leaf;
-      child_n[b + k] = (!ok && !leaf) ? tree.child_count[node] : 0;
-    }
+    const auto okbits = static_cast<simt::lane_mask>(_mm256_movemask_ps(okv));
+    accepted |= (okbits & ((1u << n) - 1u)) << b;
   }
-  return bn;
+  return accepted;
 }
 #endif // GOTHIC_SIMD_AVX2
 
@@ -713,6 +707,10 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
                 WalkStats& stats) {
   const Octree& tree = *t.tree;
   const WalkConfig& cfg = *t.cfg;
+  const bool lj = cfg.law == ForceLaw::LennardJones;
+  // The selector changes only while the device is idle, so one read
+  // serves the whole group.
+  const bool simd = simt::simd_enabled();
   Warp w(cfg.mode, counts);
   stats.groups += 1;
 
@@ -769,19 +767,18 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
       const int bn = static_cast<int>(
           std::min<std::size_t>(kWarpSize, ws.cur.size() - batch));
 
-      LaneArray<bool> accepted{};
-      LaneArray<bool> spill_leaf{};
-      LaneArray<int> child_n{};
+      // The MAC sweep leaves one bit per lane: accepted (gravity) or
+      // culled (Lennard-Jones) nodes.
+      simt::lane_mask passed = 0;
       int mac_lane0 = 0;
 #if GOTHIC_SIMD_AVX2
-      if (simt::simd_enabled() && cfg.law == ForceLaw::Gravity &&
-          cfg.mac.type != MacType::Gadget) {
-        mac_lane0 =
-            mac_eval_avx2(tree, cfg, ctr_x, ctr_y, ctr_z, rgrp, amin,
-                          &ws.cur[batch], bn, accepted, spill_leaf, child_n);
+      if (simd && !lj && cfg.mac.type != MacType::Gadget) {
+        passed = mac_eval_avx2(tree, cfg, ctr_x, ctr_y, ctr_z, rgrp, amin,
+                               &ws.cur[batch], bn);
+        mac_lane0 = bn;
       }
 #endif
-      if (cfg.law == ForceLaw::LennardJones) {
+      if (lj) {
         // Cutoff MAC (no pseudo-particles): a node is culled — dropped
         // entirely — when every body below it provably lies beyond the
         // cutoff of every group body: deff lower-bounds the group-to-com
@@ -801,10 +798,7 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
           const float d = std::sqrt(dx * dx + dy * dy + dz * dz);
           const float deff = std::max(d - rgrp, 0.0f);
           const bool culled = deff > cfg.lj.cutoff + tree.bmax[node];
-          accepted[lane] = false;
-          const bool leaf = tree.is_leaf(node);
-          spill_leaf[lane] = !culled && leaf;
-          child_n[lane] = (!culled && !leaf) ? tree.child_count[node] : 0;
+          passed |= simt::lane_mask{culled} << lane;
         }
       } else {
         for (int lane = mac_lane0; lane < bn; ++lane) {
@@ -821,10 +815,7 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
                   : tree.bmax[node];
           const bool ok = mac_accept(cfg.mac, deff, tree.mass[node], bsize,
                                      amin, cfg.g);
-          accepted[lane] = ok;
-          const bool leaf = tree.is_leaf(node);
-          spill_leaf[lane] = !ok && leaf;
-          child_n[lane] = (!ok && !leaf) ? tree.child_count[node] : 0;
+          passed |= simt::lane_mask{ok} << lane;
         }
       }
       counts.bytes_load += static_cast<std::uint64_t>(
@@ -838,6 +829,24 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
       counts.int_ops += static_cast<std::uint64_t>(bn) * cost::kMacInt;
       stats.mac_evals += static_cast<std::uint64_t>(bn);
 
+      // Only the rejected lanes are sorted: leaves spill their bodies,
+      // internal nodes (child_count > 0) open.
+      const simt::lane_mask accepted = lj ? 0 : passed;
+      simt::lane_mask spill_leaf = 0;
+      simt::lane_mask opened = 0;
+      LaneArray<int> slots{}; // child counts, then their exclusive scan
+      for (simt::lane_mask r = simt::lanemask_lt(bn) & ~passed; r != 0;
+           r &= r - 1) {
+        const int lane = std::countr_zero(r);
+        const index_t node = ws.cur[batch + lane];
+        if (tree.is_leaf(node)) {
+          spill_leaf |= simt::lane_bit(lane);
+        } else {
+          opened |= simt::lane_bit(lane);
+          slots[lane] = tree.child_count[node];
+        }
+      }
+
       // Accepted nodes append their pseudo-particles (warp-compacted).
       const simt::lane_mask acc_mask = w.ballot(accepted);
       const int n_acc = simt::popc(acc_mask);
@@ -846,8 +855,8 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
           flush_list(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts,
                      stats);
         }
-        for (int lane = 0; lane < bn; ++lane) {
-          if (!accepted[lane]) continue;
+        for (simt::lane_mask a = acc_mask; a != 0; a &= a - 1) {
+          const int lane = std::countr_zero(a);
           (void)simt::compact_slot(w, acc_mask, lane);
           const index_t node = ws.cur[batch + lane];
           if (cfg.use_quadrupole) {
@@ -872,62 +881,54 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
       // Rejected leaves spill their bodies into the list (warp-cooperative
       // copy on the device; may straddle several flushes).
       const simt::lane_mask spill_mask = w.ballot(spill_leaf);
-      if (spill_mask != 0) {
-        for (int lane = 0; lane < bn; ++lane) {
-          if (!spill_leaf[lane]) continue;
-          const index_t node = ws.cur[batch + lane];
-          index_t b = tree.body_first[node];
-          index_t remain = tree.body_count[node];
-          while (remain > 0) {
-            if (list.size == list.cap) {
-              flush_list(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts,
-                         stats);
-            }
-            const index_t take = std::min<index_t>(
-                remain, static_cast<index_t>(list.cap - list.size));
-#if GOTHIC_SIMD_AVX2
-            if (simt::simd_enabled()) {
-              // Byte-identical bulk copy (zero quadrupoles included).
-              list.append_bodies(t.x.data() + b, t.y.data() + b,
-                                 t.z.data() + b, t.m.data() + b, take);
-            } else
-#endif
-            {
-              for (index_t k = 0; k < take; ++k) {
-                list.push(t.x[b + k], t.y[b + k], t.z[b + k], t.m[b + k]);
-              }
-            }
-            counts.bytes_load += static_cast<std::uint64_t>(
-                static_cast<double>(take) * cost::kListEntryBytes *
-                cost::kBodyDramFraction);
-            counts.int_ops += static_cast<std::uint64_t>(take) * 2;
-            stats.body_appended += take;
-            b += take;
-            remain -= take;
+      for (simt::lane_mask sp = spill_mask; sp != 0; sp &= sp - 1) {
+        const index_t node = ws.cur[batch + std::countr_zero(sp)];
+        index_t b = tree.body_first[node];
+        index_t remain = tree.body_count[node];
+        while (remain > 0) {
+          if (list.size == list.cap) {
+            flush_list(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts,
+                       stats);
           }
+          const index_t take = std::min<index_t>(
+              remain, static_cast<index_t>(list.cap - list.size));
+          if (simd) {
+            // Byte-identical bulk copy (zero quadrupoles included).
+            list.append_bodies(t.x.data() + b, t.y.data() + b,
+                               t.z.data() + b, t.m.data() + b, take);
+          } else {
+            for (index_t k = 0; k < take; ++k) {
+              list.push(t.x[b + k], t.y[b + k], t.z[b + k], t.m[b + k]);
+            }
+          }
+          counts.bytes_load += static_cast<std::uint64_t>(
+              static_cast<double>(take) * cost::kListEntryBytes *
+              cost::kBodyDramFraction);
+          counts.int_ops += static_cast<std::uint64_t>(take) * 2;
+          stats.body_appended += take;
+          b += take;
+          remain -= take;
         }
       }
 
       // Rejected internal nodes enqueue their children; the slot base is a
       // warp exclusive scan of child counts (the device's frontier
       // allocation).
-      LaneArray<int> slots = child_n;
       LaneArray<int> total{};
       simt::exclusive_scan_add(w, slots, kWarpSize, simt::kFullMask, &total);
       if (total[0] > 0) {
         const std::size_t base = ws.nxt.size();
         ws.nxt.resize(base + static_cast<std::size_t>(total[0]));
-        for (int lane = 0; lane < bn; ++lane) {
-          const int cn = child_n[lane];
-          if (cn == 0) continue;
+        for (simt::lane_mask o = opened; o != 0; o &= o - 1) {
+          const int lane = std::countr_zero(o);
           const index_t node = ws.cur[batch + lane];
           const index_t first = tree.child_first[node];
-          for (int c = 0; c < cn; ++c) {
+          for (int c = 0; c < tree.child_count[node]; ++c) {
             ws.nxt[base + static_cast<std::size_t>(slots[lane] + c)] =
                 first + static_cast<index_t>(c);
           }
-          stats.nodes_opened += 1;
         }
+        stats.nodes_opened += static_cast<std::uint64_t>(simt::popc(opened));
         counts.int_ops += static_cast<std::uint64_t>(total[0]);
         counts.bytes_store +=
             static_cast<std::uint64_t>(total[0]) * sizeof(index_t);
@@ -947,7 +948,6 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
 
   // --- store results -------------------------------------------------------
   const real g = cfg.g;
-  const bool lj = cfg.law == ForceLaw::LennardJones;
   for (int lane = 0; lane < gn; ++lane) {
     t.ax[g0 + lane] = g * acc_x[lane];
     t.ay[g0 + lane] = g * acc_y[lane];

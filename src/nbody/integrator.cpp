@@ -57,29 +57,39 @@ void correct_active_range(Particles& p, BlockTimeSteps& steps,
   if (begin > end || end > n) {
     throw std::out_of_range("correct_active: range outside the arrays");
   }
+  // Every write goes to particle i's own slots, so the workers' chunks are
+  // independent; each worker counts its fired particles in its own slot.
+  runtime::Device& dev = runtime::Device::current();
+  std::uint64_t fired_by[runtime::Device::kMaxWorkers] = {};
+  dev.parallel_ranges(begin, end, [&](runtime::Worker& w, std::size_t lo,
+                                      std::size_t hi) {
+    std::uint64_t fired = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (!steps.active(i)) continue;
+      ++fired;
+      const auto dt = static_cast<real>(steps.time_since_correction(i));
+      const real half = real(0.5) * dt;
+      p.vx[i] += half * (p.ax[i] + ax_new[i]);
+      p.vy[i] += half * (p.ay[i] + ay_new[i]);
+      p.vz[i] += half * (p.az[i] + az_new[i]);
+      p.x[i] = px[i];
+      p.y[i] = py[i];
+      p.z[i] = pz[i];
+      p.ax[i] = ax_new[i];
+      p.ay[i] = ay_new[i];
+      p.az[i] = az_new[i];
+      if (!pot_new.empty()) p.pot[i] = pot_new[i];
+      const real amag = std::sqrt(ax_new[i] * ax_new[i] +
+                                  ay_new[i] * ay_new[i] +
+                                  az_new[i] * az_new[i]);
+      p.aold_mag[i] = amag;
+      steps.update_level(i, required_dt(eta, eps, amag));
+      steps.mark_corrected(i);
+    }
+    fired_by[w.id] = fired;
+  });
   std::uint64_t fired = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (!steps.active(i)) continue;
-    ++fired;
-    const auto dt = static_cast<real>(steps.time_since_correction(i));
-    const real half = real(0.5) * dt;
-    p.vx[i] += half * (p.ax[i] + ax_new[i]);
-    p.vy[i] += half * (p.ay[i] + ay_new[i]);
-    p.vz[i] += half * (p.az[i] + az_new[i]);
-    p.x[i] = px[i];
-    p.y[i] = py[i];
-    p.z[i] = pz[i];
-    p.ax[i] = ax_new[i];
-    p.ay[i] = ay_new[i];
-    p.az[i] = az_new[i];
-    if (!pot_new.empty()) p.pot[i] = pot_new[i];
-    const real amag = std::sqrt(ax_new[i] * ax_new[i] +
-                                ay_new[i] * ay_new[i] +
-                                az_new[i] * az_new[i]);
-    p.aold_mag[i] = amag;
-    steps.update_level(i, required_dt(eta, eps, amag));
-    steps.mark_corrected(i);
-  }
+  for (int i = 0; i < dev.workers(); ++i) fired += fired_by[i];
   if (ops != nullptr) {
     ops->fp32_fma += fired * 6;  // kick
     ops->fp32_add += fired * 3;  // a_old + a_new

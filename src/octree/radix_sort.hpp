@@ -1,7 +1,7 @@
 // Least-significant-digit radix sort for (key, payload) pairs — the
 // stand-in for cub::DeviceRadixSort::SortPairs, which dominates GOTHIC's
-// makeTree time (§4.1). 8-bit digits, OpenMP-parallel histogram and
-// scatter, stable within each pass.
+// makeTree time (§4.1). 8-bit digits, histogram and scatter parallel over
+// the device's workers, stable within each pass.
 #pragma once
 
 #include "simt/op_counter.hpp"

@@ -9,10 +9,6 @@
 #include <string>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace gothic::runtime {
 
 namespace {
@@ -204,11 +200,7 @@ int Device::default_workers() {
   if (env > 0) {
     return static_cast<int>(std::min<std::size_t>(env, 256));
   }
-#ifdef _OPENMP
-  return std::max(1, omp_get_max_threads());
-#else
   return std::max(1u, std::thread::hardware_concurrency());
-#endif
 }
 
 bool Device::default_async() { return env_size("GOTHIC_ASYNC", 1) != 0; }

@@ -5,10 +5,9 @@
 // start-up, and measure it (the paper's per-function breakdown, Figs 3-5).
 // Device bundles exactly those three services for the simulated kernels:
 //
-//  * a persistent worker pool (replacing per-call OpenMP fork/join) whose
-//    size is GOTHIC_THREADS-overridable, with one cache-line-padded Worker
-//    slot per pool worker carrying a scratch Arena that retains its
-//    high-water capacity across launches;
+//  * a persistent worker pool whose size is GOTHIC_THREADS-overridable,
+//    with one cache-line-padded Worker slot per pool worker carrying a
+//    scratch Arena that retains its high-water capacity across launches;
 //  * Stream/Event scheduling: launches enqueue onto their stream's lane —
 //    one of two FIFO queues, each with a leader thread, built with the
 //    device — and execute as soon as their dependency events complete, so
@@ -72,10 +71,10 @@ struct alignas(64) Worker {
 class Device {
 public:
   /// `workers` <= 0 selects the default: GOTHIC_THREADS when set, else the
-  /// OpenMP thread count / hardware concurrency. `async` < 0 selects the
-  /// GOTHIC_ASYNC default (asynchronous unless GOTHIC_ASYNC=0); 0 forces
-  /// the synchronous path, > 0 forces asynchronous scheduling. An
-  /// asynchronous device starts its kLanes lane leaders here.
+  /// hardware concurrency. `async` < 0 selects the GOTHIC_ASYNC default
+  /// (asynchronous unless GOTHIC_ASYNC=0); 0 forces the synchronous path,
+  /// > 0 forces asynchronous scheduling. An asynchronous device starts its
+  /// kLanes lane leaders here.
   explicit Device(int workers = 0, int async = -1);
   ~Device();
   Device(const Device&) = delete;
@@ -123,7 +122,7 @@ public:
   }
 
   /// Invoke `fn(Worker&, lo, hi)` on each worker's contiguous chunk of
-  /// [begin, end) — the static schedule the OpenMP loops used. The chunk
+  /// [begin, end) — a static schedule of ceil(n / workers) items. The chunk
   /// map is fixed for the whole launch (the context's worker count never
   /// changes mid-launch), so any per-chunk-stable algorithm sees one
   /// consistent partition.

@@ -8,6 +8,7 @@
 #include "simt/simd.hpp"
 #include "simt/warp.hpp"
 
+#include <algorithm>
 #include <type_traits>
 
 namespace gothic::simt {
@@ -50,29 +51,52 @@ inline bool reduce_butterfly_simd(Warp& w, LaneArray<float>& v, int width,
 }
 #endif
 
+/// Charge the log2(width) shfl_up stages of a Hillis-Steele scan, one add
+/// per executing lane each, without moving data.
+template <typename T>
+inline void count_scan_stages(Warp& w, int width, lane_mask mask) {
+  for (int delta = 1; delta < width; delta <<= 1) {
+    const lane_mask exec = w.shfl_counted(mask, "shfl_up");
+    count_adds<T>(w, exec);
+  }
+}
+
+/// The whole-warp integer scan's data movement: one serial pass per
+/// width-segment. Integer adds are exact, so it equals the staged
+/// Hillis-Steele result; the caller charges the stages.
+template <typename T>
+inline void segmented_scan(LaneArray<T>& v, int width, bool exclusive,
+                           LaneArray<T>* total) {
+  for (int base = 0; base < kWarpSize; base += width) {
+    T run = 0;
+    for (int lane = base; lane < base + width; ++lane) {
+      const T next = static_cast<T>(run + v[lane]);
+      v[lane] = exclusive ? run : next;
+      run = next;
+    }
+    if (total != nullptr) {
+      std::fill(total->begin() + base, total->begin() + base + width, run);
+    }
+  }
+}
+
 } // namespace detail
 
 /// Inclusive prefix sum within each width-segment (Hillis-Steele over
-/// shfl_up). `width` must be a power of two <= 32.
+/// shfl_up). `width` must be a power of two <= 32. An integer scan over
+/// the whole warp moves its data in one serial pass and charges every
+/// stage; partial masks (and floats, whose adds do not reassociate) run
+/// the staged loop, which is the oracle.
 template <typename T>
 void inclusive_scan_add(Warp& w, LaneArray<T>& v, int width = kWarpSize,
                         lane_mask mask = kFullMask) {
-#if GOTHIC_SIMD_AVX2
-  if constexpr (std::is_same_v<T, int>) {
-    if (simd_enabled()) {
-      // AVX2 fast path: same Hillis-Steele stages and counts (the shuffle
-      // charged via shfl_counted, the adds via count_adds), movement and
-      // add fused in vector registers. Integer adds are exact, so the
-      // result is bit-identical to the scalar loop below.
-      for (int delta = 1; delta < width; delta <<= 1) {
-        const lane_mask exec = w.shfl_counted(mask, "shfl_up");
-        simd::scan_up_add_i32(v, delta, width, exec);
-        detail::count_adds<T>(w, exec);
-      }
+  if constexpr (std::is_integral_v<T>) {
+    if (w.active() == kFullMask) {
+      detail::count_scan_stages<T>(w, width, mask);
+      detail::segmented_scan<T>(v, width, /*exclusive=*/false, nullptr);
       return;
     }
   }
-#endif
   for (int delta = 1; delta < width; delta <<= 1) {
     LaneArray<T> up = v;
     w.shfl_up(up, delta, width, mask);
@@ -87,35 +111,24 @@ void inclusive_scan_add(Warp& w, LaneArray<T>& v, int width = kWarpSize,
 }
 
 /// Exclusive prefix sum; also returns (per lane) the segment total in
-/// `total` when non-null.
+/// `total` when non-null. Same whole-warp integer pass as
+/// inclusive_scan_add, charged as the staged scan plus the total's
+/// broadcast shfl and the per-lane subtraction.
 template <typename T>
 void exclusive_scan_add(Warp& w, LaneArray<T>& v, int width = kWarpSize,
                         lane_mask mask = kFullMask,
                         LaneArray<T>* total = nullptr) {
-  LaneArray<T> inc = v;
-  inclusive_scan_add(w, inc, width, mask);
-#if GOTHIC_SIMD_AVX2
-  if constexpr (std::is_same_v<T, int>) {
-    if (simd_enabled()) {
-      // Same collectives and counts as the scalar wrapper below; the
-      // segment-total broadcast and the inc - v subtraction run on the
-      // lane registers (exact integer ops, bit-identical).
-      if (total != nullptr) {
-        const lane_mask exec = w.shfl_counted(mask, "shfl");
-        LaneArray<T> t = inc;
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-          if (!lane_active(exec, lane)) continue;
-          t[lane] = inc[(lane / width) * width + width - 1];
-        }
-        *total = t;
-      }
-      const lane_mask exec = w.active();
-      simd::masked_sub_from_i32(v, inc, exec);
-      detail::count_adds<T>(w, exec);
+  if constexpr (std::is_integral_v<T>) {
+    if (w.active() == kFullMask) {
+      detail::count_scan_stages<T>(w, width, mask);
+      if (total != nullptr) (void)w.shfl_counted(mask, "shfl");
+      detail::count_adds<T>(w, kFullMask);
+      detail::segmented_scan<T>(v, width, /*exclusive=*/true, total);
       return;
     }
   }
-#endif
+  LaneArray<T> inc = v;
+  inclusive_scan_add(w, inc, width, mask);
   const lane_mask exec = w.active();
   if (total != nullptr) {
     LaneArray<T> t = inc;

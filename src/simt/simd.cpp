@@ -15,16 +15,24 @@ bool cpu_has_avx2() {
 #endif
 }
 
-// Tri-state override: -1 = follow GOTHIC_SIMD env, 0/1 = forced by
-// set_simd_enabled (tests, fuzz legs).
-std::atomic<int> g_override{-1};
+} // namespace
 
-bool env_default() {
-  static const bool on = env_size("GOTHIC_SIMD", 1) != 0;
-  return on;
+namespace detail {
+
+std::atomic<int> g_simd_selector{-1};
+
+bool resolve_simd_selector() {
+  int want = (simd_available() && env_size("GOTHIC_SIMD", 1) != 0) ? 1 : 0;
+  // A set_simd_enabled() that won the race keeps its value.
+  int expected = -1;
+  if (!g_simd_selector.compare_exchange_strong(expected, want,
+                                               std::memory_order_relaxed)) {
+    want = expected;
+  }
+  return want != 0;
 }
 
-} // namespace
+} // namespace detail
 
 bool simd_compiled() { return GOTHIC_SIMD_AVX2 != 0; }
 
@@ -33,17 +41,10 @@ bool simd_available() {
   return ok;
 }
 
-bool simd_enabled() {
-  if (!simd_available()) return false;
-  const int ov = g_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return ov != 0;
-  return env_default();
-}
-
 bool set_simd_enabled(bool on) {
   const bool prev = simd_enabled();
-  g_override.store((on && simd_available()) ? 1 : 0,
-                   std::memory_order_relaxed);
+  detail::g_simd_selector.store((on && simd_available()) ? 1 : 0,
+                                std::memory_order_relaxed);
   return prev;
 }
 

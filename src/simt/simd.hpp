@@ -36,7 +36,7 @@
 #include "util/types.hpp"
 
 #include <array>
-#include <cstring>
+#include <atomic>
 
 #if defined(__AVX2__)
 #define GOTHIC_SIMD_AVX2 1
@@ -55,9 +55,20 @@ namespace gothic::simt {
 /// host degrades to the scalar loop instead of faulting).
 [[nodiscard]] bool simd_available();
 
+namespace detail {
+/// The resolved selector: -1 until first read, then 0 or 1.
+extern std::atomic<int> g_simd_selector;
+/// Resolve the selector on first read (simd_available() and GOTHIC_SIMD).
+[[nodiscard]] bool resolve_simd_selector();
+} // namespace detail
+
 /// The per-call-site selector: simd_available() gated by the GOTHIC_SIMD
 /// environment variable (default 1) and any set_simd_enabled() override.
-[[nodiscard]] bool simd_enabled();
+/// One relaxed load once resolved: kernels ask it per group and per flush.
+[[nodiscard]] inline bool simd_enabled() {
+  const int s = detail::g_simd_selector.load(std::memory_order_relaxed);
+  return s >= 0 ? s != 0 : detail::resolve_simd_selector();
+}
 
 /// Test/fuzz override of the runtime selector; clamped to
 /// simd_available() (requesting SIMD on a scalar-only host is a no-op).
@@ -123,68 +134,6 @@ inline i32x8 tail_mask8(int n) {
 inline f32x8 blend_active(f32x8 original, f32x8 updated, lane_mask bits) {
   return _mm256_blendv_ps(original, updated,
                           _mm256_castsi256_ps(expand_mask8(bits)));
-}
-
-/// __ballot_sync's predicate collection over the 32-lane bool register
-/// file: bit i set iff pred[i] is true. Pure integer work, so the result
-/// is identical to the scalar loop by construction; the caller masks with
-/// the executing lanes and charges counts exactly as the scalar path does.
-inline lane_mask ballot32(const bool* pred) {
-  const __m256i bytes =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pred));
-  const __m256i none = _mm256_cmpeq_epi8(bytes, _mm256_setzero_si256());
-  return static_cast<lane_mask>(~_mm256_movemask_epi8(none));
-}
-
-/// One Hillis-Steele stage of the width-segmented inclusive int scan
-/// (simt::inclusive_scan_add): for every lane active in `exec` whose
-/// segment-relative index is >= delta,
-///   v[l] = v[l] + v_old[l - delta]
-/// with v_old the pre-stage register file; all other lanes untouched.
-/// Integer adds are exact, so this is bit-identical to the scalar
-/// shfl_up-then-add pair it replaces. `delta` < width <= 32, both powers
-/// of two, so l - delta never crosses a segment boundary for the lanes
-/// that add.
-inline void scan_up_add_i32(std::array<int, 32>& v, int delta, int width,
-                            lane_mask exec) {
-  // Front padding lets the partner block load run off the low end of the
-  // register file for the lanes whose add is masked out anyway.
-  alignas(32) int buf[16 + 32];
-  std::memset(buf, 0, 16 * sizeof(int));
-  std::memcpy(buf + 16, v.data(), 32 * sizeof(int));
-  const i32x8 dm1 = _mm256_set1_epi32(delta - 1);
-  const i32x8 wm = _mm256_set1_epi32(width - 1);
-  const i32x8 lane0 = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  for (int i = 0; i < 4; ++i) {
-    const i32x8 lanes = _mm256_add_epi32(lane0, _mm256_set1_epi32(8 * i));
-    const i32x8 idx = _mm256_and_si256(lanes, wm);
-    i32x8 cond = _mm256_cmpgt_epi32(idx, dm1);
-    cond = _mm256_and_si256(cond, expand_mask8(exec >> (8 * i)));
-    const i32x8 cur = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(buf + 16 + 8 * i));
-    const i32x8 partner = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(buf + 16 + 8 * i - delta));
-    const i32x8 updated = _mm256_add_epi32(cur, partner);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v.data() + 8 * i),
-                        _mm256_blendv_epi8(cur, updated, cond));
-  }
-}
-
-/// v[l] = inc[l] - v[l] for every lane active in `exec`, others untouched
-/// (the exclusive-scan wrapper's subtraction; exact integer ops).
-inline void masked_sub_from_i32(std::array<int, 32>& v,
-                                const std::array<int, 32>& inc,
-                                lane_mask exec) {
-  for (int i = 0; i < 4; ++i) {
-    const i32x8 vi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(v.data() + 8 * i));
-    const i32x8 ii = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(inc.data() + 8 * i));
-    const i32x8 updated = _mm256_sub_epi32(ii, vi);
-    const i32x8 cond = expand_mask8(exec >> (8 * i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v.data() + 8 * i),
-                        _mm256_blendv_epi8(vi, updated, cond));
-  }
 }
 
 enum class ButterflyOp { Add, Min, Max };

@@ -25,7 +25,6 @@
 
 #include "simt/lane_mask.hpp"
 #include "simt/op_counter.hpp"
-#include "simt/simd.hpp"
 #include "util/types.hpp"
 
 #include <array>
@@ -192,24 +191,23 @@ public:
     end_collective(exec, false);
   }
 
-  /// __ballot_sync: bitmask of active lanes whose predicate is true.
+  /// __ballot_sync over a packed predicate (bit i = lane i's vote): the
+  /// executing lanes whose bit is set.
+  [[nodiscard]] lane_mask ballot(lane_mask pred, lane_mask mask = kFullMask) {
+    const lane_mask exec = begin_collective(mask, "ballot");
+    end_collective(exec, /*is_ballot=*/true);
+    return pred & exec;
+  }
+
+  /// __ballot_sync over a per-lane predicate: packs it and runs the packed
+  /// form, so both forms validate, synchronise and count alike.
   [[nodiscard]] lane_mask ballot(const LaneArray<bool>& pred,
                                  lane_mask mask = kFullMask) {
-    const lane_mask exec = begin_collective(mask, "ballot");
-    lane_mask out = 0;
-#if GOTHIC_SIMD_AVX2
-    if (simd_enabled()) {
-      // Pure integer work — identical to the lane loop by construction.
-      out = simd::ballot32(pred.data()) & exec;
-    } else
-#endif
-    {
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if (lane_active(exec, lane) && pred[lane]) out |= lane_bit(lane);
-      }
+    lane_mask bits = 0;
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+      if (pred[lane]) bits |= lane_bit(lane);
     }
-    end_collective(exec, /*is_ballot=*/true);
-    return out;
+    return ballot(bits, mask);
   }
 
   /// Count-only shfl-family collective: performs the mask validation, the

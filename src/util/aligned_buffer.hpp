@@ -3,7 +3,7 @@
 // Particle and tree storage is structure-of-arrays; 64-byte alignment lets
 // the compiler vectorise the lane loops of the simulated warp kernels
 // without peeling and mirrors cudaMalloc's 256-byte-aligned allocations in
-// spirit (no false sharing between OpenMP workers).
+// spirit (no false sharing between pool workers).
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,12 @@
 // Orbit-integration accuracy: the predict/correct pair must be 2nd order
 // and conserve energy on closed orbits.
 #include "nbody/integrator.hpp"
+#include "runtime/device.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace gothic::nbody {
 namespace {
@@ -165,6 +167,59 @@ TEST(Integrator, OpCountsScaleWithFiredParticles) {
                        64, &corr);
   EXPECT_EQ(corr.fp32_fma, 64u * 6u);
   EXPECT_EQ(corr.syncwarp, 0u); // pred/corr never syncs (§4.1, Fig 5)
+
+  // correct runs over the device's workers. On 4 workers (chunk
+  // boundaries 16, 32, 48) the fired particles straddle every boundary;
+  // state and tallies must equal a 1-worker run's.
+  struct Corrected {
+    Particles p{64};
+    BlockTimeSteps steps{1.0, 2};
+    simt::OpCounts ops;
+  };
+  auto correct_on = [](int workers) {
+    runtime::Device dev(workers);
+    runtime::ScopedDevice scope(dev);
+    Corrected c;
+    std::vector<double> dt_required(64, 1.0);
+    for (const std::size_t i : {14, 15, 16, 17, 31, 32, 33, 47, 48, 63}) {
+      dt_required[i] = 0.25; // level 2: fires at the first tick
+    }
+    c.steps.initialize(dt_required);
+    (void)c.steps.advance();
+    std::vector<real> x_pred(64), y_pred(64), z_pred(64), ax_new(64),
+        ay_new(64), az_new(64), pot_new(64);
+    for (std::size_t i = 0; i < 64; ++i) {
+      const auto f = static_cast<real>(i + 1);
+      c.p.vx[i] = real(0.01) * f;
+      c.p.ax[i] = real(0.02) * f;
+      x_pred[i] = real(0.5) * f;
+      y_pred[i] = -f;
+      z_pred[i] = real(0.25) * f;
+      ax_new[i] = real(0.1) * f;
+      ay_new[i] = real(-0.05) * f;
+      az_new[i] = real(0.2);
+      pot_new[i] = -f;
+    }
+    correct_active_range(c.p, c.steps, x_pred, y_pred, z_pred, ax_new,
+                         ay_new, az_new, pot_new, 0.25, 0.01, 0, 64, &c.ops);
+    return c;
+  };
+  const Corrected one = correct_on(1);
+  const Corrected four = correct_on(4);
+  EXPECT_EQ(one.ops.fp32_fma, 10u * 6u);
+  EXPECT_EQ(four.ops, one.ops);
+  for (auto field : {&Particles::x, &Particles::y, &Particles::z,
+                     &Particles::vx, &Particles::vy, &Particles::vz,
+                     &Particles::ax, &Particles::ay, &Particles::az,
+                     &Particles::pot, &Particles::aold_mag}) {
+    EXPECT_EQ(four.p.*field, one.p.*field);
+  }
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(four.steps.level(i), one.steps.level(i)) << "particle " << i;
+    EXPECT_EQ(four.steps.time_since_correction(i),
+              one.steps.time_since_correction(i))
+        << "particle " << i;
+  }
 }
 
 } // namespace

@@ -100,7 +100,7 @@ TEST(Device, ParallelRangesUsesStaticChunks) {
   Device dev(3);
   const std::size_t n = 10;
   const std::size_t chunk = dev.chunk_size(0, n);
-  EXPECT_EQ(chunk, 4u); // ceil(10/3) — the OpenMP static schedule
+  EXPECT_EQ(chunk, 4u); // ceil(10/3) — the static schedule
   std::vector<int> owner(n, -1);
   dev.parallel_ranges(0, n, [&](Worker& w, std::size_t lo, std::size_t hi) {
     EXPECT_EQ(lo, static_cast<std::size_t>(w.id) * chunk);

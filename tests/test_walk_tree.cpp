@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 namespace gothic::gravity {
 namespace {
@@ -747,6 +749,120 @@ TEST(WalkTreeLJ, RejectsQuadrupoleAndNonPositiveParameters) {
   WalkConfig cut = lj_config();
   cut.lj.cutoff = real(-1);
   EXPECT_THROW((void)run_walk(s, cut), std::invalid_argument);
+}
+
+// --- Pinned tallies ---------------------------------------------------------
+// Figs 6-10 and the §4.2 model are built from the walk's OpCounts and
+// WalkStats. The SIMD and scalar substrates share the per-batch lane-mask
+// bookkeeping, so the substrate-parity tests above cannot see a tally drift
+// in it; these constants can. They were recorded from the walk whose
+// bookkeeping still ran on per-lane bool/int arrays, and every substrate
+// and mode must keep reproducing them.
+
+/// A uniform box plus a dense clump, equal masses: the box's groups accept
+/// distant cells, the clump's groups spill leaves and open deep cells.
+System box_and_clump() {
+  Xoshiro256 rng(20261017);
+  constexpr std::size_t kBox = 2048;
+  constexpr std::size_t kClump = 1024;
+  System s;
+  s.m.assign(kBox + kClump, real(1.0 / static_cast<double>(kBox + kClump)));
+  for (std::size_t i = 0; i < kBox; ++i) {
+    s.x.push_back(static_cast<real>(rng.uniform(-1.0, 1.0)));
+    s.y.push_back(static_cast<real>(rng.uniform(-1.0, 1.0)));
+    s.z.push_back(static_cast<real>(rng.uniform(-1.0, 1.0)));
+  }
+  for (std::size_t i = 0; i < kClump; ++i) {
+    s.x.push_back(static_cast<real>(rng.normal(0.35, 0.04)));
+    s.y.push_back(static_cast<real>(rng.normal(-0.2, 0.04)));
+    s.z.push_back(static_cast<real>(rng.normal(0.1, 0.04)));
+  }
+  s.build();
+  return s;
+}
+
+/// Every OpCounts field, then the WalkStats counters groups, mac_evals,
+/// nodes_opened, pseudo_appended, body_appended, interactions, flushes.
+using Tallies = std::array<std::uint64_t, 20>;
+
+Tallies tallies_of(const simt::OpCounts& o, const WalkStats& st) {
+  return {o.int_ops,       o.fp32_fma,         o.fp32_mul,
+          o.fp32_add,      o.fp32_special,     o.bytes_load,
+          o.bytes_store,   o.syncwarp,         o.tile_sync,
+          o.block_sync,    o.global_barrier,   o.shfl,
+          o.ballot,        st.groups,          st.mac_evals,
+          st.nodes_opened, st.pseudo_appended, st.body_appended,
+          st.interactions, st.flushes};
+}
+
+TEST(WalkTree, TalliesEqualThePinnedParentValues) {
+  System s = box_and_clump();
+  WalkConfig theta;
+  theta.eps = kEps;
+  theta.mac.type = MacType::OpeningAngle;
+  theta.mac.theta = real(0.7);
+  const ForceResult first = run_walk(s, theta);
+  std::vector<real> aold(s.n());
+  for (std::size_t i = 0; i < s.n(); ++i) {
+    aold[i] = std::sqrt(first.ax[i] * first.ax[i] +
+                        first.ay[i] * first.ay[i] +
+                        first.az[i] * first.az[i]);
+  }
+  WalkConfig acc = theta;
+  acc.mac.type = MacType::Acceleration;
+  WalkConfig gadget = theta;
+  gadget.mac.type = MacType::Gadget;
+  const WalkConfig lj = lj_config();
+
+  // The modes differ only in the syncwarp tally (index 7): zero under
+  // Pascal, `volta_syncwarp` under Volta.
+  struct Case {
+    const char* name;
+    const WalkConfig* cfg;
+    Tallies pascal;
+    std::uint64_t volta_syncwarp;
+  };
+  const Case cases[] = {
+      {"acceleration", &acc,
+       {13236402, 10985175, 6557824, 9323974, 1987550, 3377724, 1254004, 0,
+        0, 0, 0, 3252992, 822464, 982, 302195, 38901, 240176, 131889,
+        1678229, 3499},
+       140209},
+      {"opening-angle", &theta,
+       {6514415, 5715408, 3327986, 5130848, 1024262, 1402214, 574056, 0, 0,
+        0, 0, 2083520, 432640, 982, 132208, 16847, 107609, 44261, 884928,
+        1678},
+       85390},
+      {"gadget", &gadget,
+       {15256514, 13063212, 7734249, 10866368, 2353519, 4335013, 1411040, 0,
+        0, 0, 0, 3492416, 902272, 982, 341454, 44060, 255067, 214744,
+        2004939, 4276},
+       151432},
+      {"lennard-jones", &lj,
+       {11573590, 7516482, 14865292, 11595512, 1570068, 2972153, 690832, 0,
+        0, 0, 0, 2305856, 506752, 982, 161402, 20854, 0, 213139, 1404612,
+        2093},
+       95812},
+  };
+  for (const Case& c : cases) {
+    Tallies volta = c.pascal;
+    volta[7] = c.volta_syncwarp;
+    for (const simt::ExecMode mode :
+         {simt::ExecMode::Pascal, simt::ExecMode::Volta}) {
+      for (const bool simd : {false, true}) {
+        simt::ScopedSimd substrate(simd);
+        WalkConfig cfg = *c.cfg;
+        cfg.mode = mode;
+        simt::OpCounts ops;
+        WalkStats stats;
+        (void)run_walk(s, cfg, aold, &ops, &stats);
+        EXPECT_EQ(tallies_of(ops, stats),
+                  mode == simt::ExecMode::Pascal ? c.pascal : volta)
+            << c.name << " " << simt::exec_mode_name(mode)
+            << (simd ? " simd" : " scalar");
+      }
+    }
+  }
 }
 
 } // namespace

@@ -82,6 +82,15 @@ TEST_P(WarpModes, BallotCollectsPredicates) {
     if (lane % 3 == 0) want |= lane_bit(lane);
   }
   EXPECT_EQ(got, want);
+
+  // The packed-predicate form: same mask, same ballot/int_ops/syncwarp
+  // tallies as the per-lane form.
+  OpCounts packed_counts;
+  Warp packed(GetParam(), packed_counts);
+  EXPECT_EQ(packed.ballot(want), want);
+  EXPECT_EQ(packed_counts.ballot, counts.ballot);
+  EXPECT_EQ(packed_counts.int_ops, counts.int_ops);
+  EXPECT_EQ(packed_counts.syncwarp, counts.syncwarp);
 }
 
 TEST_P(WarpModes, AnyAllSemantics) {

@@ -159,43 +159,59 @@ TEST(WarpProperties, PascalAndVoltaAreBitIdenticalOnRandomMasks) {
 
 TEST(WarpProperties, VoltaSyncCountsMatchTheStageFormula) {
   // Every *_sync collective carries one implicit syncwarp; a width-w scan
-  // or butterfly reduction is log2(w) shuffle stages.
+  // or butterfly reduction is log2(w) shuffle stages, each charging one
+  // shfl and one add (or compare) per executing lane. The exclusive scan
+  // adds one subtraction per lane, and its segment-total broadcast one
+  // more shfl stage. The formula holds for the whole-warp integer scan,
+  // which moves its data in one pass, and for the staged loop that
+  // partial masks run.
   Xoshiro256 rng(301);
   for (int width : kWidths) {
     const std::uint64_t log2w = stages(width);
-    auto count = [&](auto&& op) {
-      OpCounts c;
-      Warp w(ExecMode::Volta, c);
-      LaneArray<int> v = random_ints(rng);
-      op(w, v);
-      return c.syncwarp;
-    };
-    EXPECT_EQ(count([&](Warp& w, LaneArray<int>& v) {
-                inclusive_scan_add(w, v, width);
-              }),
-              log2w);
-    EXPECT_EQ(count([&](Warp& w, LaneArray<int>& v) {
-                exclusive_scan_add(w, v, width);
-              }),
-              log2w);
-    // The segment-total broadcast is one extra shfl.
-    EXPECT_EQ(count([&](Warp& w, LaneArray<int>& v) {
-                LaneArray<int> total{};
-                exclusive_scan_add(w, v, width, kFullMask, &total);
-              }),
-              log2w + 1);
-    EXPECT_EQ(count([&](Warp& w, LaneArray<int>& v) {
-                reduce_add(w, v, width);
-              }),
-              log2w);
-    EXPECT_EQ(count([&](Warp& w, LaneArray<int>& v) {
-                reduce_min(w, v, width);
-              }),
-              log2w);
-    EXPECT_EQ(count([&](Warp& w, LaneArray<int>& v) {
-                reduce_max(w, v, width);
-              }),
-              log2w);
+    for (const lane_mask active : {kFullMask, random_mask(rng)}) {
+      const auto lanes = static_cast<std::uint64_t>(popc(active));
+      auto count = [&](auto&& op) {
+        OpCounts c;
+        Warp w(ExecMode::Volta, c);
+        w.diverge(active);
+        LaneArray<int> v = random_ints(rng);
+        op(w, v);
+        return c;
+      };
+      auto expect = [&](const char* what, const OpCounts& c,
+                        std::uint64_t collectives, std::uint64_t adds) {
+        SCOPED_TRACE(::testing::Message() << what << " width " << width
+                                          << " active " << active);
+        EXPECT_EQ(c.syncwarp, collectives);
+        EXPECT_EQ(c.shfl, collectives * lanes);
+        EXPECT_EQ(c.int_ops, adds * lanes);
+      };
+      expect("inclusive", count([&](Warp& w, LaneArray<int>& v) {
+               inclusive_scan_add(w, v, width);
+             }),
+             log2w, log2w);
+      expect("exclusive", count([&](Warp& w, LaneArray<int>& v) {
+               exclusive_scan_add(w, v, width);
+             }),
+             log2w, log2w + 1);
+      expect("exclusive+total", count([&](Warp& w, LaneArray<int>& v) {
+               LaneArray<int> total{};
+               exclusive_scan_add(w, v, width, kFullMask, &total);
+             }),
+             log2w + 1, log2w + 1);
+      expect("reduce_add", count([&](Warp& w, LaneArray<int>& v) {
+               reduce_add(w, v, width);
+             }),
+             log2w, log2w);
+      expect("reduce_min", count([&](Warp& w, LaneArray<int>& v) {
+               reduce_min(w, v, width);
+             }),
+             log2w, log2w);
+      expect("reduce_max", count([&](Warp& w, LaneArray<int>& v) {
+               reduce_max(w, v, width);
+             }),
+             log2w, log2w);
+    }
   }
 }
 
@@ -223,6 +239,11 @@ TEST(WarpProperties, BallotCompactionAssignsDenseSlotsInLaneOrder) {
     for (auto& p : pred) p = (rng.next() & 1u) != 0;
     const lane_mask votes = w.ballot(pred);
     EXPECT_EQ(c.syncwarp, 1u); // one implicit barrier per ballot
+    // The packed-predicate form votes and counts alike.
+    OpCounts packed_counts;
+    Warp packed(ExecMode::Volta, packed_counts);
+    EXPECT_EQ(packed.ballot(votes), votes);
+    EXPECT_EQ(packed_counts, c);
     int rank = 0;
     for (int lane = 0; lane < kWarpSize; ++lane) {
       EXPECT_EQ(lane_active(votes, lane), pred[lane]) << "lane " << lane;
@@ -249,6 +270,7 @@ TEST(WarpProperties, UndercoveringMaskThrowsUnderVoltaOnly) {
       w.diverge(active);
       LaneArray<int> v{};
       EXPECT_THROW(w.shfl_down(v, 1, kWarpSize, bad), WarpError);
+      EXPECT_THROW((void)w.ballot(active, bad), WarpError);
     }
     {
       OpCounts c;
@@ -256,6 +278,7 @@ TEST(WarpProperties, UndercoveringMaskThrowsUnderVoltaOnly) {
       w.diverge(active);
       LaneArray<int> v{};
       EXPECT_NO_THROW(w.shfl_down(v, 1, kWarpSize, bad));
+      EXPECT_NO_THROW((void)w.ballot(active, bad));
     }
   }
 }

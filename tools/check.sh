@@ -68,9 +68,11 @@ echo "-- ctest (GOTHIC_ASYNC=0, synchronous escape hatch) --"
 echo "== observability smoke (trace + flight + bench JSON, both scheduler modes) =="
 # A traced driver step must emit valid Perfetto JSON with zero dropped
 # launch records (a non-zero count means the timeline is silently
-# truncated), a figure bench must emit a parseable BENCH_*.json, and a
-# fault-injected gothic_fuzz run must leave a valid flight-recorder
-# incident dump naming the faulted launch — under both schedulers.
+# truncated), a figure bench must emit a parseable BENCH_*.json, fig09's
+# walk must be op- and force-identical on both warp substrates (its exit
+# status), and a fault-injected gothic_fuzz run must leave a valid
+# flight-recorder incident dump naming the faulted launch — under both
+# schedulers.
 for mode in 1 0; do
   echo "-- GOTHIC_ASYNC=$mode --"
   (cd build &&
@@ -88,6 +90,10 @@ assert n == 0, 'trace dropped %d launch records' % n" &&
         >/dev/null &&
     python3 -m json.tool BENCH_fig04_breakdown_macc.json >/dev/null &&
     rm -f BENCH_fig04_breakdown_macc.json &&
+    GOTHIC_ASYNC=$mode GOTHIC_BENCH_N=4096 GOTHIC_BENCH_STEPS=1 \
+      GOTHIC_BENCH_DACC_MIN=2 ./bench/bench_fig09_walktree_flops \
+        >/dev/null &&
+    rm -f BENCH_fig09_walktree_flops.json &&
     rm -f smoke_flight*.json &&
     GOTHIC_ASYNC=$mode GOTHIC_FLIGHT=smoke_flight.json \
       ./tools/gothic_fuzz --schedules=0 --enumerate=0 --faults=4 \
