@@ -116,7 +116,7 @@ int main() {
 
     Forces ref;
     {
-      runtime::Device one(1, /*async=*/0);
+      runtime::Device one(1);
       runtime::ScopedDevice scope(one);
       walk(ref, group_active, nullptr);
     }

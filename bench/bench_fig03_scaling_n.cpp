@@ -35,7 +35,7 @@ int main() {
           "dacc=2^-9)",
           {"Ntot", "total", "walkTree", "calcNode", "makeTree", "pred/corr"});
   Table ov("Achieved stream overlap per step [s] (this machine, "
-           "GOTHIC_ASYNC scheduler)",
+           "stream scheduler)",
            {"Ntot", "kernel-sum", "step-wall", "overlap", "walk-imbalance"});
   double prev_total = 0.0;
   bool monotone = true;
@@ -59,8 +59,8 @@ int main() {
   t.print(std::cout);
   ov.print(std::cout);
   std::cout << "overlap = sum of kernel seconds - step wall span: the gap "
-               "concurrent streams hide (GOTHIC_ASYNC=0 serialises it "
-               "away).\n";
+               "concurrent streams hide (an in-issue-order schedule "
+               "serialises it away).\n";
   std::cout << "expected shape: gravity dominates; total "
             << (monotone ? "grows monotonically with Ntot"
                          : "NON-MONOTONE (unexpected)")

@@ -32,7 +32,7 @@ int main() {
           {"dacc", "total", "walkTree", "calcNode", "makeTree", "pred/corr",
            "rebuild-interval"});
   Table ov("Achieved stream overlap per step [s] (this machine, "
-           "GOTHIC_ASYNC scheduler)",
+           "stream scheduler)",
            {"dacc", "kernel-sum", "step-wall", "overlap"});
   double calc_min = 1e30, calc_max = 0;
   for (const double dacc : dacc_sweep(scale.dacc_min_exp)) {
@@ -51,8 +51,8 @@ int main() {
   t.print(std::cout);
   ov.print(std::cout);
   std::cout << "overlap = sum of kernel seconds - step wall span: the gap "
-               "concurrent streams hide (GOTHIC_ASYNC=0 serialises it "
-               "away).\n";
+               "concurrent streams hide (an in-issue-order schedule "
+               "serialises it away).\n";
   std::cout << "calcNode spread across the sweep: "
             << Table::fix(calc_max / calc_min, 2)
             << "x (paper: flat; walkTree and the rebuild interval carry all "

@@ -125,12 +125,12 @@ MetricSet extract(const JsonValue& doc) {
   }
   MetricSet out;
   if (doc.has("scale")) {
-    // Reports are comparable only at the same problem scale,
-    // scheduler/substrate configuration, and workload identity (the
-    // scenario/force keys bench_scenario stamps into the scale stanza).
+    // Reports are comparable only at the same problem scale, substrate
+    // configuration, and workload identity (the scenario/force keys
+    // bench_scenario stamps into the scale stanza).
     const JsonValue& s = doc.at("scale");
-    for (const char* key : {"n", "steps", "dacc_min_exp", "async", "simd",
-                            "scenario", "force"}) {
+    for (const char* key :
+         {"n", "steps", "dacc_min_exp", "simd", "scenario", "force"}) {
       out.scale += key;
       out.scale += '=';
       if (s.has(key)) {

@@ -21,7 +21,7 @@
 // slowdowns, the absolute floor keeps micro-second cells from tripping it.
 // Deterministic counts (op tallies) and log2-quantized p50/p95 are
 // compared informationally (notes, never failures). Reports whose scale
-// stanza differs (n/steps/dacc sweep/async/simd) are skipped with a note:
+// stanza differs (n/steps/dacc sweep/simd) are skipped with a note:
 // the trajectories are not comparable. Schema violations (not a BENCH
 // report) are errors.
 #pragma once
@@ -45,7 +45,7 @@ struct DiffOptions {
 };
 
 struct DiffFinding {
-  std::string report; ///< canonical key, e.g. "BENCH_balance.async1"
+  std::string report; ///< canonical key, e.g. "BENCH_balance"
   std::string metric; ///< dotted metric path within the report
   double baseline = 0.0;
   double candidate = 0.0;
@@ -84,7 +84,7 @@ public:
     return entries_;
   }
 
-  /// "BENCH_shard.async0.run3.json" -> "BENCH_shard.async0".
+  /// "BENCH_shard.run3.json" -> "BENCH_shard".
   [[nodiscard]] static std::string canonical_key(const std::string& filename);
 
 private:

@@ -28,7 +28,6 @@ struct BenchScale {
   int steps;            ///< measured steps per configuration
   int dacc_min_exp;     ///< sweep reaches 2^-dacc_min_exp
   int threads;          ///< runtime::Device workers (GOTHIC_THREADS override)
-  bool async;           ///< stream-scheduling default (GOTHIC_ASYNC)
   bool simd;            ///< AVX2 lane substrate in effect (GOTHIC_SIMD)
   static BenchScale from_env();
 };

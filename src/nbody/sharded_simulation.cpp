@@ -135,7 +135,7 @@ ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
     sh->tree_stream = runtime::Stream(sh->tree_name.c_str());
     sh->integrate_stream = runtime::Stream(sh->integrate_name.c_str());
     if (!ambient) {
-      sh->dev = std::make_unique<runtime::Device>(opt.workers, opt.async);
+      sh->dev = std::make_unique<runtime::Device>(opt.workers);
     }
     shards_.push_back(std::move(sh));
   }

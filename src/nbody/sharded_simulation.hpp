@@ -128,15 +128,12 @@ struct StepReport {
   }
 };
 
-/// Device shape of an engine with its own devices. `shards` is K; the
-/// remaining knobs are forwarded to each shard's runtime::Device
-/// constructor (0 / -1 = that device's environment defaults,
-/// GOTHIC_THREADS / GOTHIC_ASYNC). An asynchronous shard device runs
-/// Device::kLanes stream lanes.
+/// Device shape of an engine with its own devices. `shards` is K;
+/// `workers` is forwarded to each shard's runtime::Device constructor
+/// (0 = the GOTHIC_THREADS default).
 struct ShardOptions {
   int shards = 1;
   int workers = 0;
-  int async = -1;
 };
 
 /// Per-shard observability of the most recent step.

@@ -13,8 +13,8 @@ namespace gothic::runtime {
 
 namespace {
 /// Innermost ScopedDevice override (also installed on lane leader threads,
-/// so Device::current() inside an async launch body resolves to the
-/// issuing device).
+/// so Device::current() inside a launch body resolves to the issuing
+/// device).
 thread_local Device* tl_current = nullptr;
 /// Execution context of the calling thread: when `tl_ctx_device` owns the
 /// thread as a lane leader, collectives run on lane `tl_ctx_lane`'s worker
@@ -163,7 +163,7 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Lane and launch-queue node of the asynchronous engine.
+// Lane and launch-queue node of the stream scheduler.
 // ---------------------------------------------------------------------------
 
 /// One queued launch: the type-erased body lives inline in `storage` (no
@@ -203,16 +203,12 @@ int Device::default_workers() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-bool Device::default_async() { return env_size("GOTHIC_ASYNC", 1) != 0; }
-
-Device::Device(int workers, int async)
-    : async_(async < 0 ? default_async() : async != 0) {
+Device::Device(int workers) {
   const int n = std::min(workers > 0 ? workers : default_workers(),
                          kMaxWorkers);
   slots_ = make_slots(n);
   team_ = std::make_unique<Team>(n);
   completed_gaps_.reserve(64);
-  if (!async_) return;
   for (int i = 0; i < kLanes; ++i) {
     auto lane = std::make_unique<Lane>();
     lane->index = i;
@@ -332,29 +328,8 @@ LaunchRecord Device::make_record_locked(const LaunchDesc& desc) {
   return rec;
 }
 
-Device::IssuedLaunch Device::issue_launch(const LaunchDesc& desc) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const LaunchRecord rec = make_record_locked(desc);
-  IssuedLaunch issued;
-  issued.id = rec.id;
-  issued.sink = desc.sink != nullptr ? desc.sink : &sink_;
-  issued.record_index = issued.sink->begin_record(rec);
-  issued.workers = workers();
-  return issued;
-}
-
-void Device::finish_launch(const IssuedLaunch& issued, double t_begin,
-                           double t_end, const simt::OpCounts& ops) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  issued.sink->finish_record(issued.record_index, issued.id, t_begin, t_end,
-                             issued.workers, ops);
-  mark_complete_locked(issued.id);
-  event_cv_.notify_all();
-}
-
-Event Device::launch_async(const LaunchDesc& desc, BodyInvoke invoke,
-                           BodyCopy copy, BodyDestroy destroy,
-                           const void* body) {
+Event Device::enqueue(const LaunchDesc& desc, BodyInvoke invoke,
+                      BodyCopy copy, BodyDestroy destroy, const void* body) {
   std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -389,7 +364,7 @@ Event Device::launch_async(const LaunchDesc& desc, BodyInvoke invoke,
   return Event{id, this};
 }
 
-// --- asynchronous engine ---------------------------------------------------
+// --- lanes -------------------------------------------------------------------
 
 Device::Lane& Device::lane_for_locked(Stream* stream) {
   if (stream == nullptr) return *lanes_.front();
@@ -455,7 +430,7 @@ void Device::run_node(Lane& lane, LaunchNode& node) {
     // Move (don't copy) so this lane drops its reference here: the thread
     // that later rethrows the error must be the only one releasing the
     // exception object, or its teardown races with the consumer's what().
-    if (err && !async_error_) async_error_ = std::move(err);
+    if (err && !body_error_) body_error_ = std::move(err);
     if (controller_ != nullptr) controller_->on_complete(lane.index, node.id);
     mark_complete_locked(node.id);
     node.next = free_nodes_;
@@ -591,8 +566,8 @@ void Device::synchronize() {
   } else {
     event_cv_.wait(lock, [&] { return inflight_ == 0; });
   }
-  if (async_error_) {
-    std::exception_ptr err = std::exchange(async_error_, nullptr);
+  if (body_error_) {
+    std::exception_ptr err = std::exchange(body_error_, nullptr);
     lock.unlock();
     std::rethrow_exception(err);
   }

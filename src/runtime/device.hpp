@@ -14,17 +14,17 @@
 //    independent streams (the step loop's predict ∥ makeTree) genuinely
 //    overlap, while each collective runs on the whole pool (one at a
 //    time), as a kernel on any stream can fill every SM of a GPU.
-//    Event::wait() and synchronize() are real completion handles.
-//    GOTHIC_ASYNC=0 selects the synchronous escape hatch: launches run to
-//    completion on the calling thread plus the pool, bit-identically;
+//    Event::wait() and synchronize() are real completion handles. A
+//    serial run is one schedule of the same DAG, forced through the
+//    schedule-control seam (runtime/schedule.hpp);
 //  * per-launch instrumentation: every launch emits a LaunchRecord (with
 //    begin/end timestamps, so the sink can report achieved overlap) into
 //    an InstrumentationSink.
 //
 // Kernels obtain the device with Device::current(): the thread-local
 // override installed by ScopedDevice (tests pin worker counts this way) or
-// else the process-wide shared() device. Inside an asynchronous launch
-// body, current() resolves to the issuing device and its collectives run
+// else the process-wide shared() device. Inside a launch body, current()
+// resolves to the issuing device and its collectives run
 // on the whole pool over the lane's own worker slots (workers() reports
 // the pool size everywhere), so kernels are oblivious to which scheduler
 // drives them.
@@ -71,11 +71,8 @@ struct alignas(64) Worker {
 class Device {
 public:
   /// `workers` <= 0 selects the default: GOTHIC_THREADS when set, else the
-  /// hardware concurrency. `async` < 0 selects the GOTHIC_ASYNC default
-  /// (asynchronous unless GOTHIC_ASYNC=0); 0 forces the synchronous path,
-  /// > 0 forces asynchronous scheduling. An asynchronous device starts its
-  /// kLanes lane leaders here.
-  explicit Device(int workers = 0, int async = -1);
+  /// hardware concurrency. Starts the device's kLanes lane leaders.
+  explicit Device(int workers = 0);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -83,7 +80,7 @@ public:
   /// The process-wide device (created on first use).
   static Device& shared();
   /// The device kernels should run on: the innermost ScopedDevice override
-  /// on this thread, the owning device inside an async launch body, or
+  /// on this thread, the owning device inside a launch body, or
   /// shared().
   static Device& current();
 
@@ -92,7 +89,7 @@ public:
   [[nodiscard]] int workers() const;
 
   /// The `i`-th worker slot of the current execution context (the lane's
-  /// slot inside an async launch body, the host pool's otherwise). Serial
+  /// slot inside a launch body, the host pool's otherwise). Serial
   /// access only — never while a collective *of this context* is in
   /// flight; other lanes' collectives use their own slots.
   [[nodiscard]] Worker& context_worker(int i);
@@ -100,11 +97,9 @@ public:
   /// The worker-count default the constructor would resolve for
   /// `workers <= 0` (GOTHIC_THREADS-aware); exposed for bench metadata.
   static int default_workers();
-  /// The scheduling default the constructor resolves for `async < 0`:
-  /// true unless GOTHIC_ASYNC=0.
-  static bool default_async();
-  /// True when this device schedules launches asynchronously.
-  [[nodiscard]] bool async() const { return async_; }
+  /// Always true: every device schedules launches on its stream lanes.
+  /// Kept for bench/e2e's device fingerprint.
+  [[nodiscard]] bool async() const { return true; }
 
   // --- collectives --------------------------------------------------------
   // All collectives run on the calling thread (context worker 0) plus the
@@ -206,47 +201,28 @@ public:
   /// wall time and begin/end timestamps. Returns the launch's completion
   /// event.
   ///
-  /// Asynchronous devices enqueue the body onto the stream's lane and
-  /// return immediately; the body starts once every dependency event has
+  /// The body is enqueued onto the stream's lane and launch() returns
+  /// immediately; the body starts once every dependency event has
   /// completed (streams themselves are FIFO). The caller must keep
   /// everything the body references alive until the event completes, and
   /// a body must not issue launches of its own. Body exceptions are held
   /// and rethrown (first one wins) by the next synchronize().
-  ///
-  /// Synchronous devices (GOTHIC_ASYNC=0) run the body to completion on
-  /// the calling thread plus the full pool before returning; body
-  /// exceptions propagate directly, after the record is emitted and the
-  /// event signaled so the device stays consistent.
   template <typename Fn>
   Event launch(const LaunchDesc& desc, Fn&& fn) {
     using F = std::decay_t<Fn>;
     static_assert(sizeof(F) <= kMaxBodyBytes && alignof(F) <= 64,
                   "launch body captures too much state; capture `this` or "
                   "a few references");
-    if (async_) {
-      return launch_async(
-          desc,
-          +[](void* body, simt::OpCounts& ops) {
-            (*static_cast<F*>(body))(ops);
-          },
-          +[](void* dst, const void* src) {
-            ::new (dst) F(*static_cast<const F*>(src));
-          },
-          +[](void* body) { static_cast<F*>(body)->~F(); },
-          std::addressof(fn));
-    }
-    const IssuedLaunch issued = issue_launch(desc);
-    simt::OpCounts ops;
-    const double t0 = now();
-    try {
-      fault_point(issued.id);
-      fn(ops);
-    } catch (...) {
-      finish_launch(issued, t0, now(), ops);
-      throw;
-    }
-    finish_launch(issued, t0, now(), ops);
-    return Event{issued.id, this};
+    return enqueue(
+        desc,
+        +[](void* body, simt::OpCounts& ops) {
+          (*static_cast<F*>(body))(ops);
+        },
+        +[](void* dst, const void* src) {
+          ::new (dst) F(*static_cast<const F*>(src));
+        },
+        +[](void* body) { static_cast<F*>(body)->~F(); },
+        std::addressof(fn));
   }
 
   /// Block until the launch with the given id completed (its body
@@ -254,8 +230,8 @@ public:
   void wait_event(std::uint64_t id);
 
   /// Block until every issued launch completed, then rethrow the first
-  /// exception an asynchronous launch body raised since the previous
-  /// synchronize() (clearing it, so the device stays usable).
+  /// exception a launch body raised since the previous synchronize()
+  /// (clearing it, so the device stays usable).
   void synchronize();
 
   /// Default destination of LaunchRecords when LaunchDesc::sink is null.
@@ -273,15 +249,14 @@ public:
 
   // --- lanes --------------------------------------------------------------
 
-  /// Stream lanes of every asynchronous device. The step engine issues on
-  /// two streams per device, and a lane costs a leader thread, not a
-  /// worker (every launch's collectives use the whole pool), so two lanes
-  /// let those streams overlap on any worker count. A stream keeps the
-  /// lane of its first asynchronous launch, on any device.
+  /// Stream lanes of every device. The step engine issues on two streams
+  /// per device, and a lane costs a leader thread, not a worker (every
+  /// launch's collectives use the whole pool), so two lanes let those
+  /// streams overlap on any worker count. A stream keeps the lane of its
+  /// first launch, on any device.
   static constexpr int kLanes = 2;
-  /// Lanes this device schedules streams over: kLanes, or 0 for a
-  /// synchronous device (no lanes exist).
-  [[nodiscard]] int lane_count() const { return async_ ? kLanes : 0; }
+  /// Always kLanes. Kept for bench/e2e's device fingerprint.
+  [[nodiscard]] int lane_count() const { return kLanes; }
 
   // --- introspection (runtime tests) --------------------------------------
 
@@ -318,31 +293,14 @@ private:
   struct LaunchNode;
   struct Context;
 
-  /// Issue-time half of a launch: id assigned, deps validated and
-  /// recorded, placeholder record inserted into the sink.
-  struct IssuedLaunch {
-    std::uint64_t id = 0;
-    std::size_t record_index = 0;
-    InstrumentationSink* sink = nullptr;
-    int workers = 0;
-  };
-
   void dispatch(JobFn fn, void* ctx);
   /// Worker slots of the calling thread's execution context.
   [[nodiscard]] Slots& context_slots();
   [[nodiscard]] double now() const { return epoch_.seconds(); }
-  /// Synchronous-path fault hook: forwards to the controller's
-  /// before_body() with lane -1. One pointer test when none is installed.
-  void fault_point(std::uint64_t id) {
-    if (controller_ != nullptr) controller_->before_body(-1, id);
-  }
 
-  IssuedLaunch issue_launch(const LaunchDesc& desc);
   LaunchRecord make_record_locked(const LaunchDesc& desc);
-  void finish_launch(const IssuedLaunch& issued, double t_begin, double t_end,
-                     const simt::OpCounts& ops);
-  Event launch_async(const LaunchDesc& desc, BodyInvoke invoke, BodyCopy copy,
-                     BodyDestroy destroy, const void* body);
+  Event enqueue(const LaunchDesc& desc, BodyInvoke invoke, BodyCopy copy,
+                BodyDestroy destroy, const void* body);
 
   /// Stop and join the lane leaders (the device is idle).
   void stop_lanes();
@@ -362,7 +320,6 @@ private:
 
   Slots slots_;                  ///< the host context's worker slots
   std::unique_ptr<Team> team_;   ///< the pool's threads, shared by all contexts
-  const bool async_;
   Stopwatch epoch_;              ///< timestamp origin of every LaunchRecord
 
   // Launch bookkeeping (ids, completion, queues, sinks) — one lock; the
@@ -375,9 +332,9 @@ private:
   std::uint64_t completed_floor_ = 0;      ///< all ids <= floor are complete
   std::vector<std::uint64_t> completed_gaps_; ///< out-of-order completions
   int inflight_ = 0;
-  std::exception_ptr async_error_;
+  std::exception_ptr body_error_; ///< first body exception since synchronize
 
-  std::vector<std::unique_ptr<Lane>> lanes_; ///< kLanes when async, else none
+  std::vector<std::unique_ptr<Lane>> lanes_; ///< kLanes, built with the device
   std::vector<std::unique_ptr<LaunchNode>> nodes_;
   LaunchNode* free_nodes_ = nullptr;
   std::uint64_t streams_placed_ = 0; ///< streams given a lane (round-robin)

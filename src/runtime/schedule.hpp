@@ -72,7 +72,6 @@ public:
   /// before the launch body, *outside* the device lock. May throw (the
   /// exception is handled exactly like a body exception: first-wins,
   /// surfaced by synchronize()) or block (a simulated worker stall).
-  /// `lane` is -1 on the synchronous launch path.
   virtual void before_body(int lane, std::uint64_t id) {
     (void)lane;
     (void)id;

@@ -10,14 +10,12 @@
 // nvprof-style OpCounts, bytes, launch configuration, dependency edges)
 // into an InstrumentationSink.
 //
-// Execution is asynchronous by default: launch() enqueues the kernel onto
-// its stream's lane (a queue plus a leader thread; the kernel's
+// Execution is asynchronous, as on a GPU: launch() enqueues the kernel
+// onto its stream's lane (a queue plus a leader thread; the kernel's
 // collectives use the whole device worker pool) and returns immediately;
 // Event::wait() and Device::synchronize() are real completion handles, and
-// independent streams execute concurrently.
-// GOTHIC_ASYNC=0 restores the old synchronous path (run-to-completion on
-// the calling thread plus the full pool) for A/B comparison and debugging
-// — results are bit-identical either way.
+// independent streams execute concurrently. Results are bit-identical
+// under every admissible schedule, the serial in-issue-order one included.
 #pragma once
 
 #include "simt/op_counter.hpp"
@@ -43,8 +41,7 @@ struct Event {
   /// event).
   Device* device = nullptr;
   [[nodiscard]] bool valid() const { return id != 0; }
-  /// Block until the launch completed. No-op for the null event and under
-  /// synchronous execution (the launch already ran to completion).
+  /// Block until the launch completed. No-op for the null event.
   void wait() const;
 };
 
@@ -66,8 +63,8 @@ private:
   friend class Device;
   const char* name_ = "default";
   Event last_{};
-  /// Lane of the stream's first asynchronous launch, kept on every device
-  /// it later launches on (-1 before one).
+  /// Lane of the stream's first launch, kept on every device it later
+  /// launches on (-1 before one).
   int lane_ = -1;
 };
 

@@ -9,7 +9,7 @@
 // non-gravity laws. The registry encodes both axes: every entry carries a
 // `make` (ICs) and a `configure` (force law + accuracy defaults), and
 // every entry is automatically enrolled in the invariance suite, the
-// shard/SIMD/async bit-identity tests and the gothic_fuzz scenario legs
+// shard/SIMD/schedule bit-identity tests and the gothic_fuzz scenario legs
 // (scenario_from_seed).
 #pragma once
 

@@ -243,7 +243,7 @@ void SessionManager::driver(int device_index) {
   // Route every session quantum this driver runs — a one-shard engine
   // resolves Device::current() at every call — onto the pool device.
   // Sessions may migrate between drivers; bit-identity across worker
-  // counts / async modes / schedules makes that invisible.
+  // counts and schedules makes that invisible.
   runtime::ScopedDevice scope(dev);
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {

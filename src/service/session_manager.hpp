@@ -8,8 +8,8 @@
 // driver claims it exclusively, installs a ScopedDevice and advances it
 // by exactly one quantum (construction, or one step()). Sessions are not
 // pinned: the runtime's bit-identity contract (results independent of
-// worker count, async mode and schedule — PR 1/2) makes device migration
-// invisible, so any driver may pick up any runnable session.
+// worker count and schedule) makes device migration invisible, so any
+// driver may pick up any runnable session.
 //
 // Scheduling is weighted round-robin over *measured* step cost: every
 // quantum's wall seconds accumulate into the session's virtual time, and
@@ -57,8 +57,8 @@ namespace gothic::service {
 
 /// Shape of the shared device pool. `devices` is the driver/device count;
 /// `workers` forwards to each runtime::Device constructor (0 = the
-/// GOTHIC_THREADS default). Scheduling follows GOTHIC_ASYNC, and an
-/// asynchronous device runs Device::kLanes stream lanes.
+/// GOTHIC_THREADS default). Every device runs Device::kLanes stream
+/// lanes.
 struct PoolOptions {
   int devices = 1;
   int workers = 0;

@@ -63,11 +63,11 @@ namespace {
 /// `cfg.steps` steps of `p` under `sim_cfg` on a one-shard engine over a
 /// fresh device, optionally driven by `controller` from the first
 /// bootstrap launch on; returns the packed final state.
-std::vector<real> run_on_device(const FuzzConfig& cfg, bool async,
+std::vector<real> run_on_device(const FuzzConfig& cfg,
                                 runtime::ScheduleController* controller,
                                 nbody::Particles p,
                                 const nbody::SimConfig& sim_cfg) {
-  runtime::Device dev(cfg.workers, async ? 1 : 0);
+  runtime::Device dev(cfg.workers);
   runtime::ScopedDevice scope(dev);
   if (controller != nullptr) dev.set_schedule_controller(controller);
   nbody::Simulation sim(std::move(p), sim_cfg);
@@ -78,13 +78,27 @@ std::vector<real> run_on_device(const FuzzConfig& cfg, bool async,
   return pack_state(sim.particles());
 }
 
+/// run_on_device under InOrderSchedule, keeping what its controller saw.
+Reference run_in_order(const FuzzConfig& cfg, nbody::Particles p,
+                       const nbody::SimConfig& sim_cfg) {
+  InOrderSchedule ctrl;
+  Reference ref;
+  ref.state = run_on_device(cfg, &ctrl, std::move(p), sim_cfg);
+  ref.violations = ctrl.violations();
+  return ref;
+}
+
 } // namespace
 
-std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
+std::vector<real> run_controlled(const FuzzConfig& cfg,
                                  runtime::ScheduleController* controller) {
-  return run_on_device(cfg, async, controller,
-                       fuzz_cloud(cfg.n, cfg.workload_seed),
+  return run_on_device(cfg, controller, fuzz_cloud(cfg.n, cfg.workload_seed),
                        fuzz_sim_config(cfg.rebuild_interval));
+}
+
+Reference in_order_reference(const FuzzConfig& cfg) {
+  return run_in_order(cfg, fuzz_cloud(cfg.n, cfg.workload_seed),
+                      fuzz_sim_config(cfg.rebuild_interval));
 }
 
 RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
@@ -95,7 +109,7 @@ RunOutcome replay_seed(const FuzzConfig& cfg, std::uint64_t seed,
   // hosts without AVX2 — set_simd_enabled clamps to availability).
   simt::ScopedSimd simd(((seed >> 4) & 1) != 0);
   SeededSchedule ctrl(seed);
-  const std::vector<real> state = run_controlled(cfg, true, &ctrl);
+  const std::vector<real> state = run_controlled(cfg, &ctrl);
   RunOutcome out;
   out.signature = ctrl.signature();
   out.decision_points = ctrl.decision_points();
@@ -113,7 +127,7 @@ void append_run_failure(SweepReport& rep, const std::string& who,
   const char* sep = ": ";
   if (!bit_identical) {
     line += sep;
-    line += "state diverged from the synchronous reference";
+    line += "state diverged from the in-order reference";
     sep = "; ";
   }
   for (const std::string& v : violations) {
@@ -124,15 +138,25 @@ void append_run_failure(SweepReport& rep, const std::string& who,
   rep.failures.push_back(line);
 }
 
+/// A failing leg for a reference run whose controller saw violations.
+void check_reference(SweepReport& rep, const std::string& who,
+                     const Reference& ref) {
+  if (!ref.violations.empty()) {
+    append_run_failure(rep, who + " in-order reference", true,
+                       ref.violations);
+  }
+}
+
 } // namespace
 
 SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                         std::size_t count) {
   SweepReport rep;
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
+  const Reference ref = in_order_reference(cfg);
+  check_reference(rep, "fuzz workload", ref);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t seed = base_seed + i;
-    const RunOutcome out = replay_seed(cfg, seed, ref);
+    const RunOutcome out = replay_seed(cfg, seed, ref.state);
     ++rep.runs;
     rep.signatures.insert(out.signature);
     rep.decision_points_total += out.decision_points;
@@ -146,12 +170,13 @@ SweepReport sweep_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 }
 
 SweepReport enumerate_schedules(const FuzzConfig& cfg, std::size_t max_runs) {
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
   SweepReport rep;
+  const Reference ref = in_order_reference(cfg);
+  check_reference(rep, "fuzz workload", ref);
   std::vector<std::size_t> path;
   while (rep.runs < max_runs) {
     ScriptedSchedule ctrl(path);
-    const std::vector<real> state = run_controlled(cfg, true, &ctrl);
+    const std::vector<real> state = run_controlled(cfg, &ctrl);
     ++rep.runs;
     std::string who = "path [";
     for (std::size_t i = 0; i < ctrl.decisions().size(); ++i) {
@@ -165,8 +190,8 @@ SweepReport enumerate_schedules(const FuzzConfig& cfg, std::size_t max_runs) {
       rep.failures.push_back(who + ": interleaving repeated an earlier path");
     }
     rep.decision_points_total += ctrl.decisions().size();
-    if (state != ref || !ctrl.violations().empty()) {
-      append_run_failure(rep, who, state == ref, ctrl.violations());
+    if (state != ref.state || !ctrl.violations().empty()) {
+      append_run_failure(rep, who, state == ref.state, ctrl.violations());
     }
     auto next = ScriptedSchedule::next_path(ctrl.decisions());
     if (!next) break; // tree exhausted
@@ -188,7 +213,7 @@ std::size_t count_in_dag(const std::vector<std::uint64_t>& ids) {
 FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
   FaultOutcome out;
   FaultController ctrl(plan);
-  runtime::Device dev(cfg.workers, 1);
+  runtime::Device dev(cfg.workers);
   dev.set_schedule_controller(&ctrl);
 
   // GOTHIC_FLIGHT turns every fault-plan failure into a self-describing
@@ -343,9 +368,9 @@ FaultSweepReport sweep_faults(const FuzzConfig& cfg, std::uint64_t base_seed,
 namespace {
 
 /// The seeded engine run of the shard and scenario legs: low seed bits
-/// pick the shard count (bits 3+), async mode (bit 2) and SIMD substrate
-/// (bit 5, a no-op on hosts without AVX2), so short sequential seed
-/// ranges already cover the matrix; `p` runs `cfg.steps` steps under `sim_cfg` with one seeded
+/// pick the shard count (bits 3+) and SIMD substrate (bit 5, a no-op on
+/// hosts without AVX2), so short sequential seed ranges already cover the
+/// matrix; `p` runs `cfg.steps` steps under `sim_cfg` with one seeded
 /// stream controller per shard device, and the packed final state is
 /// compared with `reference`.
 void run_seeded_engine(const FuzzConfig& cfg, std::uint64_t seed,
@@ -354,13 +379,11 @@ void run_seeded_engine(const FuzzConfig& cfg, std::uint64_t seed,
                        ShardRunOutcome& out) {
   const int shard_choices[] = {1, 2, 4};
   out.shards = shard_choices[(seed >> 3) % 3];
-  out.async = ((seed >> 2) & 1) != 0;
   simt::ScopedSimd simd(((seed >> 5) & 1) != 0);
 
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
-  opt.async = out.async ? 1 : 0;
   nbody::ShardedSimulation sim(std::move(p), sim_cfg, opt);
 
   // One seeded stream controller per shard device, installed between the
@@ -398,10 +421,11 @@ ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
 SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
                               std::size_t count) {
   SweepReport rep;
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
+  const Reference ref = in_order_reference(cfg);
+  check_reference(rep, "fuzz workload", ref);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t seed = base_seed + i;
-    const ShardRunOutcome out = run_sharded(cfg, seed, ref);
+    const ShardRunOutcome out = run_sharded(cfg, seed, ref.state);
     ++rep.runs;
     rep.signatures.insert(out.signature);
     rep.decision_points_total += out.decision_points;
@@ -409,8 +433,7 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
       rep.failing_seeds.push_back(seed);
       append_run_failure(rep,
                          "seed " + hex_seed(seed) + " (K=" +
-                             std::to_string(out.shards) +
-                             (out.async ? ", async" : ", sync") + ")",
+                             std::to_string(out.shards) + ")",
                          out.bit_identical, out.violations);
     }
   }
@@ -433,10 +456,10 @@ nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
   return cfg;
 }
 
-std::vector<real> scenario_reference(const FuzzConfig& cfg,
-                                     const scenario::Scenario& sc) {
-  return run_on_device(cfg, false, nullptr, sc.make(cfg.n, cfg.workload_seed),
-                       scenario_fuzz_config(sc, cfg.rebuild_interval));
+Reference scenario_reference(const FuzzConfig& cfg,
+                             const scenario::Scenario& sc) {
+  return run_in_order(cfg, sc.make(cfg.n, cfg.workload_seed),
+                      scenario_fuzz_config(sc, cfg.rebuild_interval));
 }
 
 ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
@@ -454,14 +477,19 @@ ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
 
 ScenarioRunOutcome replay_scenario_seed(const FuzzConfig& cfg,
                                         std::uint64_t seed) {
-  return run_scenario(
-      cfg, seed, scenario_reference(cfg, scenario::scenario_from_seed(seed)));
+  const Reference ref =
+      scenario_reference(cfg, scenario::scenario_from_seed(seed));
+  ScenarioRunOutcome out = run_scenario(cfg, seed, ref.state);
+  for (const std::string& v : ref.violations) {
+    out.violations.push_back("in-order reference: " + v);
+  }
+  return out;
 }
 
 SweepReport sweep_scenario_seeds(const FuzzConfig& cfg,
                                  std::uint64_t base_seed, std::size_t count) {
   SweepReport rep;
-  // One synchronous reference per scenario the seed range actually hits
+  // One in-order reference per scenario the seed range actually hits
   // (IC generation can dwarf the run itself, e.g. the M31 model).
   std::map<std::string, std::vector<real>> refs;
   for (std::size_t i = 0; i < count; ++i) {
@@ -469,7 +497,9 @@ SweepReport sweep_scenario_seeds(const FuzzConfig& cfg,
     const scenario::Scenario& sc = scenario::scenario_from_seed(seed);
     auto it = refs.find(sc.name);
     if (it == refs.end()) {
-      it = refs.emplace(sc.name, scenario_reference(cfg, sc)).first;
+      Reference ref = scenario_reference(cfg, sc);
+      check_reference(rep, "scenario " + sc.name, ref);
+      it = refs.emplace(sc.name, std::move(ref.state)).first;
     }
     const ScenarioRunOutcome out = run_scenario(cfg, seed, it->second);
     ++rep.runs;
@@ -480,8 +510,7 @@ SweepReport sweep_scenario_seeds(const FuzzConfig& cfg,
       append_run_failure(rep,
                          "seed " + hex_seed(seed) + " (scenario " +
                              out.scenario + ", K=" +
-                             std::to_string(out.shards) +
-                             (out.async ? ", async" : ", sync") + ")",
+                             std::to_string(out.shards) + ")",
                          out.bit_identical, out.violations);
     }
   }
@@ -497,7 +526,6 @@ ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed) {
   nbody::ShardOptions opt;
   opt.shards = out.shards;
   opt.workers = cfg.workers;
-  opt.async = -1; // follow GOTHIC_ASYNC — check.sh sweeps both modes
   nbody::ShardedSimulation sim(fuzz_cloud(cfg.n, cfg.workload_seed),
                                fuzz_sim_config(cfg.rebuild_interval), opt);
   (void)sim.step(); // a healthy step first, so the fault hits steady state

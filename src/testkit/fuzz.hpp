@@ -1,10 +1,11 @@
 // Schedule-fuzz and fault-sweep drivers over the step engine.
 //
 // One controlled run executes a deterministic workload (fixed particle
-// cloud, fixed rebuild cadence) on a fresh async Device driven by a
-// schedule controller, and compares the final particle state bit-for-bit
-// against the synchronous (GOTHIC_ASYNC=0 semantics) reference run of the
-// identical workload. Two sweep strategies share that runner:
+// cloud, fixed rebuild cadence) on a fresh Device driven by a schedule
+// controller, and compares the final particle state bit-for-bit against
+// the in-order reference: the identical workload under InOrderSchedule,
+// one launch at a time in issue order. Two sweep strategies share that
+// runner:
 //
 //  * sweep_seeds — N independent SeededSchedule runs; any failure is
 //    reproducible from the failing 64-bit seed alone (replay_seed).
@@ -50,12 +51,22 @@ nbody::SimConfig fuzz_sim_config(int rebuild_interval);
 /// Pack the integration state for exact (bitwise) comparison.
 std::vector<real> pack_state(const nbody::Particles& p);
 
-/// Run cfg.steps steps of the fuzz workload on a fresh device and return
-/// the packed final state. `async` false with a null controller is the
-/// synchronous reference; `async` true runs the stream scheduler under
-/// `controller` (may be null for a free-running async run).
-std::vector<real> run_controlled(const FuzzConfig& cfg, bool async,
+/// Run cfg.steps steps of the fuzz workload on a fresh device under
+/// `controller` (null for a free-running run) and return the packed final
+/// state.
+std::vector<real> run_controlled(const FuzzConfig& cfg,
                                  runtime::ScheduleController* controller);
+
+/// The serial reference of a workload: its final state under
+/// InOrderSchedule, and the scheduler violations that controller saw. A
+/// leg whose reference reports a violation fails.
+struct Reference {
+  std::vector<real> state;
+  std::vector<std::string> violations;
+};
+
+/// The fuzz workload's reference: run_controlled under InOrderSchedule.
+Reference in_order_reference(const FuzzConfig& cfg);
 
 /// Outcome of one controlled schedule run.
 struct RunOutcome {
@@ -65,8 +76,8 @@ struct RunOutcome {
   std::vector<std::string> violations;
 };
 
-/// Replay one seed against a reference state (from run_controlled(cfg,
-/// false, nullptr)). Deterministic: equal seeds yield equal signatures.
+/// Replay one seed against a reference state (in_order_reference(cfg)
+/// .state). Deterministic: equal seeds yield equal signatures.
 /// The seed is the whole replay token: it drives the SeededSchedule
 /// controller, and bit 4 pins the SIMD substrate, so sweeps cross-check
 /// the AVX2 and scalar paths against one reference (a no-op on hosts
@@ -129,11 +140,10 @@ FaultSweepReport sweep_faults(const FuzzConfig& cfg, std::uint64_t base_seed,
 
 // --- Sharded pipeline sweeps ----------------------------------------------
 
-/// Outcome of one sharded controlled run against the one-shard
-/// synchronous reference.
+/// Outcome of one sharded controlled run against the one-shard in-order
+/// reference.
 struct ShardRunOutcome {
   int shards = 1;
-  bool async = false;
   std::string signature; ///< per-shard schedule signatures, '|'-joined
   std::size_t decision_points = 0;
   bool bit_identical = false;
@@ -141,13 +151,13 @@ struct ShardRunOutcome {
 };
 
 /// Run the fuzz workload through the step engine. The seed is the full
-/// replay token: async mode from (seed >> 2) & 1, shard count K in
-/// {1, 2, 4} from (seed >> 3) % 3, the SIMD substrate from (seed >> 5) & 1,
-/// and one SeededSchedule stream controller per shard device derived from
-/// (seed, shard). Bits 0-1 are unused; the other fields keep their bits
-/// so every printed seed keeps decoding to the same run. Compares
-/// bit-for-bit against `reference` (from run_controlled(cfg, false,
-/// nullptr) — the unsharded synchronous run).
+/// replay token: shard count K in {1, 2, 4} from (seed >> 3) % 3, the SIMD
+/// substrate from (seed >> 5) & 1, and one SeededSchedule stream
+/// controller per shard device derived from (seed, shard). Bits 0-2 are
+/// unused; the other fields keep their bits so every printed seed keeps
+/// decoding to the same shard count and substrate. Compares bit-for-bit
+/// against `reference` (in_order_reference(cfg).state — the unsharded
+/// in-order run).
 ShardRunOutcome run_sharded(const FuzzConfig& cfg, std::uint64_t seed,
                             const std::vector<real>& reference);
 
@@ -165,10 +175,10 @@ SweepReport sweep_shard_seeds(const FuzzConfig& cfg, std::uint64_t base_seed,
 nbody::SimConfig scenario_fuzz_config(const scenario::Scenario& sc,
                                       int rebuild_interval);
 
-/// Synchronous unsharded reference state of a scenario's fuzz workload
+/// In-order unsharded reference of a scenario's fuzz workload
 /// (sc.make(cfg.n, cfg.workload_seed), cfg.steps steps).
-std::vector<real> scenario_reference(const FuzzConfig& cfg,
-                                     const scenario::Scenario& sc);
+Reference scenario_reference(const FuzzConfig& cfg,
+                             const scenario::Scenario& sc);
 
 /// Outcome of one scenario-parameterized controlled run.
 struct ScenarioRunOutcome : ShardRunOutcome {
@@ -177,20 +187,21 @@ struct ScenarioRunOutcome : ShardRunOutcome {
 
 /// One scenario leg: the seed is the full replay token — the *scenario*
 /// comes from scenario::scenario_from_seed(seed) (hashed, so consecutive
-/// seeds land on different registry entries) and the async/shard-count/
-/// SIMD bits follow run_sharded's encoding. Compares the
-/// final state bit-for-bit against `reference` (scenario_reference of the
+/// seeds land on different registry entries) and the shard-count/SIMD
+/// bits follow run_sharded's encoding. Compares the final state
+/// bit-for-bit against `reference` (scenario_reference(...).state of the
 /// same scenario); a printed seed therefore reproduces workload (ICs +
 /// force law) and schedule together.
 ScenarioRunOutcome run_scenario(const FuzzConfig& cfg, std::uint64_t seed,
                                 const std::vector<real>& reference);
 
 /// Replay one scenario seed, computing its own reference (the repro entry
-/// point of gothic_fuzz --replay-scenario).
+/// point of gothic_fuzz --replay-scenario); the reference's violations
+/// join the outcome's.
 ScenarioRunOutcome replay_scenario_seed(const FuzzConfig& cfg,
                                         std::uint64_t seed);
 
-/// N independent run_scenario runs; synchronous references are computed
+/// N independent run_scenario runs; in-order references are computed
 /// once per distinct scenario hit by the seed range.
 SweepReport sweep_scenario_seeds(const FuzzConfig& cfg,
                                  std::uint64_t base_seed, std::size_t count);
@@ -207,12 +218,12 @@ struct ShardFaultOutcome {
   [[nodiscard]] bool ok() const { return detail.empty(); }
 };
 
-/// Build a sharded simulation (K in {2, 3, 4} from the seed; shard devices
-/// follow the GOTHIC_ASYNC environment), inject a launch-body throw into
-/// one shard's device mid-step, and assert the isolation contract: step()
-/// surfaces the injected fault exactly when it fired, and *every* shard
-/// device — including the faulted one — accepts and completes new work
-/// afterwards (one shard's failure must not poison the others).
+/// Build a sharded simulation (K in {2, 3, 4} from the seed), inject a
+/// launch-body throw into one shard's device mid-step, and assert the
+/// isolation contract: step() surfaces the injected fault exactly when it
+/// fired, and *every* shard device — including the faulted one — accepts
+/// and completes new work afterwards (one shard's failure must not poison
+/// the others).
 ShardFaultOutcome run_shard_fault(const FuzzConfig& cfg, std::uint64_t seed);
 
 FaultSweepReport sweep_shard_faults(const FuzzConfig& cfg,

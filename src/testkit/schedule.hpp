@@ -15,7 +15,10 @@
 // the comma-joined executed launch-id order, so two runs took the same
 // interleaving iff their signatures match.
 //
-// Two deciders:
+// Three deciders:
+//  * InOrderSchedule — always grants the oldest ready launch, so the
+//    engine runs one launch at a time in issue order. This is the serial
+//    reference every bit-identity oracle compares against.
 //  * SeededSchedule — every real decision point (more than one ready
 //    launch) consumes one PRNG draw from a 64-bit seed. Replaying the
 //    seed replays the exact interleaving; printing it is a full repro.
@@ -85,6 +88,22 @@ private:
   std::size_t enqueued_ = 0;
   std::size_t decision_points_ = 0;
   std::vector<std::string> violations_;
+};
+
+/// Serial reference decider: grants the smallest ready launch id. The
+/// smallest incomplete launch is always ready (its dependencies and its
+/// lane predecessors carry smaller ids), so launches execute strictly in
+/// issue order, one at a time, while the base class still checks every
+/// scheduler invariant.
+class InOrderSchedule final : public RecordingController {
+protected:
+  std::size_t choose(std::span<const runtime::ReadyLaunch> ready) override {
+    std::size_t c = 0;
+    for (std::size_t i = 1; i < ready.size(); ++i) {
+      if (ready[i].id < ready[c].id) c = i;
+    }
+    return c;
+  }
 };
 
 /// Seeded random decider: one 64-bit seed determines the entire

@@ -46,17 +46,14 @@ TelemetryWriter::TelemetryWriter(std::string path) : path_(std::move(path)) {
 
 void TelemetryWriter::write_config() {
   // The run's environment fingerprint — enough to group/partition a
-  // scraped time series by scheduler and substrate configuration. The
-  // async, lanes and SIMD fields are what runs: the scheduling default a
-  // Device resolves, its lane count, and the tier in effect (environment,
-  // CPU support, build and any ScopedSimd override together), not the
-  // variables. The walk has one schedule, so it is not part of the
-  // fingerprint.
-  const bool async = runtime::Device::default_async();
+  // scraped time series by substrate configuration. The lanes and SIMD
+  // fields are what runs: every Device's lane count, and the tier in
+  // effect (environment, CPU support, build and any ScopedSimd override
+  // together), not the variables. The walk has one schedule, so it is not
+  // part of the fingerprint.
   os_ << "{\"type\": \"config\", \"v\": 1"
-      << ", \"async\": " << (async ? 1 : 0)
       << ", \"simd\": " << (simt::simd_enabled() ? 1 : 0)
-      << ", \"lanes\": " << (async ? runtime::Device::kLanes : 0)
+      << ", \"lanes\": " << runtime::Device::kLanes
       << ", \"threads\": " << env_size("GOTHIC_THREADS", 0)
       << ", \"shards\": " << env_size("GOTHIC_SHARDS", 1) << "}\n"
       << std::flush;

@@ -4,8 +4,8 @@
 // series any external scraper can tail:
 //
 //   {"type":"config","v":1,...}    once, at construction — the run's
-//                                  config fingerprint (async/simd/lanes
-//                                  as they run, threads/shards from the
+//                                  config fingerprint (simd/lanes as
+//                                  they run, threads/shards from the
 //                                  environment)
 //   {"type":"step","v":1,...}      once per step — the StepMark's timing,
 //                                  walk/shard imbalance and LET traffic,

@@ -235,7 +235,7 @@ TEST(FlightRecorder, DumpKeepsGoldenSchema) {
 
 TEST(FlightRecorder, FaultedLaunchAppearsInTheDumpWithItsDependencyEdges) {
   trace::FlightRecorder flight;
-  runtime::Device dev(2, /*async=*/1);
+  runtime::Device dev(2);
   runtime::InstrumentationSink sink;
   sink.set_listener(&flight);
 
@@ -395,7 +395,7 @@ TEST(Telemetry, StreamKeepsGoldenSchema) {
   const JsonValue& cfg = docs[0];
   EXPECT_EQ(require(cfg, "type", JsonValue::Type::String).str, "config");
   EXPECT_EQ(require(cfg, "v", JsonValue::Type::Number).number, 1.0);
-  require(cfg, "async", JsonValue::Type::Number);
+  EXPECT_FALSE(cfg.has("async"));
   require(cfg, "simd", JsonValue::Type::Number);
   require(cfg, "lanes", JsonValue::Type::Number);
   require(cfg, "threads", JsonValue::Type::Number);
@@ -483,11 +483,11 @@ private:
 };
 
 TEST(Telemetry, ConfigLineLogsTheLanesThatRun) {
-  // The scheduling and lane count devices run with, not the variables: a
-  // lane count in the environment changes nothing, and a synchronous run
-  // has no lanes.
+  // The lane count devices run with, not the variables: every device has
+  // two lanes and no scheduler mode, so neither a lane count nor the
+  // removed GOTHIC_ASYNC in the environment changes the config line.
   const std::string path = "test_telemetry_lanes.jsonl";
-  auto logged = [&path](const char* key) {
+  auto config = [&path] {
     {
       trace::TelemetryWriter w(path);
       EXPECT_TRUE(w.ok());
@@ -495,19 +495,15 @@ TEST(Telemetry, ConfigLineLogsTheLanesThatRun) {
     std::ifstream is(path);
     std::string line;
     std::getline(is, line);
-    const JsonValue cfg = JsonParser(line).parse();
-    return require(cfg, key, JsonValue::Type::Number).number;
+    return JsonParser(line).parse();
   };
-  {
-    const ScopedEnv async("GOTHIC_ASYNC", "1");
+  for (const char* value : {"1", "0"}) {
+    const ScopedEnv async("GOTHIC_ASYNC", value);
     const ScopedEnv lanes("GOTHIC_ASYNC_LANES", "3");
-    EXPECT_EQ(logged("async"), 1.0);
-    EXPECT_EQ(logged("lanes"), 2.0);
-  }
-  {
-    const ScopedEnv sync("GOTHIC_ASYNC", "0");
-    EXPECT_EQ(logged("async"), 0.0);
-    EXPECT_EQ(logged("lanes"), 0.0);
+    const JsonValue cfg = config();
+    EXPECT_EQ(require(cfg, "lanes", JsonValue::Type::Number).number, 2.0)
+        << "GOTHIC_ASYNC=" << value;
+    EXPECT_FALSE(cfg.has("async")) << "GOTHIC_ASYNC=" << value;
   }
   std::remove(path.c_str());
 }
@@ -649,7 +645,7 @@ TEST(ListenerContract, CallbacksRunOnTheCallersThreadAfterEachJoin) {
     EXPECT_EQ(refresh, 2u) << what << ": refresh_forces records";
   };
 
-  runtime::Device dev(2, /*async=*/1);
+  runtime::Device dev(2);
   runtime::ScopedDevice scope(dev);
   nbody::Simulation one(plummer(1024, 51), small_config());
   check(one, "Simulation");
@@ -657,7 +653,6 @@ TEST(ListenerContract, CallbacksRunOnTheCallersThreadAfterEachJoin) {
   nbody::ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  opt.async = 1;
   nbody::ShardedSimulation two(plummer(1024, 53), small_config(), opt);
   check(two, "K=2");
 }
@@ -694,7 +689,6 @@ TEST(FlightIntegration, ShardFaultDumpsTheRingOnTheErrorPath) {
   nbody::ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  opt.async = 1;
   nbody::ShardedSimulation sim(plummer(512, 41), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);
   ASSERT_NE(sim.flight_recorder(), nullptr);
@@ -731,7 +725,6 @@ TEST(FlightIntegration, TwoFaultingInstancesKeepDistinctDumps) {
   nbody::ShardOptions opt;
   opt.shards = 2;
   opt.workers = 2;
-  opt.async = 1;
   nbody::ShardedSimulation one(plummer(512, 41), small_config(), opt);
   nbody::ShardedSimulation two(plummer(512, 43), small_config(), opt);
   ASSERT_EQ(unsetenv("GOTHIC_FLIGHT"), 0);

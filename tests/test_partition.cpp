@@ -139,7 +139,7 @@ TEST(Partition, DeterministicAcrossWorkerCounts) {
 
   std::vector<std::vector<std::size_t>> results;
   for (const int workers : {1, 3, 4}) {
-    runtime::Device dev(workers, /*async=*/0);
+    runtime::Device dev(workers);
     runtime::ScopedDevice scope(dev);
     results.push_back(partition_weighted(w, 3));
   }

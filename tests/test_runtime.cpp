@@ -9,6 +9,7 @@
 #include "octree/calc_node.hpp"
 #include "octree/radix_sort.hpp"
 #include "octree/tree_build.hpp"
+#include "testkit/schedule.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -213,7 +214,7 @@ TEST(Device, WorkerArenasRetainCapacityAcrossLaunches) {
 // --- Streams, events, instrumentation -------------------------------------
 
 TEST(Launch, RecordsIdsOpsAndSink) {
-  Device dev(2, /*async=*/0); // synchronous: the record is complete on return
+  Device dev(2);
   InstrumentationSink sink;
   Stream s("tree");
   LaunchDesc desc;
@@ -226,6 +227,7 @@ TEST(Launch, RecordsIdsOpsAndSink) {
     ops.int_ops += 42;
   });
   EXPECT_TRUE(e.valid());
+  dev.synchronize(); // the record is complete once its launch is
   ASSERT_EQ(sink.step_records().size(), 1u);
   const LaunchRecord& rec = sink.last();
   EXPECT_EQ(rec.id, e.id);
@@ -299,7 +301,7 @@ TEST(Launch, ForeignDeviceDependencyThrows) {
 }
 
 TEST(Launch, AsyncRecordCompletesByEventWait) {
-  Device dev(2, /*async=*/1);
+  Device dev(2);
   InstrumentationSink sink;
   Stream s("tree");
   LaunchDesc desc;
@@ -329,7 +331,7 @@ TEST(Launch, CrossStreamEventOrdering) {
   // scheduler's cross-lane event waits carry the entire ordering. Run
   // under TSan this doubles as the data-race stress test for the
   // dependency machinery.
-  Device dev(2, /*async=*/1);
+  Device dev(2);
   Stream a("a"), b("b");
   constexpr int kRounds = 64;
   std::vector<int> seq;
@@ -353,7 +355,7 @@ TEST(Launch, IndependentStreamsOverlap) {
   // the step wall span stays well under the serial sum. A lane costs a
   // thread, not a worker, so a 1-worker device overlaps them too.
   for (int workers : {2, 1}) {
-    Device dev(workers, /*async=*/1);
+    Device dev(workers);
     InstrumentationSink sink;
     Stream a("a"), b("b");
     auto sleeper = [](simt::OpCounts&) {
@@ -380,7 +382,7 @@ TEST(Launch, BodyCollectivesUseTheWholePool) {
   // any lane sees every worker, its collectives fork onto all of them, and
   // its record carries the pool width — for four streams over the two
   // lanes.
-  Device dev(4, /*async=*/1);
+  Device dev(4);
   ASSERT_EQ(dev.lane_count(), 2);
   InstrumentationSink sink;
   std::vector<Stream> streams(4, Stream("s"));
@@ -418,7 +420,7 @@ TEST(Launch, BodyCollectivesUseTheWholePool) {
 }
 
 TEST(Launch, AsyncBodyErrorSurfacesAtSynchronize) {
-  Device dev(2, /*async=*/1);
+  Device dev(2);
   LaunchDesc desc;
   (void)dev.launch(desc, [](simt::OpCounts&) {
     throw std::runtime_error("body failed");
@@ -439,7 +441,7 @@ TEST(Sink, LastThrowsWhenEmpty) {
 }
 
 TEST(Device, DispatchPropagatesExactlyOneError) {
-  Device dev(4, /*async=*/0);
+  Device dev(4);
   auto reusable = [&dev] {
     std::vector<int> hits(16, 0);
     dev.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i] = 1; });
@@ -645,24 +647,29 @@ TEST(SimulationRuntime, SteadyStateStepsDoZeroArenaHeapAllocations) {
 }
 
 TEST(SimulationRuntime, AsyncMatchesSyncBitIdentical) {
-  // The tentpole's acceptance gate: a full step loop (including rebuild
-  // steps) produces bit-identical particle state whether the launch DAG is
-  // executed synchronously or by the asynchronous stream scheduler.
-  auto run = [](int workers, int async) {
-    Device dev(workers, async);
+  // A full step loop (including rebuild steps) produces bit-identical
+  // particle state whether the stream scheduler free-runs or is forced
+  // through the in-order schedule: one launch at a time in issue order,
+  // the serial reference every oracle compares against.
+  auto run = [](int workers, ScheduleController* ctrl) {
+    Device dev(workers);
     ScopedDevice scope(dev);
+    if (ctrl != nullptr) dev.set_schedule_controller(ctrl);
     nbody::SimConfig cfg;
     cfg.auto_rebuild = false;
     cfg.fixed_rebuild_interval = 3;
     nbody::Simulation sim(uniform_cloud(640), cfg);
     sim.run(7);
+    if (ctrl != nullptr) dev.set_schedule_controller(nullptr);
     return sim;
   };
   for (int workers : {1, 2, 4}) {
-    const auto sync = run(workers, 0);
-    const auto async = run(workers, 1);
-    const auto& ps = sync.particles();
-    const auto& pa = async.particles();
+    testkit::InOrderSchedule ctrl;
+    const auto serial = run(workers, &ctrl);
+    EXPECT_TRUE(ctrl.violations().empty()) << workers << " workers";
+    const auto free_run = run(workers, nullptr);
+    const auto& ps = serial.particles();
+    const auto& pa = free_run.particles();
     ASSERT_EQ(ps.size(), pa.size());
     for (std::size_t i = 0; i < ps.size(); ++i) {
       EXPECT_EQ(ps.x[i], pa.x[i]) << "workers " << workers << " body " << i;
@@ -672,12 +679,12 @@ TEST(SimulationRuntime, AsyncMatchesSyncBitIdentical) {
       EXPECT_EQ(ps.vy[i], pa.vy[i]) << "workers " << workers << " body " << i;
       EXPECT_EQ(ps.vz[i], pa.vz[i]) << "workers " << workers << " body " << i;
     }
-    EXPECT_EQ(sync.rebuild_count(), async.rebuild_count());
+    EXPECT_EQ(serial.rebuild_count(), free_run.rebuild_count());
   }
 }
 
 TEST(SimulationRuntime, StepReportCarriesWallAndOverlap) {
-  Device dev(2, /*async=*/1);
+  Device dev(2);
   ScopedDevice scope(dev);
   nbody::SimConfig cfg;
   cfg.auto_rebuild = false;
@@ -781,11 +788,6 @@ TEST(SimulationRuntime, StepsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(LaneConfig, SyncDeviceReportsZeroLanes) {
-  Device dev(2, 0);
-  EXPECT_EQ(dev.lane_count(), 0);
-}
-
 // --- schedule stress -------------------------------------------------------
 
 TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
@@ -795,7 +797,7 @@ TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
   Xoshiro256 rng(99);
   constexpr int kN = 200;
   for (int round = 0; round < 4; ++round) {
-    Device dev(4, 1);
+    Device dev(4);
     Stream streams[4] = {Stream{"s0"}, Stream{"s1"}, Stream{"s2"},
                          Stream{"s3"}};
     std::vector<std::atomic<int>> done(kN + 1);
@@ -846,7 +848,7 @@ TEST(LaunchEngine, StressRandomCrossStreamDagsKeepDependencyOrder) {
 // scratch, or a slot shared across contexts, fails a verification (and,
 // under TSan, races).
 void ExpectLanesKeepArenasPrivate(int workers) {
-  Device dev(workers, /*async=*/1);
+  Device dev(workers);
   ASSERT_EQ(dev.lane_count(), 2);
   Stream a("a"), b("b");
   constexpr std::size_t kWords = 512;

@@ -1,6 +1,6 @@
 // The scenario registry: registry invariants, config-file derivation, the
 // fuzz seed->scenario map, and the acceptance matrix — every registered
-// scenario must keep the shard/SIMD/async bit-identity contract and every
+// scenario must keep the shard/SIMD/schedule bit-identity contract and every
 // scenario must have a deterministically replayable fuzz seed.
 #include "scenario/registry.hpp"
 
@@ -152,9 +152,9 @@ TEST(ScenarioConfigFile, RejectsMalformedInput) {
                std::invalid_argument);
 }
 
-// --- Acceptance matrix: bit-identity across shard/async/SIMD legs ---------
+// --- Acceptance matrix: bit-identity across shard/schedule/SIMD legs ------
 // Every registered scenario (any force law) must produce the exact state
-// of the synchronous unsharded run when sharded, run async, or run on the
+// of the in-order unsharded run when free-running, sharded, or run on the
 // AVX2 substrate — the same contract the gravity fuzz sweeps pin.
 
 class ScenarioMatrix : public ::testing::TestWithParam<std::string> {};
@@ -164,14 +164,14 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
   testkit::FuzzConfig fc;
   fc.n = 128;
   fc.steps = 4;
-  const std::vector<real> ref = testkit::scenario_reference(fc, sc);
+  const testkit::Reference ref = testkit::scenario_reference(fc, sc);
+  EXPECT_TRUE(ref.violations.empty()) << sc.name;
 
-  const auto leg = [&](int shards, bool async, bool simd_on) {
+  const auto leg = [&](int shards, bool simd_on) {
     simt::ScopedSimd simd(simd_on); // no-op on hosts without AVX2
     nbody::ShardOptions opt;
     opt.shards = shards;
     opt.workers = fc.workers;
-    opt.async = async ? 1 : 0;
     nbody::ShardedSimulation sim(
         sc.make(fc.n, fc.workload_seed),
         testkit::scenario_fuzz_config(sc, fc.rebuild_interval), opt);
@@ -179,9 +179,9 @@ TEST_P(ScenarioMatrix, ShardAsyncSimdLegsBitIdentical) {
     return testkit::pack_state(sim.particles());
   };
 
-  EXPECT_EQ(leg(1, true, false), ref) << sc.name << ": async unsharded";
-  EXPECT_EQ(leg(2, false, false), ref) << sc.name << ": K=2 sync";
-  EXPECT_EQ(leg(4, true, true), ref) << sc.name << ": K=4 async simd";
+  EXPECT_EQ(leg(1, false), ref.state) << sc.name << ": unsharded";
+  EXPECT_EQ(leg(2, false), ref.state) << sc.name << ": K=2";
+  EXPECT_EQ(leg(4, true), ref.state) << sc.name << ": K=4 simd";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -218,7 +218,6 @@ TEST(ScenarioFuzz, EveryScenarioHasAReplayableSeed) {
         testkit::replay_scenario_seed(fc, seed);
     EXPECT_EQ(again.signature, out.signature) << name;
     EXPECT_EQ(again.shards, out.shards) << name;
-    EXPECT_EQ(again.async, out.async) << name;
   }
 }
 

@@ -1,6 +1,6 @@
 // ShardedSimulation: the K-shard pipeline must be bit-identical to the
-// single-device Simulation for any shard count, worker count and async
-// mode (rebuilds included), report per-shard busy time and LET traffic,
+// single-device Simulation for any shard count and worker count (rebuilds
+// included), report per-shard busy time and LET traffic,
 // and isolate one shard's launch fault from the other shards' devices.
 #include "nbody/sharded_simulation.hpp"
 #include "nbody/simulation.hpp"
@@ -70,20 +70,16 @@ TEST(Shard, BitIdenticalToUnshardedAcrossShardCounts) {
   ref.run(kSteps);
 
   for (const int shards : {1, 2, 4}) {
-    for (const int async : {0, 1}) {
-      ShardOptions opt;
-      opt.shards = shards;
-      opt.workers = 3;
-      opt.async = async;
-      ShardedSimulation sim(plummer(kN, 5), shard_config(), opt);
-      sim.run(kSteps);
-      expect_state_equal(sim.particles(), ref.particles(),
-                         "K=" + std::to_string(shards) +
-                             " async=" + std::to_string(async));
-      EXPECT_EQ(sim.step_count(), ref.step_count());
-      EXPECT_EQ(sim.rebuild_count(), ref.rebuild_count());
-      EXPECT_EQ(sim.time(), ref.time());
-    }
+    ShardOptions opt;
+    opt.shards = shards;
+    opt.workers = 3;
+    ShardedSimulation sim(plummer(kN, 5), shard_config(), opt);
+    sim.run(kSteps);
+    expect_state_equal(sim.particles(), ref.particles(),
+                       "K=" + std::to_string(shards));
+    EXPECT_EQ(sim.step_count(), ref.step_count());
+    EXPECT_EQ(sim.rebuild_count(), ref.rebuild_count());
+    EXPECT_EQ(sim.time(), ref.time());
   }
 }
 
@@ -94,7 +90,6 @@ TEST(Shard, BitIdenticalAcrossWorkerCounts) {
     ShardOptions opt;
     opt.shards = 2;
     opt.workers = workers;
-    opt.async = 1;
     ShardedSimulation sim(plummer(kN, 6), shard_config(), opt);
     sim.run(kSteps);
     expect_state_equal(sim.particles(), ref.particles(),
@@ -173,7 +168,6 @@ TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {
   ShardOptions opt;
   opt.shards = 3;
   opt.workers = 2;
-  opt.async = 1;
   ShardedSimulation sim(plummer(512, 10), shard_config(), opt);
   (void)sim.step(); // fault against steady state, not the bootstrap
 

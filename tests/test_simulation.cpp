@@ -200,7 +200,7 @@ TEST(Simulation, ThrowsOnEmptyParticleSet) {
 TEST(Simulation, RandomizedLaunchSchedulesAreBitIdenticalToSyncReference) {
   // Schedule stress: force a batch of randomly chosen interleavings of the
   // step loop's stream DAG through the testkit's serializing controller
-  // and require bit-identical particle state against the synchronous
+  // and require bit-identical particle state against the in-order
   // reference run — every seed is a full repro token if this ever fails.
   testkit::FuzzConfig cfg;
   cfg.n = 128;

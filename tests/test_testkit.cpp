@@ -1,7 +1,8 @@
 // The testkit itself: deterministic schedule exploration (DFS enumeration,
-// seeded replay), the invariant checks of RecordingController, the fuzz
-// drivers over Simulation::step (bit-identity against the synchronous
-// reference across hundreds of distinct interleavings), fault injection
+// seeded replay), the in-order reference schedule, the invariant checks of
+// RecordingController, the fuzz drivers over Simulation::step
+// (bit-identity against the in-order reference across hundreds of
+// distinct interleavings), fault injection
 // (launch-body exceptions, worker stalls, arena exhaustion) with the
 // first-wins error contract and device reuse, torn-record protection for
 // instrumentation listeners, and the zero-overhead guarantee when no
@@ -82,7 +83,7 @@ TEST(ScheduleControl, TwoIndependentChainsEnumerateAllSixInterleavings) {
   int runs = 0;
   for (;;) {
     ScriptedSchedule ctrl(path);
-    Device dev(2, 1);
+    Device dev(2);
     dev.set_schedule_controller(&ctrl);
     Stream a("A");
     Stream b("B");
@@ -115,7 +116,7 @@ TEST(ScheduleControl, TwoIndependentChainsEnumerateAllSixInterleavings) {
 TEST(ScheduleControl, SeededReplayReproducesTheExactInterleaving) {
   auto run = [](std::uint64_t seed) {
     SeededSchedule ctrl(seed);
-    Device dev(2, 1);
+    Device dev(2);
     dev.set_schedule_controller(&ctrl);
     Stream a("A");
     Stream b("B");
@@ -142,7 +143,7 @@ TEST(ScheduleControl, SeededReplayReproducesTheExactInterleaving) {
 
 TEST(ScheduleControl, EventWaitObservesACompletedLaunch) {
   SeededSchedule ctrl(11);
-  Device dev(2, 1);
+  Device dev(2);
   dev.set_schedule_controller(&ctrl);
   Stream a("A");
   std::mutex mu;
@@ -158,7 +159,7 @@ TEST(ScheduleControl, EventWaitObservesACompletedLaunch) {
 }
 
 TEST(ScheduleControl, InstallingWhileLaunchesAreInFlightThrows) {
-  Device dev(2, 1);
+  Device dev(2);
   Stream a("A");
   std::atomic<bool> release{false};
   LaunchDesc desc;
@@ -216,9 +217,33 @@ TEST(ScheduleControl, NextPathWalksTheDecisionTreeDepthFirst) {
 
 // --- schedule fuzzing over Simulation::step -------------------------------
 
+TEST(ScheduleFuzz, InOrderReferenceIsSerialAndMatchesFreeRunning) {
+  // The reference every oracle compares against: under InOrderSchedule
+  // the step engine's launches execute one at a time with consecutive ids
+  // from the first enqueued one, without a violation, and the state
+  // equals a free-running run at every worker count.
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    FuzzConfig cfg;
+    cfg.workers = workers;
+    InOrderSchedule ctrl;
+    const std::vector<real> serial = run_controlled(cfg, &ctrl);
+    EXPECT_TRUE(ctrl.violations().empty()) << ctrl.violations().front();
+    ASSERT_EQ(ctrl.executed().size(), ctrl.enqueued());
+    ASSERT_FALSE(ctrl.executed().empty());
+    for (std::size_t i = 0; i < ctrl.executed().size(); ++i) {
+      EXPECT_EQ(ctrl.executed()[i], ctrl.executed().front() + i);
+    }
+    EXPECT_EQ(serial, run_controlled(cfg, nullptr));
+    const Reference ref = in_order_reference(cfg);
+    EXPECT_EQ(ref.state, serial);
+    EXPECT_TRUE(ref.violations.empty());
+  }
+}
+
 TEST(ScheduleFuzz, EnumerationCoversHundredsOfDistinctInterleavings) {
   // The acceptance gate: >= 256 distinct recorded interleavings of the
-  // multi-stream step DAG, each bit-identical to the synchronous reference.
+  // multi-stream step DAG, each bit-identical to the in-order reference.
   // With 10 steps at rebuild interval 1 the schedule tree has 2^9 leaves;
   // 264 DFS runs are 264 distinct interleavings.
   const FuzzConfig cfg;
@@ -238,9 +263,10 @@ TEST(ScheduleFuzz, SeededSweepIsCleanAndSeedsReplayDeterministically) {
   EXPECT_GT(rep.signatures.size(), 1u);
   EXPECT_TRUE(rep.ok()) << rep.failures.front();
 
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
-  const RunOutcome once = replay_seed(cfg, 0x5eed, ref);
-  const RunOutcome twice = replay_seed(cfg, 0x5eed, ref);
+  const Reference ref = in_order_reference(cfg);
+  EXPECT_TRUE(ref.violations.empty());
+  const RunOutcome once = replay_seed(cfg, 0x5eed, ref.state);
+  const RunOutcome twice = replay_seed(cfg, 0x5eed, ref.state);
   EXPECT_EQ(once.signature, twice.signature);
   EXPECT_TRUE(once.bit_identical);
   EXPECT_TRUE(once.violations.empty());
@@ -293,17 +319,18 @@ TEST(FaultInjection, MixedThrowAndStallPlanUpholdsTheContract) {
 
 TEST(FaultInjection, StalledSimulationStepsStayBitIdentical) {
   // Stalls under the free-running engine (no serialization) must only cost
-  // time: the step results remain bit-identical to the sync reference.
+  // time: the step results remain bit-identical to the in-order reference.
   FuzzConfig cfg;
   cfg.steps = 4;
-  const std::vector<real> ref = run_controlled(cfg, false, nullptr);
+  const Reference ref = in_order_reference(cfg);
+  EXPECT_TRUE(ref.violations.empty());
   FaultPlan plan;
   plan.stall_at = {3, 7, 12};
   plan.stall_for = std::chrono::microseconds(1500);
   FaultController ctrl(plan);
-  const std::vector<real> state = run_controlled(cfg, true, &ctrl);
+  const std::vector<real> state = run_controlled(cfg, &ctrl);
   EXPECT_EQ(ctrl.injected_stalls(), 3);
-  EXPECT_EQ(state, ref);
+  EXPECT_EQ(state, ref.state);
 }
 
 TEST(FaultInjection, ArenaExhaustionFailsAllocationAndArenaRecovers) {
@@ -321,7 +348,7 @@ TEST(FaultInjection, ArenaExhaustionFailsAllocationAndArenaRecovers) {
 }
 
 TEST(FaultInjection, ArenaExhaustionInLaunchBodyPropagatesAndDeviceRecovers) {
-  Device dev(2, 1);
+  Device dev(2);
   Stream a("A");
   LaunchDesc desc;
   desc.label = "arena-fault";
@@ -366,7 +393,7 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   plan.throw_at = {2};
   FaultController ctrl(plan);
   CollectingListener listener;
-  Device dev(2, 1);
+  Device dev(2);
   dev.sink().set_listener(&listener);
   dev.set_schedule_controller(&ctrl);
   Stream a("A");
@@ -392,9 +419,9 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
 
 TEST(ScheduleControl, NoControllerSteadyStateLaunchesAreAllocationFree) {
   // The schedule seam must cost nothing when unused: with no controller
-  // installed, steady-state async launches perform zero heap allocations
+  // installed, steady-state launches perform zero heap allocations
   // (same discipline as the trace layer's zero-overhead guarantee).
-  Device dev(2, 1);
+  Device dev(2);
   ASSERT_EQ(dev.schedule_controller(), nullptr);
   Stream a("A");
   Stream b("B");

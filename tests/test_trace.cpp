@@ -188,7 +188,7 @@ TEST(MetricsRegistry, PrintsPerKernelTable) {
 // --- record-name interning (satellite: dangling-pointer fix) ---------------
 
 TEST(Interning, RecordNamesSurviveTheirSources) {
-  runtime::Device dev(2, /*async=*/0);
+  runtime::Device dev(2);
   runtime::InstrumentationSink sink;
   {
     std::string stream_name = "ephemeral";
@@ -205,6 +205,7 @@ TEST(Interning, RecordNamesSurviveTheirSources) {
     stream_name.assign("XXXXXXXXX");
     label.assign("YYYYYYYYYYYYYYY");
   }
+  dev.synchronize();
   EXPECT_STREQ(sink.last().stream, "ephemeral");
   EXPECT_STREQ(sink.last().label, "transient-label");
 }
@@ -222,7 +223,7 @@ TEST(Interning, DeduplicatesRepeatedNames) {
 TEST(ZeroOverhead, SteadyStateLaunchesDoNotAllocateWithoutListener) {
   ASSERT_EQ(std::getenv("GOTHIC_TRACE"), nullptr)
       << "test requires GOTHIC_TRACE unset";
-  runtime::Device dev(2, /*async=*/0);
+  runtime::Device dev(2);
   runtime::InstrumentationSink sink;
   ASSERT_EQ(sink.listener(), nullptr);
   runtime::Stream s("steady");
@@ -235,6 +236,7 @@ TEST(ZeroOverhead, SteadyStateLaunchesDoNotAllocateWithoutListener) {
     for (int i = 0; i < 8; ++i) {
       (void)dev.launch(desc, [](simt::OpCounts& ops) { ops.fp32_fma += 1; });
     }
+    dev.synchronize();
   };
   for (int warm = 0; warm < 4; ++warm) run_step();
   const std::uint64_t before = g_allocations.load();
@@ -356,7 +358,7 @@ TEST(TraceWriter, LaunchesInFlightCountsOverlappingBodiesOnOneDevice) {
   // until the other has started, so their bodies overlap. Both carry the
   // whole pool's width, so a worker-occupancy counter would read 8 on a
   // 4-worker device; the launch counter peaks at 2 and returns to 0.
-  runtime::Device dev(4, /*async=*/1);
+  runtime::Device dev(4);
   runtime::InstrumentationSink sink;
   TraceWriter w;
   sink.set_listener(&w);

@@ -400,7 +400,7 @@ TEST(WalkTree, SchedulesAreBitIdenticalAcrossWorkerCounts) {
     std::vector<double> cost;
   };
   auto run = [&](int workers, std::span<const std::uint8_t> active) {
-    runtime::Device dev(workers, /*async=*/0);
+    runtime::Device dev(workers);
     runtime::ScopedDevice scope(dev);
     Run r;
     for (auto* v : {&r.f.ax, &r.f.ay, &r.f.az, &r.f.pot}) {
@@ -459,7 +459,7 @@ TEST(WalkTree, CostVectorIsRecordedReseededAndRetained) {
   WalkConfig cfg;
   cfg.eps = kEps;
   cfg.mac.type = MacType::OpeningAngle;
-  runtime::Device dev(3, /*async=*/0);
+  runtime::Device dev(3);
   runtime::ScopedDevice scope(dev);
   std::vector<real> ax(s.n()), ay(s.n()), az(s.n());
   auto walk = [&](std::span<double> cost) {

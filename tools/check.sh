@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a ThreadSanitizer pass over the runtime layer.
 #
-#   tools/check.sh            # full: verify (both schedulers) + TSan
+#   tools/check.sh            # full: verify + TSan
 #   tools/check.sh --fast     # verify only
 #
-# The tier-1 suite runs twice: once with GOTHIC_ASYNC=1 (the default
-# asynchronous stream scheduler) and once with GOTHIC_ASYNC=0 (the
-# synchronous escape hatch) — results must be identical. Those two runs
-# are every test's once-per-scheduler-mode run; the later stages add only
-# what ctest does not cover (benches, fuzz legs, tool smokes).
+# Every stage runs once: there is one launch scheduler (the stream
+# scheduler), and every serial reference is its in-issue-order schedule,
+# forced by the testkit. The tier-1 run is every test's run; the later
+# stages add only what ctest does not cover (benches, fuzz legs, tool
+# smokes).
 #
 # The SIMD stage repeats tier-1 plus a fuzz smoke under GOTHIC_SIMD=1
 # (AVX2 lane kernels) and GOTHIC_SIMD=0 (scalar oracle) — the two warp
@@ -17,16 +17,16 @@
 # The observability smoke validates the Perfetto trace (zero dropped
 # records), the flight-recorder incident dump left by a fault-injected
 # fuzz run, and the bench JSON; the telemetry stage validates the
-# GOTHIC_TELEMETRY JSONL stream under every scheduler x substrate
-# combination; the bench_diff gate compares the fresh BENCH reports
-# against the archived trajectory in bench-results/ (and self-tests with
-# a synthetic slowdown) before promoting them.
+# GOTHIC_TELEMETRY JSONL stream under each warp substrate; the bench_diff
+# gate compares the fresh BENCH reports against the archived trajectory
+# in bench-results/ (and self-tests with a synthetic slowdown) before
+# promoting them.
 #
 # The fuzz stage drives gothic_fuzz — seeded + exhaustively enumerated
 # interleavings of the step DAG checked bit-identical against the
-# synchronous reference, plus fault-injection plans (launch-body throws,
+# in-order reference, plus fault-injection plans (launch-body throws,
 # worker stalls) checked for first-wins error propagation and device
-# reuse — under both scheduler modes. Its scenario legs sweep seeds whose
+# reuse. Its scenario legs sweep seeds whose
 # bits also select the workload from the scenario registry, so one
 # printed seed reproduces ICs + force law + schedule together.
 #
@@ -35,8 +35,8 @@
 # promotes them into bench-results/ (the physics-oracle matrix runs in
 # tier-1).
 #
-# The service stage sweeps the gothic_fuzz service leg under both
-# scheduler modes (seeded pooled fault plans asserting session isolation
+# The service stage sweeps the gothic_fuzz service leg (seeded pooled
+# fault plans asserting session isolation
 # + solo bit-identity; the session-pool suites run in tier-1), smokes
 # gothic_serve end-to-end with per-session telemetry/trace/checkpoint
 # streams, and validates a golden-schema BENCH_service.json through the
@@ -47,11 +47,12 @@
 # smokes the two-shard workload with its K=2 bit-identity check.
 #
 # The TSan stage rebuilds test_runtime, test_walk_tree, test_service,
-# test_shard and gothic_fuzz in a separate build tree (build-tsan/) with
-# GOTHIC_SANITIZE=thread and runs them under both scheduler modes,
+# test_shard, test_testkit and gothic_fuzz in a separate build tree
+# (build-tsan/) with GOTHIC_SANITIZE=thread and runs each once,
 # exercising the lane leaders' queue handshake, the cross-stream event
 # waits, the shared team's admission and fork/join, the per-launch merge
-# locks, the fault-injection paths, the session pool's handoff between
+# locks, the fault-injection paths, the serializing grant pump every
+# in-order reference goes through, the session pool's handoff between
 # device threads and the sharded engine's K devices with their host-side
 # cross-device waits under a real data-race detector.
 set -euo pipefail
@@ -60,83 +61,73 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 verify =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
-echo "-- ctest (GOTHIC_ASYNC=1, stream scheduler) --"
-(cd build && GOTHIC_ASYNC=1 ctest --output-on-failure -j)
-echo "-- ctest (GOTHIC_ASYNC=0, synchronous escape hatch) --"
-(cd build && GOTHIC_ASYNC=0 ctest --output-on-failure -j)
+(cd build && ctest --output-on-failure -j)
 
-echo "== observability smoke (trace + flight + bench JSON, both scheduler modes) =="
+echo "== observability smoke (trace + flight + bench JSON) =="
 # A traced driver step must emit valid Perfetto JSON with zero dropped
 # launch records (a non-zero count means the timeline is silently
 # truncated), a figure bench must emit a parseable BENCH_*.json, fig09's
 # walk must be op- and force-identical on both warp substrates (its exit
 # status), and a fault-injected gothic_fuzz run must leave a valid
-# flight-recorder incident dump naming the faulted launch — under both
-# schedulers.
-for mode in 1 0; do
-  echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build &&
-    GOTHIC_ASYNC=$mode GOTHIC_TRACE=smoke_trace.json \
-      ./tools/gothic_run --model=plummer --n=2048 --steps=2 --metrics \
-        >/dev/null &&
-    python3 -m json.tool smoke_trace.json >/dev/null &&
-    python3 -c "
+# flight-recorder incident dump naming the faulted launch.
+(cd build &&
+  GOTHIC_TRACE=smoke_trace.json \
+    ./tools/gothic_run --model=plummer --n=2048 --steps=2 --metrics \
+      >/dev/null &&
+  python3 -m json.tool smoke_trace.json >/dev/null &&
+  python3 -c "
 import json
 n = json.load(open('smoke_trace.json'))['otherData']['dropped_records']
 assert n == 0, 'trace dropped %d launch records' % n" &&
-    rm -f smoke_trace.json &&
-    GOTHIC_ASYNC=$mode GOTHIC_BENCH_N=4096 GOTHIC_BENCH_STEPS=1 \
-      GOTHIC_BENCH_DACC_MIN=2 ./bench/bench_fig04_breakdown_macc \
-        >/dev/null &&
-    python3 -m json.tool BENCH_fig04_breakdown_macc.json >/dev/null &&
-    rm -f BENCH_fig04_breakdown_macc.json &&
-    GOTHIC_ASYNC=$mode GOTHIC_BENCH_N=4096 GOTHIC_BENCH_STEPS=1 \
-      GOTHIC_BENCH_DACC_MIN=2 ./bench/bench_fig09_walktree_flops \
-        >/dev/null &&
-    rm -f BENCH_fig09_walktree_flops.json &&
-    rm -f smoke_flight*.json &&
-    GOTHIC_ASYNC=$mode GOTHIC_FLIGHT=smoke_flight.json \
-      ./tools/gothic_fuzz --schedules=0 --enumerate=0 --faults=4 \
-        >/dev/null &&
-    python3 -c "
+  rm -f smoke_trace.json &&
+  GOTHIC_BENCH_N=4096 GOTHIC_BENCH_STEPS=1 \
+    GOTHIC_BENCH_DACC_MIN=2 ./bench/bench_fig04_breakdown_macc \
+      >/dev/null &&
+  python3 -m json.tool BENCH_fig04_breakdown_macc.json >/dev/null &&
+  rm -f BENCH_fig04_breakdown_macc.json &&
+  GOTHIC_BENCH_N=4096 GOTHIC_BENCH_STEPS=1 \
+    GOTHIC_BENCH_DACC_MIN=2 ./bench/bench_fig09_walktree_flops \
+      >/dev/null &&
+  rm -f BENCH_fig09_walktree_flops.json &&
+  rm -f smoke_flight*.json &&
+  GOTHIC_FLIGHT=smoke_flight.json \
+    ./tools/gothic_fuzz --schedules=0 --enumerate=0 --faults=4 \
+      >/dev/null &&
+  python3 -c "
 import json
 d = json.load(open('smoke_flight.json'))['flight_recorder']
 assert d['launches'], 'flight dump holds no launches'
 assert 'injected fault' in d['reason'], d['reason']" &&
-    rm -f smoke_flight*.json)
-done
+  rm -f smoke_flight*.json)
 echo "observability smoke passed"
 
-echo "== telemetry stream (GOTHIC_ASYNC x GOTHIC_SIMD) =="
+echo "== telemetry stream (GOTHIC_SIMD) =="
 # GOTHIC_TELEMETRY streams one schema-pinned JSONL record per step plus a
 # leading config line; every line must parse, the stream must cover
-# every step under each scheduler x warp-substrate combination, and the
-# config line must log the mode that ran (async, and 2 lanes or none).
-for mode in 1 0; do
-  for simd in 1 0; do
-    echo "-- GOTHIC_ASYNC=$mode GOTHIC_SIMD=$simd --"
-    (cd build &&
-      rm -f smoke_telemetry.jsonl &&
-      GOTHIC_ASYNC=$mode GOTHIC_SIMD=$simd \
-        GOTHIC_TELEMETRY=smoke_telemetry.jsonl \
-        ./tools/gothic_run --model=plummer --n=2048 --steps=3 >/dev/null &&
-      python3 -c "
+# every step under each warp substrate, and the config line must log the
+# two lanes every device runs and no scheduler mode.
+for simd in 1 0; do
+  echo "-- GOTHIC_SIMD=$simd --"
+  (cd build &&
+    rm -f smoke_telemetry.jsonl &&
+    GOTHIC_SIMD=$simd GOTHIC_TELEMETRY=smoke_telemetry.jsonl \
+      ./tools/gothic_run --model=plummer --n=2048 --steps=3 >/dev/null &&
+    python3 -c "
 import json
 lines = [json.loads(l) for l in open('smoke_telemetry.jsonl') if l.strip()]
 assert lines and lines[0]['type'] == 'config', 'missing config line'
 cfg = lines[0]
-assert cfg['async'] == $mode, 'config async %r, ran $mode' % cfg['async']
-assert cfg['lanes'] == (2 if $mode else 0), 'config lanes %r' % cfg['lanes']
+assert cfg['lanes'] == 2, 'config lanes %r' % cfg['lanes']
+assert 'async' not in cfg, 'config logs a scheduler mode: %r' % cfg
 steps = [l for l in lines if l['type'] == 'step']
 assert len(steps) == 3, 'expected 3 step records, got %d' % len(steps)
 for s in steps:
     assert 'kernels' in s and 'wall_seconds' in s, sorted(s)" &&
-      rm -f smoke_telemetry.jsonl)
-  done
+    rm -f smoke_telemetry.jsonl)
 done
 echo "telemetry stage passed"
 
-echo "== bench smoke: load balancing (both scheduler modes) =="
+echo "== bench smoke: load balancing =="
 # bench_balance runs the walk's work queue at a small N over four activity
 # fractions, asserts accelerations, potentials and op counts bit-identical
 # to a 1-worker run, and must emit a BENCH_balance.json that
@@ -147,17 +138,13 @@ echo "== bench smoke: load balancing (both scheduler modes) =="
 # bench-results/ and promotes them into it.
 rm -rf bench-fresh
 mkdir -p bench-fresh
-for mode in 1 0; do
-  echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build &&
-    GOTHIC_ASYNC=$mode GOTHIC_THREADS=4 GOTHIC_BENCH_N=4096 \
-      GOTHIC_BENCH_STEPS=2 ./bench/bench_balance >/dev/null &&
-    python3 -m json.tool BENCH_balance.json >/dev/null &&
-    GOTHIC_BENCH_VALIDATE_JSON=BENCH_balance.json ./tests/test_bench_support \
-      --gtest_filter='ExternalReport.*' >/dev/null &&
-    mv BENCH_balance.json \
-      "../bench-fresh/BENCH_balance.async$mode.json")
-done
+(cd build &&
+  GOTHIC_THREADS=4 GOTHIC_BENCH_N=4096 \
+    GOTHIC_BENCH_STEPS=2 ./bench/bench_balance >/dev/null &&
+  python3 -m json.tool BENCH_balance.json >/dev/null &&
+  GOTHIC_BENCH_VALIDATE_JSON=BENCH_balance.json ./tests/test_bench_support \
+    --gtest_filter='ExternalReport.*' >/dev/null &&
+  mv BENCH_balance.json ../bench-fresh/BENCH_balance.json)
 echo "bench smoke passed"
 
 echo "== SIMD substrate: scalar vs AVX2 lane kernels =="
@@ -174,38 +161,29 @@ for simd in 1 0; do
 done
 echo "SIMD stage passed"
 
-echo "== schedule fuzz + fault injection (both scheduler modes) =="
+echo "== schedule fuzz + fault injection =="
 # Seeded sweep (64 schedules), DFS enumeration, and 8 fault plans; every
-# failing seed prints a gothic_fuzz --replay line. GOTHIC_ASYNC only
-# selects the ambient scheduler — the fuzzer constructs its own devices —
-# so running both modes checks the harness is environment-independent.
-for mode in 1 0; do
-  echo "-- GOTHIC_ASYNC=$mode --"
-  GOTHIC_ASYNC=$mode ./build/tools/gothic_fuzz --schedules=64 \
-    --enumerate=64 --faults=8 --scenarios=6
-done
+# failing seed prints a gothic_fuzz --replay line.
+./build/tools/gothic_fuzz --schedules=64 --enumerate=64 --faults=8 \
+  --scenarios=6
 echo "fuzz stage passed"
 
-echo "== shard stage: K-shard bit-identity + LET traffic (both scheduler modes) =="
+echo "== shard stage: K-shard bit-identity + LET traffic =="
 # The sharded pipeline's oracle beyond its tier-1 suites (ctest -L shard),
-# two ways under each ambient scheduler: bench_shard re-runs the oracle on
-# the M31 workload and must emit a golden-schema BENCH_shard.json
-# reporting busy-time imbalance and LET traffic; the sharded fuzz legs
-# drive seeded per-shard-device schedules plus launch faults injected into
-# one shard (one shard's failure must not poison the other shards'
-# devices).
-for mode in 1 0; do
-  echo "-- GOTHIC_ASYNC=$mode --"
-  (cd build &&
-    GOTHIC_ASYNC=$mode GOTHIC_THREADS=4 GOTHIC_BENCH_N=4096 \
-      GOTHIC_BENCH_STEPS=8 ./bench/bench_shard >/dev/null &&
-    python3 -m json.tool BENCH_shard.json >/dev/null &&
-    GOTHIC_BENCH_VALIDATE_JSON=BENCH_shard.json ./tests/test_bench_support \
-      --gtest_filter='ExternalReport.*' >/dev/null &&
-    mv BENCH_shard.json "../bench-fresh/BENCH_shard.async$mode.json")
-  GOTHIC_ASYNC=$mode ./build/tools/gothic_fuzz --schedules=0 --faults=0 \
-    --shards=16 --shard-faults=6
-done
+# two ways: bench_shard re-runs the oracle on the M31 workload and must
+# emit a golden-schema BENCH_shard.json reporting busy-time imbalance and
+# LET traffic; the sharded fuzz legs drive seeded per-shard-device
+# schedules plus launch faults injected into one shard (one shard's
+# failure must not poison the other shards' devices).
+(cd build &&
+  GOTHIC_THREADS=4 GOTHIC_BENCH_N=4096 \
+    GOTHIC_BENCH_STEPS=8 ./bench/bench_shard >/dev/null &&
+  python3 -m json.tool BENCH_shard.json >/dev/null &&
+  GOTHIC_BENCH_VALIDATE_JSON=BENCH_shard.json ./tests/test_bench_support \
+    --gtest_filter='ExternalReport.*' >/dev/null &&
+  mv BENCH_shard.json ../bench-fresh/BENCH_shard.json)
+./build/tools/gothic_fuzz --schedules=0 --faults=0 --shards=16 \
+  --shard-faults=6
 # gothic_run reads GOTHIC_SHARDS as strictly as the telemetry config line
 # does: a malformed value warns and runs one shard, and a shard count
 # beyond INT_MAX is an error rather than a silent wrap to one shard.
@@ -221,6 +199,18 @@ if err=$(./build/tools/gothic_run --model=plummer --n=512 --steps=1 \
   exit 1
 fi
 grep -q -- "--shards must be <=" <<<"$err"
+# gothic_fuzz rejects out-of-range values the same way: a negative count
+# or a worker count outside [1, Device::kMaxWorkers] exits 2 with a
+# message naming the flag, before any device is built.
+for bad in --schedules=-1 --workers=0; do
+  status=0
+  err=$(./build/tools/gothic_fuzz "$bad" 2>&1 >/dev/null) || status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "gothic_fuzz $bad exited $status, not 2" >&2
+    exit 1
+  fi
+  grep -q -- "$bad is out of range" <<<"$err"
+done
 echo "shard stage passed"
 
 echo "== scenario stage: bench_scenario =="
@@ -241,19 +231,16 @@ for f in build/BENCH_scenario_*.json; do
 done
 echo "scenario stage passed"
 
-echo "== service stage: session pool (both scheduler modes) =="
+echo "== service stage: session pool =="
 # The multi-tenant session layer beyond its tier-1 suites (ctest -L
-# service): the gothic_fuzz service leg sweeps seeded pooled fault plans
-# under each ambient scheduler; gothic_serve drives a
+# service): the gothic_fuzz service leg sweeps seeded pooled fault plans;
+# gothic_serve drives a
 # GOTHIC_SESSIONS-sized registry-cycled batch end-to-end with per-session
 # telemetry / trace / checkpoint streams plus the oracle; and
 # bench_service must emit a golden-schema BENCH_service.json for the
 # bench_diff gate.
-for mode in 1 0; do
-  echo "-- GOTHIC_ASYNC=$mode --"
-  GOTHIC_ASYNC=$mode ./build/tools/gothic_fuzz --schedules=0 --faults=0 \
-    --service=6 --n=128 --steps=3
-done
+./build/tools/gothic_fuzz --schedules=0 --faults=0 --service=6 --n=128 \
+  --steps=3
 (cd build &&
   rm -rf smoke_serve && mkdir -p smoke_serve &&
   GOTHIC_SESSIONS=6 ./tools/gothic_serve --devices=2 --steps=3 --n=256 \
@@ -341,21 +328,18 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== TSan: runtime + walk_tree + service + shard + fuzz (both scheduler modes) =="
+echo "== TSan: runtime + walk_tree + service + shard + testkit + fuzz =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \
       -DGOTHIC_BUILD_BENCH=OFF >/dev/null
 cmake --build build-tsan -j --target test_runtime test_walk_tree \
-      test_service test_shard gothic_fuzz
+      test_service test_shard test_testkit gothic_fuzz
 (cd build-tsan &&
-  GOTHIC_ASYNC=1 ./tests/test_runtime &&
-  GOTHIC_ASYNC=1 ./tests/test_walk_tree &&
-  GOTHIC_ASYNC=1 ./tests/test_service &&
-  GOTHIC_ASYNC=1 ./tests/test_shard &&
-  GOTHIC_ASYNC=0 ./tests/test_runtime &&
-  GOTHIC_ASYNC=0 ./tests/test_walk_tree &&
-  GOTHIC_ASYNC=0 ./tests/test_service &&
-  GOTHIC_ASYNC=0 ./tests/test_shard &&
-  GOTHIC_ASYNC=1 ./tools/gothic_fuzz --schedules=8 --faults=8 --steps=4 \
-    --service=4 --n=128)
+  ./tests/test_runtime &&
+  ./tests/test_walk_tree &&
+  ./tests/test_service &&
+  ./tests/test_shard &&
+  ./tests/test_testkit &&
+  ./tools/gothic_fuzz --schedules=8 --faults=8 --steps=4 --service=4 \
+    --n=128)
 
 echo "check.sh: all stages passed"

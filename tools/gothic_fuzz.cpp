@@ -3,22 +3,23 @@
 //
 // Three legs, each optional:
 //   --schedules=N   seeded sweep: N random interleavings of the step DAG,
-//                   each compared bit-for-bit against the synchronous
-//                   reference. A failing run prints its 64-bit seed; that
-//                   seed alone reproduces the exact interleaving.
+//                   each compared bit-for-bit against the in-order
+//                   reference (one launch at a time, in issue order). A
+//                   failing run prints its 64-bit seed; that seed alone
+//                   reproduces the exact interleaving.
 //   --enumerate=N   depth-first enumeration of the schedule tree (up to N
 //                   runs) — every run is a distinct interleaving.
 //   --faults=N      N randomized fault plans (launch-body exceptions, lane
 //                   stalls) through a cross-stream DAG, asserting the error
 //                   contract: one first-wins error, device reusable after.
-//   --shards=N      N seeded sharded runs (K in {1,2,4} and async mode
-//                   from the seed, one schedule controller per shard
-//                   device), each compared bit-for-bit against the
-//                   unsharded synchronous reference.
+//   --shards=N      N seeded sharded runs (K in {1,2,4} and the SIMD
+//                   substrate from the seed, one schedule controller per
+//                   shard device), each compared bit-for-bit against the
+//                   unsharded in-order reference.
 //   --shard-faults=N  N launch-body throws injected into one shard of a
-//                   sharded step (devices follow GOTHIC_ASYNC), asserting
-//                   the isolation contract: the fault surfaces from step()
-//                   and every shard device stays reusable.
+//                   sharded step, asserting the isolation contract: the
+//                   fault surfaces from step() and every shard device
+//                   stays reusable.
 //   --service=N     N seeded session-pool runs: each seed builds a
 //                   SessionManager (pool shape, mixed scenario batch and
 //                   fault family from the seed), injects launch throws /
@@ -27,9 +28,9 @@
 //                   its solo run, every failure carried by one session.
 //   --scenarios=N   N seeded scenario runs: each seed hashes to a
 //                   scenario-registry entry (ICs + force law) and encodes
-//                   async mode, shard count and SIMD substrate in its
-//                   bits, compared bit-for-bit against that scenario's
-//                   synchronous reference.
+//                   shard count and SIMD substrate in its bits, compared
+//                   bit-for-bit against that scenario's in-order
+//                   reference.
 //
 //   --replay=SEED   re-run one seeded schedule (accepts 0x... hex) and
 //                   print its interleaving — the repro entry point.
@@ -37,13 +38,18 @@
 //
 // Workload knobs (--n, --steps, --workers, --rebuild-interval)
 // must match between a failing sweep and its replay. Exit code 0 iff every
-// leg passed.
+// leg passed; 2 for an unknown option or a value out of range (counts
+// >= 0, --n and --steps >= 1, --workers in [1, Device::kMaxWorkers],
+// --rebuild-interval >= 1).
+#include "runtime/device.hpp"
 #include "service/fuzz.hpp"
 #include "testkit/fuzz.hpp"
 #include "util/args.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 namespace {
@@ -55,31 +61,49 @@ void print_failures(const std::vector<std::string>& failures) {
   for (const std::string& f : failures) std::printf("  FAIL %s\n", f.c_str());
 }
 
+/// --key as an integer in [lo, hi]; otherwise throws, and main() exits 2
+/// with a message naming the flag.
+long long get_in_range(const gothic::Args& args, const char* key,
+                       long long fallback, long long lo, long long hi) {
+  const long long v = args.get_int(key, fallback);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("--" + std::string(key) + "=" +
+                                std::to_string(v) + " is out of range [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+/// A leg's run count: --key >= 0.
+std::size_t get_count(const gothic::Args& args, const char* key,
+                      long long fallback) {
+  return static_cast<std::size_t>(
+      get_in_range(args, key, fallback, 0, LLONG_MAX));
+}
+
 int run(const gothic::Args& args) {
   FuzzConfig cfg;
-  cfg.n = static_cast<std::size_t>(args.get_int("n", 192));
-  cfg.steps = static_cast<int>(args.get_int("steps", 10));
-  cfg.workers = static_cast<int>(args.get_int("workers", 2));
-  cfg.rebuild_interval =
-      static_cast<int>(args.get_int("rebuild-interval", 1));
+  cfg.n = static_cast<std::size_t>(get_in_range(args, "n", 192, 1, LLONG_MAX));
+  cfg.steps = static_cast<int>(get_in_range(args, "steps", 10, 1, INT_MAX));
+  cfg.workers = static_cast<int>(get_in_range(
+      args, "workers", 2, 1, gothic::runtime::Device::kMaxWorkers));
+  cfg.rebuild_interval = static_cast<int>(
+      get_in_range(args, "rebuild-interval", 1, 1, INT_MAX));
   const std::uint64_t base_seed =
       std::stoull(args.get("seed", "1"), nullptr, 0);
   const bool scenario_leg =
       args.has("scenarios") || args.has("replay-scenario");
-  const auto schedules = static_cast<std::size_t>(args.get_int(
-      "schedules", args.has("enumerate") || args.has("replay") || scenario_leg
-                       ? 0
-                       : 64));
-  const auto enumerate =
-      static_cast<std::size_t>(args.get_int("enumerate", 0));
-  const auto faults = static_cast<std::size_t>(args.get_int(
-      "faults", args.has("replay") || scenario_leg ? 0 : 8));
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
-  const auto shard_faults =
-      static_cast<std::size_t>(args.get_int("shard-faults", 0));
-  const auto service = static_cast<std::size_t>(args.get_int("service", 0));
-  const auto scenarios =
-      static_cast<std::size_t>(args.get_int("scenarios", 0));
+  const std::size_t schedules = get_count(
+      args, "schedules",
+      args.has("enumerate") || args.has("replay") || scenario_leg ? 0 : 64);
+  const std::size_t enumerate = get_count(args, "enumerate", 0);
+  const std::size_t faults = get_count(
+      args, "faults", args.has("replay") || scenario_leg ? 0 : 8);
+  const std::size_t shards = get_count(args, "shards", 0);
+  const std::size_t shard_faults = get_count(args, "shard-faults", 0);
+  const std::size_t service = get_count(args, "service", 0);
+  const std::size_t scenarios = get_count(args, "scenarios", 0);
   const bool replay = args.has("replay");
   const std::uint64_t replay_seed_value =
       replay ? std::stoull(args.get("replay", "0"), nullptr, 0) : 0;
@@ -99,8 +123,11 @@ int run(const gothic::Args& args) {
   bool ok = true;
 
   if (replay) {
-    const auto ref = gothic::testkit::run_controlled(cfg, false, nullptr);
-    const auto out = gothic::testkit::replay_seed(cfg, replay_seed_value, ref);
+    const auto ref = gothic::testkit::in_order_reference(cfg);
+    auto out = gothic::testkit::replay_seed(cfg, replay_seed_value, ref.state);
+    for (const std::string& v : ref.violations) {
+      out.violations.push_back("in-order reference: " + v);
+    }
     std::printf("replay %s: %zu decision points, %s, %zu violations\n",
                 hex_seed(replay_seed_value).c_str(), out.decision_points,
                 out.bit_identical ? "bit-identical" : "STATE DIVERGED",
@@ -161,11 +188,10 @@ int run(const gothic::Args& args) {
   if (replay_scenario) {
     const auto out =
         gothic::testkit::replay_scenario_seed(cfg, replay_scenario_seed);
-    std::printf("replay-scenario %s: scenario %s, K=%d, %s, %zu decision "
+    std::printf("replay-scenario %s: scenario %s, K=%d, %zu decision "
                 "points, %s, %zu violations\n",
                 hex_seed(replay_scenario_seed).c_str(), out.scenario.c_str(),
-                out.shards, out.async ? "async" : "sync",
-                out.decision_points,
+                out.shards, out.decision_points,
                 out.bit_identical ? "bit-identical" : "STATE DIVERGED",
                 out.violations.size());
     std::printf("  interleaving: %s\n", out.signature.c_str());
