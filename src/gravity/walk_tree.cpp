@@ -7,6 +7,7 @@
 #include "util/timer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -135,22 +136,25 @@ struct CompactRule {
   }
 };
 
-/// Emit `run`, recursively halving it while it violates the compactness
-/// rule (Morton-contiguous halves stay spatially coherent).
-void emit_compact(std::span<const real> x, std::span<const real> y,
-                  std::span<const real> z, GroupSpan run,
-                  const CompactRule& rule, std::vector<GroupSpan>& out) {
+/// Split `run` recursively while it violates the compactness rule
+/// (Morton-contiguous halves stay spatially coherent). Each resulting
+/// group's size is stored at the slot of its first body; returns how many
+/// groups the run became.
+index_t emit_compact(std::span<const real> x, std::span<const real> y,
+                     std::span<const real> z, GroupSpan run,
+                     const CompactRule& rule, std::span<index_t> size_at) {
   double cx, cy, cz;
   const float rgrp =
       group_bounding_radius(x, y, z, run.first, run.count, cx, cy, cz);
   if (run.count <= 1 || rule.ok(rgrp, cx, cy, cz)) {
-    out.push_back(run);
-    return;
+    size_at[run.first] = run.count;
+    return 1;
   }
   const index_t half = run.count / 2;
-  emit_compact(x, y, z, {run.first, half}, rule, out);
-  emit_compact(x, y, z, {run.first + half,
-                         static_cast<index_t>(run.count - half)}, rule, out);
+  return emit_compact(x, y, z, {run.first, half}, rule, size_at) +
+         emit_compact(x, y, z,
+                      {run.first + half, static_cast<index_t>(run.count - half)},
+                      rule, size_at);
 }
 
 } // namespace
@@ -193,6 +197,14 @@ std::vector<GroupSpan> walk_groups(const Octree& tree,
                                    std::span<const real> y,
                                    std::span<const real> z,
                                    real max_radius_fraction) {
+  std::vector<GroupSpan> groups;
+  walk_groups(tree, x, y, z, groups, max_radius_fraction);
+  return groups;
+}
+
+void walk_groups(const Octree& tree, std::span<const real> x,
+                 std::span<const real> y, std::span<const real> z,
+                 std::vector<GroupSpan>& groups, real max_radius_fraction) {
   // The root (node 0) covers every body of the sorted order, so its count
   // is the body total the position spans must agree with. (Without the
   // guard, empty spans reached the centroid division below and the public
@@ -203,39 +215,34 @@ std::vector<GroupSpan> walk_groups(const Octree& tree,
     throw std::invalid_argument(
         "walk_groups: position spans disagree with the tree's body count");
   }
-  if (x.empty()) return {};
+  groups.clear();
+  if (x.empty()) return;
 
-  std::vector<index_t> leaves;
-  leaves.reserve(tree.num_nodes() / 2);
-  for (index_t node = 0; node < tree.num_nodes(); ++node) {
-    if (tree.is_leaf(node) && tree.body_count[node] > 0) {
-      leaves.push_back(node);
-    }
-  }
-  std::sort(leaves.begin(), leaves.end(),
-            [&tree](index_t a, index_t b) {
-              return tree.body_first[a] < tree.body_first[b];
-            });
+  // Scratch (the merged runs, the group sizes) lives in the context
+  // workers' arenas, retained across rebuilds; like every arena-using
+  // kernel, this one rewinds them first and owns them until it returns.
+  runtime::Device& dev = runtime::Device::current();
+  for (int t = 0; t < dev.workers(); ++t) dev.context_worker(t).arena.reset();
+  runtime::Arena& scratch = dev.context_worker(0).arena;
+  runtime::ArenaVector<GroupSpan> runs(scratch);
 
-  std::vector<GroupSpan> raw;
-  raw.reserve(leaves.size());
   GroupSpan cur{};
   int cur_min_depth = 0;
   int cur_max_depth = 0;
-  for (const index_t leaf : leaves) {
+  auto merge_leaf = [&](index_t leaf) {
     index_t first = tree.body_first[leaf];
     index_t remain = tree.body_count[leaf];
     // Oversized leaves (identical positions at max depth) split plainly.
     while (remain > static_cast<index_t>(kWarpSize)) {
       if (cur.count > 0) {
-        raw.push_back(cur);
+        runs.push_back(cur);
         cur = GroupSpan{};
       }
-      raw.push_back({first, static_cast<index_t>(kWarpSize)});
+      runs.push_back({first, static_cast<index_t>(kWarpSize)});
       first += kWarpSize;
       remain -= kWarpSize;
     }
-    if (remain == 0) continue;
+    if (remain == 0) return;
     const int depth = tree.depth[leaf];
     const bool fits = cur.count + remain <= static_cast<index_t>(kWarpSize);
     // Same-or-adjacent depth keeps the union within ~one parent cell. The
@@ -254,13 +261,30 @@ std::vector<GroupSpan> walk_groups(const Octree& tree,
       cur_min_depth = std::min(cur_min_depth, depth);
       cur_max_depth = std::max(cur_max_depth, depth);
     } else {
-      if (cur.count > 0) raw.push_back(cur);
+      if (cur.count > 0) runs.push_back(cur);
       cur = {first, remain};
       cur_min_depth = depth;
       cur_max_depth = depth;
     }
+  };
+
+  // Leaves in body order, merged as they come: a depth-first walk that
+  // visits each node's children in order (children are contiguous and
+  // ordered by body range). Each level leaves at most 7 siblings pending.
+  std::array<index_t, 8 * (octree::kMaxDepth + 1)> stack;
+  std::size_t top = 0;
+  stack[top++] = 0;
+  while (top > 0) {
+    const index_t node = stack[--top];
+    if (tree.is_leaf(node)) {
+      if (tree.body_count[node] > 0) merge_leaf(node);
+      continue;
+    }
+    for (index_t k = tree.child_count[node]; k-- > 0;) {
+      stack[top++] = tree.child_first[node] + k;
+    }
   }
-  if (cur.count > 0) raw.push_back(cur);
+  if (cur.count > 0) runs.push_back(cur);
 
   // Compactness pass (see CompactRule). The global centroid stands in for
   // the mass concentration; equal particle masses make it the exact COM.
@@ -276,12 +300,28 @@ std::vector<GroupSpan> walk_groups(const Octree& tree,
   rule.com_y = sy / static_cast<double>(x.size());
   rule.com_z = sz / static_cast<double>(x.size());
 
-  std::vector<GroupSpan> groups;
-  groups.reserve(raw.size());
-  for (const GroupSpan& run : raw) {
-    emit_compact(x, y, z, run, rule, groups);
+  // Runs split independently: each writes its groups' sizes at their
+  // first bodies' slots and its group count at its own index; packing the
+  // runs in order then reproduces the serial emission order.
+  const std::span<index_t> size_at = scratch.alloc_span<index_t>(x.size());
+  const std::span<index_t> run_groups = scratch.alloc_span<index_t>(runs.size());
+  dev.parallel_dynamic(0, runs.size(), 0, [&](runtime::Worker&,
+                                              std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      run_groups[r] = emit_compact(x, y, z, runs[r], rule, size_at);
+    }
+  });
+  std::size_t total = 0;
+  for (const index_t count : run_groups) total += count;
+  groups.resize(total);
+  std::size_t g = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    index_t first = runs[r].first;
+    for (index_t k = 0; k < run_groups[r]; ++k) {
+      groups[g++] = {first, size_at[first]};
+      first += size_at[first];
+    }
   }
-  return groups;
 }
 
 namespace {

@@ -152,10 +152,20 @@ struct GroupSpan {
 /// pass `group_active` flags must index them against this decomposition.
 /// Empty spans yield an empty decomposition; spans disagreeing with each
 /// other or with the tree's body count throw std::invalid_argument.
+/// The leaf merge and the centroid run on the calling thread; the
+/// compaction splits runs on the device's pool, with scratch in the
+/// context workers' arenas.
 [[nodiscard]] std::vector<GroupSpan> walk_groups(
     const octree::Octree& tree, std::span<const real> x,
     std::span<const real> y, std::span<const real> z,
     real max_radius_fraction = real(1.0 / 128.0));
+
+/// walk_groups into `groups` (replacing its contents), so a caller that
+/// regroups every rebuild keeps the vector's capacity.
+void walk_groups(const octree::Octree& tree, std::span<const real> x,
+                 std::span<const real> y, std::span<const real> z,
+                 std::vector<GroupSpan>& groups,
+                 real max_radius_fraction = real(1.0 / 128.0));
 
 /// Bounding radius of the body run [first, first+count) about its double-
 /// precision centroid (returned through cx/cy/cz) — the sphere the

@@ -90,18 +90,26 @@ void BlockTimeSteps::mark_corrected(std::size_t i) {
   last_corrected_[i] = now_;
 }
 
+namespace {
+
+/// v[slot] = old v[perm[slot]]: gathered into `scratch`, which then swaps
+/// with `v`, so nothing is allocated once `scratch` has v's size.
+template <typename T>
+void permute_through(std::vector<T>& v, std::span<const index_t> perm,
+                     std::vector<T>& scratch) {
+  scratch.resize(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) scratch[i] = v[perm[i]];
+  v.swap(scratch);
+}
+
+} // namespace
+
 void BlockTimeSteps::apply_permutation(std::span<const index_t> perm) {
   if (perm.size() != levels_.size()) {
     throw std::invalid_argument("BlockTimeSteps: permutation size mismatch");
   }
-  std::vector<std::uint8_t> lv(levels_.size());
-  std::vector<std::uint64_t> lc(last_corrected_.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    lv[i] = levels_[perm[i]];
-    lc[i] = last_corrected_[perm[i]];
-  }
-  levels_ = std::move(lv);
-  last_corrected_ = std::move(lc);
+  permute_through(levels_, perm, levels_scratch_);
+  permute_through(last_corrected_, perm, corrected_scratch_);
 }
 
 double BlockTimeSteps::time() const {

@@ -54,7 +54,8 @@ public:
   void mark_corrected(std::size_t i);
 
   /// Reorder per-particle state after a tree rebuild:
-  /// state[slot] = old_state[perm[slot]].
+  /// state[slot] = old_state[perm[slot]], through retained scratch (no
+  /// heap traffic after the first rebuild).
   void apply_permutation(std::span<const index_t> perm);
 
   [[nodiscard]] double time() const;
@@ -77,6 +78,9 @@ private:
   std::uint64_t now_ = 0; ///< ticks
   std::vector<std::uint8_t> levels_;
   std::vector<std::uint64_t> last_corrected_;
+  /// apply_permutation's gather buffers (ping-pong with the arrays above).
+  std::vector<std::uint8_t> levels_scratch_;
+  std::vector<std::uint64_t> corrected_scratch_;
 };
 
 } // namespace gothic::nbody

@@ -1,6 +1,7 @@
 // Particle storage — structure of arrays, the device layout GOTHIC uses.
 #pragma once
 
+#include "octree/tree_build.hpp"
 #include "util/types.hpp"
 
 #include <span>
@@ -41,28 +42,15 @@ struct Particles {
   [[nodiscard]] std::size_t size() const { return x.size(); }
 
   /// Permute every attribute: out[slot] = in[perm[slot]] (after a tree
-  /// rebuild, slot order is Morton order).
+  /// rebuild, slot order is Morton order). One collective over the arrays,
+  /// through worker arenas (octree::permute_in_place).
   void apply_permutation(std::span<const index_t> perm) {
     if (perm.size() != size()) {
       throw std::invalid_argument("apply_permutation: size mismatch");
     }
-    auto apply = [&perm](std::vector<real>& v) {
-      std::vector<real> out(v.size());
-      for (std::size_t i = 0; i < v.size(); ++i) out[i] = v[perm[i]];
-      v = std::move(out);
-    };
-    apply(x);
-    apply(y);
-    apply(z);
-    apply(vx);
-    apply(vy);
-    apply(vz);
-    apply(ax);
-    apply(ay);
-    apply(az);
-    apply(pot);
-    apply(m);
-    apply(aold_mag);
+    const std::span<real> arrays[] = {x,  y,  z,  vx,  vy, vz,
+                                      ax, ay, az, pot, m,  aold_mag};
+    octree::permute_in_place(arrays, perm);
   }
 
   /// Total mass.

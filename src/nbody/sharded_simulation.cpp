@@ -177,14 +177,6 @@ const runtime::InstrumentationSink& ShardedSimulation::sink(int s) const {
   return shards_[static_cast<std::size_t>(s)]->sink;
 }
 
-void ShardedSimulation::permute_scratch(std::vector<real>& v) {
-  permute_buf_.resize(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    permute_buf_[i] = v[perm_[i]];
-  }
-  v.swap(permute_buf_);
-}
-
 runtime::Event ShardedSimulation::launch_rebuild(bool with_pred) {
   Shard& c = *shards_[0];
   runtime::Device& dev = c.device();
@@ -208,12 +200,14 @@ runtime::Event ShardedSimulation::launch_rebuild(bool with_pred) {
   for (const auto& sh : shards_) c.depend(jd, sh->e_pred);
   const runtime::Event e_perm =
       dev.launch(jd, [this, with_pred](simt::OpCounts&) {
+        // Every array is gathered through retained scratch (worker
+        // arenas, block-step buffers), so a rebuild makes no N-sized heap
+        // request.
         particles_.apply_permutation(perm_);
         if (steps_.size() == particles_.size()) steps_.apply_permutation(perm_);
         if (with_pred) {
-          permute_scratch(px_);
-          permute_scratch(py_);
-          permute_scratch(pz_);
+          const std::span<real> predicted[] = {px_, py_, pz_};
+          octree::permute_in_place(predicted, perm_);
         }
         // Carry the measured costs through the reorder: spread over the
         // bodies of the old groups, permuted, summed per new group
@@ -225,16 +219,24 @@ runtime::Event ShardedSimulation::launch_rebuild(bool with_pred) {
           std::fill_n(body_cost_.begin() + groups_[g].first,
                       groups_[g].count, per);
         }
-        groups_ = gravity::walk_groups(tree_, particles_.x, particles_.y,
-                                       particles_.z);
+        gravity::walk_groups(tree_, particles_.x, particles_.y, particles_.z,
+                             groups_);
         group_active_.assign(groups_.size(), 1);
-        group_cost_.assign(groups_.size(), 0.0);
-        for (std::size_t g = 0; g < groups_.size(); ++g) {
-          const std::size_t lo = groups_[g].first;
-          for (std::size_t i = lo; i < lo + groups_[g].count; ++i) {
-            group_cost_[g] += body_cost_[perm_[i]];
-          }
-        }
+        group_cost_.resize(groups_.size());
+        // One collective over the new groups; each group sums its bodies
+        // in body order, as one serial loop would.
+        runtime::Device::current().parallel_ranges(
+            0, groups_.size(),
+            [this](runtime::Worker&, std::size_t lo, std::size_t hi) {
+              for (std::size_t g = lo; g < hi; ++g) {
+                const std::size_t b0 = groups_[g].first;
+                double cost = 0.0;
+                for (std::size_t i = b0; i < b0 + groups_[g].count; ++i) {
+                  cost += body_cost_[perm_[i]];
+                }
+                group_cost_[g] = cost;
+              }
+            });
       });
   ++rebuilds_;
   steps_since_rebuild_ = 0;

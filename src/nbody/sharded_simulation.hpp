@@ -272,7 +272,6 @@ private:
   /// particles_.{ax,ay,az,pot}: the bootstrap force evaluation and
   /// refresh_forces().
   void whole_tree_forces(bool bootstrap);
-  void permute_scratch(std::vector<real>& v);
   /// Recompute the partition (group/body boundaries, owned/top node
   /// ranges, per-shard cost slices and, with imports, views) from
   /// group_cost_. Called after every rebuild's permute join.
@@ -308,10 +307,9 @@ private:
   std::vector<real> px_, py_, pz_;
   std::vector<real> nax_, nay_, naz_, npot_;
   /// Rebuild scratch: the sort permutation handed from the build launch
-  /// to the permute launch, the out-of-place buffer it applies with, and
-  /// the per-body costs it carries group_cost_ through.
+  /// to the permute launch and the per-body costs it carries group_cost_
+  /// through.
   std::vector<index_t> perm_;
-  std::vector<real> permute_buf_;
   std::vector<double> body_cost_;
 
   /// Global walk-group decomposition (refreshed on rebuild; shards take

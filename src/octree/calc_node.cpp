@@ -14,11 +14,16 @@ namespace {
 using simt::LaneArray;
 using simt::Warp;
 
-/// Work description of one node: either its bodies (leaf) or its children.
+/// Work description of one node: either its bodies (leaf) or its
+/// children, and the arrays their masses and positions live in.
 struct NodeElems {
   index_t first = 0;
   index_t count = 0;
   bool leaf = true;
+  const real* m = nullptr;
+  const real* x = nullptr;
+  const real* y = nullptr;
+  const real* z = nullptr;
 };
 
 void validate_inputs(const CalcNodeConfig& cfg, std::span<const real> x,
@@ -52,18 +57,14 @@ void sum_node_range(Octree& tree, std::span<const real> x,
   // gathers; anchored on Fig 4's calcNode/walkTree ratio, EXPERIMENTS.md).
   constexpr std::uint64_t kTrafficAmplification = 6;
 
-  auto elems_of = [&tree](index_t node) {
-    NodeElems e;
+  auto elems_of = [&](index_t node) {
     if (tree.is_leaf(node)) {
-      e.first = tree.body_first[node];
-      e.count = tree.body_count[node];
-      e.leaf = true;
-    } else {
-      e.first = tree.child_first[node];
-      e.count = tree.child_count[node];
-      e.leaf = false;
+      return NodeElems{tree.body_first[node], tree.body_count[node], true,
+                       m.data(), x.data(), y.data(), z.data()};
     }
-    return e;
+    return NodeElems{tree.child_first[node], tree.child_count[node], false,
+                     tree.mass.data(), tree.com_x.data(), tree.com_y.data(),
+                     tree.com_z.data()};
   };
 
   const index_t rg_nodes = end - begin;
@@ -78,48 +79,47 @@ void sum_node_range(Octree& tree, std::span<const real> x,
     // The nodes this warp's tiles own (kInvalidIndex = idle tile).
     std::array<index_t, kWarpSize> node_of{};
     std::array<NodeElems, kWarpSize> elems{};
-    index_t max_count = 0;
     for (int t = 0; t < tiles; ++t) {
       const index_t slot = static_cast<index_t>(widx) * tiles + t;
       const index_t node = begin + slot;
       node_of[t] = slot < rg_nodes ? node : kInvalidIndex;
-      if (node_of[t] != kInvalidIndex) {
-        elems[t] = elems_of(node);
-        max_count = std::max(max_count, elems[t].count);
-      }
+      if (node_of[t] != kInvalidIndex) elems[t] = elems_of(node);
     }
-    const index_t chunks = (max_count + tsub - 1) / tsub;
+    // Lane t*tsub + idx % tsub of tile t holds element idx in chunk
+    // idx / tsub. Walking each tile's elements in order visits only the
+    // lanes that hold one and still adds every lane's elements in chunk
+    // order, so the moments equal a chunk-by-chunk sweep of all 32 lanes.
+    // The per-element tallies of that sweep are charged in bulk.
+    const index_t lane_mask = static_cast<index_t>(tsub - 1);
+    std::uint64_t summed = 0;   // elements of all this warp's tiles
+    std::uint64_t children = 0; // of which child nodes (internal tiles)
+    for (int t = 0; t < tiles; ++t) {
+      if (node_of[t] == kInvalidIndex) continue;
+      summed += elems[t].count;
+      if (!elems[t].leaf) children += elems[t].count;
+    }
 
     // --- pass 1: total mass and mass-weighted position -----------------
     LaneArray<float> sm{}, sx{}, sy{}, sz{};
-    for (index_t c = 0; c < chunks; ++c) {
-      std::uint64_t active = 0;
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        const int t = lane / tsub;
-        if (node_of[t] == kInvalidIndex) continue;
-        const index_t idx = c * tsub + static_cast<index_t>(lane % tsub);
-        if (idx >= elems[t].count) continue;
-        const index_t e = elems[t].first + idx;
-        float em, ex, ey, ez;
-        if (elems[t].leaf) {
-          em = m[e]; ex = x[e]; ey = y[e]; ez = z[e];
-        } else {
-          em = tree.mass[e];
-          ex = tree.com_x[e]; ey = tree.com_y[e]; ez = tree.com_z[e];
-        }
-        sm[lane] += em;
-        sx[lane] += em * ex;
-        sy[lane] += em * ey;
-        sz[lane] += em * ez;
-        ++active;
+    for (int t = 0; t < tiles; ++t) {
+      if (node_of[t] == kInvalidIndex) continue;
+      const NodeElems& el = elems[t];
+      const int lane0 = t * tsub;
+      for (index_t idx = 0; idx < el.count; ++idx) {
+        const int lane = lane0 + static_cast<int>(idx & lane_mask);
+        const index_t e = el.first + idx;
+        sm[lane] += el.m[e];
+        sx[lane] += el.m[e] * el.x[e];
+        sy[lane] += el.m[e] * el.y[e];
+        sz[lane] += el.m[e] * el.z[e];
       }
-      // Per active lane: one float4 load, 1 add + 3 FMA, and index
-      // arithmetic (chunk offset, bound check, address).
-      counts.bytes_load += active * 16 * kTrafficAmplification;
-      counts.fp32_add += active;
-      counts.fp32_fma += active * 3;
-      counts.int_ops += active * 4;
     }
+    // Per element: one float4 load, 1 add + 3 FMA, and index arithmetic
+    // (chunk offset, bound check, address).
+    counts.bytes_load += summed * 16 * kTrafficAmplification;
+    counts.fp32_add += summed;
+    counts.fp32_fma += summed * 3;
+    counts.int_ops += summed * 4;
     simt::reduce_add(w, sm, tsub);
     simt::reduce_add(w, sx, tsub);
     simt::reduce_add(w, sy, tsub);
@@ -142,41 +142,32 @@ void sum_node_range(Octree& tree, std::span<const real> x,
     // --- pass 2: node size bmax (the b_J of Eq. 2) ----------------------
     LaneArray<float> bb{};
     for (auto& v : bb) v = 0.0f;
-    for (index_t c = 0; c < chunks; ++c) {
-      std::uint64_t active = 0;
-      std::uint64_t internal = 0;
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        const int t = lane / tsub;
-        if (node_of[t] == kInvalidIndex) continue;
-        const index_t idx = c * tsub + static_cast<index_t>(lane % tsub);
-        if (idx >= elems[t].count) continue;
-        const index_t e = elems[t].first + idx;
-        const index_t node = node_of[t];
-        float dx, dy, dz, extra = 0.0f;
-        if (elems[t].leaf) {
-          dx = x[e] - tree.com_x[node];
-          dy = y[e] - tree.com_y[node];
-          dz = z[e] - tree.com_z[node];
-        } else {
-          dx = tree.com_x[e] - tree.com_x[node];
-          dy = tree.com_y[e] - tree.com_y[node];
-          dz = tree.com_z[e] - tree.com_z[node];
-          extra = tree.bmax[e];
-          ++internal;
-        }
-        const float d =
-            std::sqrt(dx * dx + dy * dy + dz * dz) + extra;
+    for (int t = 0; t < tiles; ++t) {
+      if (node_of[t] == kInvalidIndex) continue;
+      const NodeElems& el = elems[t];
+      const int lane0 = t * tsub;
+      const index_t node = node_of[t];
+      const float cx = tree.com_x[node];
+      const float cy = tree.com_y[node];
+      const float cz = tree.com_z[node];
+      for (index_t idx = 0; idx < el.count; ++idx) {
+        const int lane = lane0 + static_cast<int>(idx & lane_mask);
+        const index_t e = el.first + idx;
+        const float dx = el.x[e] - cx;
+        const float dy = el.y[e] - cy;
+        const float dz = el.z[e] - cz;
+        const float extra = el.leaf ? 0.0f : tree.bmax[e];
+        const float d = std::sqrt(dx * dx + dy * dy + dz * dz) + extra;
         bb[lane] = std::max(bb[lane], d);
-        ++active;
       }
-      // 3 subs, 3 FMA (squares), sqrt on the SFU, max compare; internal
-      // nodes add the child radius.
-      counts.bytes_load += active * 16 * kTrafficAmplification;
-      counts.fp32_add += active * 4 + internal;
-      counts.fp32_fma += active * 3;
-      counts.fp32_special += active;
-      counts.int_ops += active * 4;
     }
+    // Per element: 3 subs, 3 FMA (squares), sqrt on the SFU, max compare;
+    // child nodes add the child radius.
+    counts.bytes_load += summed * 16 * kTrafficAmplification;
+    counts.fp32_add += summed * 4 + children;
+    counts.fp32_fma += summed * 3;
+    counts.fp32_special += summed;
+    counts.int_ops += summed * 4;
     simt::reduce_max(w, bb, tsub);
     for (int t = 0; t < tiles; ++t) {
       if (node_of[t] == kInvalidIndex) continue;
@@ -190,26 +181,18 @@ void sum_node_range(Octree& tree, std::span<const real> x,
     // the same form.
     if (cfg.compute_quadrupole) {
       LaneArray<float> qxx{}, qxy{}, qxz{}, qyy{}, qyz{}, qzz{};
-      for (index_t c = 0; c < chunks; ++c) {
-        std::uint64_t active = 0;
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-          const int t = lane / tsub;
-          if (node_of[t] == kInvalidIndex) continue;
-          const index_t idx = c * tsub + static_cast<index_t>(lane % tsub);
-          if (idx >= elems[t].count) continue;
-          const index_t e = elems[t].first + idx;
-          const index_t node = node_of[t];
-          float em, dx, dy, dz;
-          if (elems[t].leaf) {
-            em = m[e];
-            dx = x[e] - tree.com_x[node];
-            dy = y[e] - tree.com_y[node];
-            dz = z[e] - tree.com_z[node];
-          } else {
-            em = tree.mass[e];
-            dx = tree.com_x[e] - tree.com_x[node];
-            dy = tree.com_y[e] - tree.com_y[node];
-            dz = tree.com_z[e] - tree.com_z[node];
+      for (int t = 0; t < tiles; ++t) {
+        if (node_of[t] == kInvalidIndex) continue;
+        const NodeElems& el = elems[t];
+        const int lane0 = t * tsub;
+        const index_t node = node_of[t];
+        const float cx = tree.com_x[node];
+        const float cy = tree.com_y[node];
+        const float cz = tree.com_z[node];
+        for (index_t idx = 0; idx < el.count; ++idx) {
+          const int lane = lane0 + static_cast<int>(idx & lane_mask);
+          const index_t e = el.first + idx;
+          if (!el.leaf) {
             qxx[lane] += tree.quad_xx[e];
             qxy[lane] += tree.quad_xy[e];
             qxz[lane] += tree.quad_xz[e];
@@ -217,6 +200,10 @@ void sum_node_range(Octree& tree, std::span<const real> x,
             qyz[lane] += tree.quad_yz[e];
             qzz[lane] += tree.quad_zz[e];
           }
+          const float em = el.m[e];
+          const float dx = el.x[e] - cx;
+          const float dy = el.y[e] - cy;
+          const float dz = el.z[e] - cz;
           const float d2 = dx * dx + dy * dy + dz * dz;
           qxx[lane] += em * (3.0f * dx * dx - d2);
           qxy[lane] += em * 3.0f * dx * dy;
@@ -224,14 +211,13 @@ void sum_node_range(Octree& tree, std::span<const real> x,
           qyy[lane] += em * (3.0f * dy * dy - d2);
           qyz[lane] += em * 3.0f * dy * dz;
           qzz[lane] += em * (3.0f * dz * dz - d2);
-          ++active;
         }
-        counts.bytes_load += active * 16;
-        counts.fp32_add += active * 5;
-        counts.fp32_fma += active * 12;
-        counts.fp32_mul += active * 8;
-        counts.int_ops += active * 4;
       }
+      counts.bytes_load += summed * 16;
+      counts.fp32_add += summed * 5;
+      counts.fp32_fma += summed * 12;
+      counts.fp32_mul += summed * 8;
+      counts.int_ops += summed * 4;
       simt::reduce_add(w, qxx, tsub);
       simt::reduce_add(w, qxy, tsub);
       simt::reduce_add(w, qxz, tsub);

@@ -3,6 +3,7 @@
 #include "runtime/device.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -49,14 +50,38 @@ BoundingCube compute_bounding_cube(std::span<const real> x,
   if (x.empty() || x.size() != y.size() || x.size() != z.size()) {
     throw std::invalid_argument("compute_bounding_cube: bad spans");
   }
-  real lo_x = x[0], hi_x = x[0];
-  real lo_y = y[0], hi_y = y[0];
-  real lo_z = z[0], hi_z = z[0];
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    lo_x = std::min(lo_x, x[i]); hi_x = std::max(hi_x, x[i]);
-    lo_y = std::min(lo_y, y[i]); hi_y = std::max(hi_y, y[i]);
-    lo_z = std::min(lo_z, z[i]); hi_z = std::max(hi_z, z[i]);
-  }
+  // Min/max reduction: each worker scans its contiguous chunk, then the
+  // chunk extents combine in chunk order. For positions without NaN that
+  // is the serial scan's result bit for bit (equal values, signed zeros
+  // included, resolve to the first one seen either way).
+  struct Extent {
+    real lo_x, hi_x, lo_y, hi_y, lo_z, hi_z;
+    void add(const Extent& o) {
+      lo_x = std::min(lo_x, o.lo_x); hi_x = std::max(hi_x, o.hi_x);
+      lo_y = std::min(lo_y, o.lo_y); hi_y = std::max(hi_y, o.hi_y);
+      lo_z = std::min(lo_z, o.lo_z); hi_z = std::max(hi_z, o.hi_z);
+    }
+  };
+  runtime::Device& dev = runtime::Device::current();
+  std::array<Extent, runtime::Device::kMaxWorkers> part;
+  dev.parallel_ranges(0, x.size(), [&](runtime::Worker& w, std::size_t lo,
+                                       std::size_t hi) {
+    Extent e{x[lo], x[lo], y[lo], y[lo], z[lo], z[lo]};
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      e.lo_x = std::min(e.lo_x, x[i]); e.hi_x = std::max(e.hi_x, x[i]);
+      e.lo_y = std::min(e.lo_y, y[i]); e.hi_y = std::max(e.hi_y, y[i]);
+      e.lo_z = std::min(e.lo_z, z[i]); e.hi_z = std::max(e.hi_z, z[i]);
+    }
+    part[static_cast<std::size_t>(w.id)] = e;
+  });
+  const std::size_t chunks =
+      (x.size() + dev.chunk_size(0, x.size()) - 1) /
+      dev.chunk_size(0, x.size());
+  Extent e = part[0];
+  for (std::size_t c = 1; c < chunks; ++c) e.add(part[c]);
+  const real lo_x = e.lo_x, hi_x = e.hi_x;
+  const real lo_y = e.lo_y, hi_y = e.hi_y;
+  const real lo_z = e.lo_z, hi_z = e.hi_z;
   BoundingCube box;
   const real edge =
       std::max({hi_x - lo_x, hi_y - lo_y, hi_z - lo_z, real(1e-30f)});

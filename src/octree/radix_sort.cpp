@@ -15,7 +15,7 @@ using BucketTable = std::array<std::size_t, kBuckets>;
 
 void radix_sort_pairs(std::span<std::uint64_t> keys,
                       std::span<index_t> payload, int bits,
-                      simt::OpCounts* ops) {
+                      simt::OpCounts* ops, bool rewind_arenas) {
   const std::size_t n = keys.size();
   if (payload.size() != n) {
     throw std::invalid_argument("radix_sort_pairs: size mismatch");
@@ -31,13 +31,15 @@ void radix_sort_pairs(std::span<std::uint64_t> keys,
   const int nt = dev.workers();
 
   // All scratch lives in the context workers' arenas (retained capacity,
-  // so steady-state sorts perform zero heap allocations). The sort owns
-  // the arenas for its duration: its only arena-using neighbour, walkTree,
-  // resets them itself at the start of every launch. The ping-pong buffers
-  // and the per-worker table pointers come from worker 0; each worker's
-  // histogram/offset pair sits in that worker's own arena so the counting
-  // and scatter phases touch only worker-local cache lines.
-  for (int t = 0; t < nt; ++t) dev.context_worker(t).arena.reset();
+  // so steady-state sorts perform zero heap allocations). Every
+  // arena-using kernel rewinds the arenas at its start and owns them until
+  // it returns. The ping-pong buffers and the per-worker table pointers
+  // come from worker 0; each worker's histogram/offset pair sits in that
+  // worker's own arena so the counting and scatter phases touch only
+  // worker-local cache lines.
+  if (rewind_arenas) {
+    for (int t = 0; t < nt; ++t) dev.context_worker(t).arena.reset();
+  }
   runtime::Arena& shared = dev.context_worker(0).arena;
   std::span<std::uint64_t> tmp_keys = shared.alloc_span<std::uint64_t>(n);
   std::span<index_t> tmp_payload = shared.alloc_span<index_t>(n);

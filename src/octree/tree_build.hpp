@@ -48,4 +48,12 @@ void build_tree(std::span<const real> x, std::span<const real> y,
 void gather(std::span<const real> in, std::span<const index_t> perm,
             std::span<real> out);
 
+/// Apply `perm` to every array in place: v[slot] = old v[perm[slot]]. One
+/// collective over whole arrays: each worker gathers its arrays, one at a
+/// time, into an N-sized span of its own arena and copies it back, so
+/// nothing is allocated once the arenas have grown (each worker rewinds
+/// its arena first).
+void permute_in_place(std::span<const std::span<real>> arrays,
+                      std::span<const index_t> perm);
+
 } // namespace gothic::octree

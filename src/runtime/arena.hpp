@@ -142,17 +142,25 @@ private:
     std::size_t used = 0;
   };
 
+  // Chunks are mapped from the OS directly (arena.cpp; page-aligned, so
+  // kAlignment holds), not taken from malloc. They are large and
+  // long-lived, and a coalescing reset frees the outgrown ones: freed
+  // through glibc malloc, each raised its dynamic mmap threshold, after
+  // which later N-sized buffers of every thread landed in per-thread heaps
+  // and stayed resident.
+  static std::byte* map_chunk(std::size_t bytes);
+  static void unmap_chunk(std::byte* mem, std::size_t bytes);
+
   Chunk acquire(std::size_t bytes) {
     ++heap_allocations_;
     Chunk c;
     c.size = bytes;
-    c.mem = static_cast<std::byte*>(
-        ::operator new(bytes, std::align_val_t{kAlignment}));
+    c.mem = map_chunk(bytes);
     return c;
   }
 
   static void release(Chunk& c) {
-    ::operator delete(c.mem, std::align_val_t{kAlignment});
+    unmap_chunk(c.mem, c.size);
     c.mem = nullptr;
   }
 

@@ -3,11 +3,15 @@
 #include "octree/morton.hpp"
 #include "octree/radix_sort.hpp"
 #include "octree/tree_build.hpp"
+#include "runtime/device.hpp"
+#include "simt/simd.hpp"
+#include "tree_phase_pins.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 namespace gothic::octree {
@@ -392,6 +396,182 @@ TEST(CalcNode, SmallerTsubUsesFewerReductionStages) {
   // stages, hence fewer total shuffles and syncs.
   EXPECT_LT(t8.shfl, t32.shfl);
   EXPECT_LT(t8.syncwarp, t32.syncwarp);
+}
+
+// --- the tree phase, pinned to the serial implementation -------------------
+// build_tree and calc_node run on the worker pool; every topology array,
+// permutation, moment and op tally must equal what the original serial
+// build and all-lane calcNode loops produced. The constants were recorded
+// from that implementation and must hold on every worker count.
+
+/// Every OpCounts field, declaration order.
+using Tallies = std::array<std::uint64_t, 13>;
+
+Tallies tallies_of(const simt::OpCounts& o) {
+  return {o.int_ops,     o.fp32_fma,  o.fp32_mul,       o.fp32_add,
+          o.fp32_special, o.bytes_load, o.bytes_store,  o.syncwarp,
+          o.tile_sync,   o.block_sync, o.global_barrier, o.shfl,
+          o.ballot};
+}
+
+struct SortedInput {
+  Octree tree;
+  std::vector<index_t> perm;
+  std::vector<real> x, y, z, m;
+};
+
+/// The Morton tree of a pinned scenario, with its bodies in tree order.
+SortedInput sorted_input(const char* scenario) {
+  const nbody::Particles& p = pins::input(scenario);
+  SortedInput s;
+  build_tree(p.x, p.y, p.z, s.tree, s.perm);
+  for (auto [src, dst] : {std::pair{&p.x, &s.x}, std::pair{&p.y, &s.y},
+                          std::pair{&p.z, &s.z}, std::pair{&p.m, &s.m}}) {
+    dst->resize(src->size());
+    gather(*src, s.perm, *dst);
+  }
+  return s;
+}
+
+TEST(TreeBuild, TopologyEqualsThePinnedParentValues) {
+  // Volta differs from Pascal only in the tile_sync tally (index 8).
+  struct Pin {
+    const char* scenario;
+    SpaceFillingCurve curve;
+    index_t nodes;
+    int levels;
+    std::uint64_t topology;
+    std::uint64_t perm;
+    Tallies pascal;
+    std::uint64_t volta_tile_sync;
+  };
+  const Pin pins_[] = {
+      {"m31", SpaceFillingCurve::Morton, 1077, 11, 0x6416b8dc964a1c4d, 0x30f37ede876e4be1,
+       {564790, 12288, 0, 0, 0, 802816, 447524, 0, 0, 0, 0, 0, 0},
+       2154},
+      {"m31", SpaceFillingCurve::Hilbert, 1077, 11, 0x097d4a8b45ee2af2, 0xbb4a4066c048fd09,
+       {564790, 12288, 0, 0, 0, 802816, 447524, 0, 0, 0, 0, 0, 0},
+       2154},
+      {"lj-box", SpaceFillingCurve::Morton, 585, 4, 0xe3ada877dceb6dfa, 0x96dd443c225a2c25,
+       {492686, 12288, 0, 0, 0, 573440, 437684, 0, 0, 0, 0, 0, 0},
+       1170},
+      {"lj-box", SpaceFillingCurve::Hilbert, 585, 4, 0xe3ada877dceb6dfa, 0xfa8e81e567e58e55,
+       {492686, 12288, 0, 0, 0, 573440, 437684, 0, 0, 0, 0, 0, 0},
+       1170},
+      {"uniform-box", SpaceFillingCurve::Morton, 593, 5, 0x4bae91fe493502cb, 0x0ed5f1c4c94a8d39,
+       {501118, 12288, 0, 0, 0, 606208, 437844, 0, 0, 0, 0, 0, 0},
+       1186},
+      {"uniform-box", SpaceFillingCurve::Hilbert, 593, 5, 0x635eeeefa3a5daa0, 0x3aba0a80d9b67465,
+       {501118, 12288, 0, 0, 0, 606208, 437844, 0, 0, 0, 0, 0, 0},
+       1186},
+  };
+  for (const int workers : pins::kWorkerCounts) {
+    runtime::Device dev(workers);
+    runtime::ScopedDevice scope(dev);
+    for (const Pin& pin : pins_) {
+      const nbody::Particles& p = pins::input(pin.scenario);
+      for (const simt::ExecMode mode :
+           {simt::ExecMode::Pascal, simt::ExecMode::Volta}) {
+        BuildConfig cfg;
+        cfg.curve = pin.curve;
+        cfg.mode = mode;
+        Octree tree;
+        std::vector<index_t> perm;
+        simt::OpCounts ops;
+        build_tree(p.x, p.y, p.z, tree, perm, cfg, &ops);
+        Tallies want = pin.pascal;
+        if (mode == simt::ExecMode::Volta) want[8] = pin.volta_tile_sync;
+        const std::string where =
+            std::string(pin.scenario) +
+            (pin.curve == SpaceFillingCurve::Morton ? " morton " : " hilbert ") +
+            simt::exec_mode_name(mode) + " workers " +
+            std::to_string(workers);
+        EXPECT_EQ(tree.num_nodes(), pin.nodes) << where;
+        EXPECT_EQ(tree.num_levels(), pin.levels) << where;
+        EXPECT_EQ(pins::hex(pins::topology_digest(tree)), pins::hex(pin.topology))
+            << where;
+        EXPECT_EQ(pins::hex(pins::digest(perm)), pins::hex(pin.perm)) << where;
+        EXPECT_EQ(tallies_of(ops), want) << where;
+      }
+    }
+  }
+}
+
+TEST(CalcNode, MomentsAndTalliesEqualThePinnedParentValues) {
+  // Quadrupoles on, so all three passes run. The moments depend on the
+  // scenario and tsub only; Volta differs from Pascal only in the syncwarp
+  // tally (index 7).
+  struct Pin {
+    const char* scenario;
+    int tsub;
+    std::uint64_t moments;
+    Tallies pascal;
+    std::uint64_t volta_syncwarp;
+  };
+  const Pin pins_[] = {
+      {"m31", 2, 0xd0b37f60269aeead,
+       {62064, 93096, 44607, 78492, 6249, 1075776, 133548, 0, 0, 0, 11, 25696, 0},
+       803},
+      {"m31", 8, 0x10f82c8b5c4a2ca5,
+       {62064, 93096, 44607, 340028, 6249, 1075776, 133548, 0, 0, 0, 11, 287232, 0},
+       8976},
+      {"m31", 32, 0x10f82c8b5c4a2ca5,
+       {62064, 93096, 44607, 1948316, 6249, 1075776, 133548, 0, 0, 0, 11, 1895520, 0},
+       59235},
+      {"lj-box", 2, 0x90f63ae89197fddb,
+       {56160, 84240, 39195, 60760, 5265, 973440, 72540, 0, 0, 0, 4, 13376, 0},
+       418},
+      {"lj-box", 8, 0xb6bac1cc828da75d,
+       {56160, 84240, 39195, 202616, 5265, 973440, 72540, 0, 0, 0, 4, 155232, 0},
+       4851},
+      {"lj-box", 32, 0xb6bac1cc828da75d,
+       {56160, 84240, 39195, 1076984, 5265, 973440, 72540, 0, 0, 0, 4, 1029600, 0},
+       32175},
+      {"uniform-box", 2, 0x6f554ef001fb7ee3,
+       {56256, 84384, 39283, 61200, 5281, 975104, 73532, 0, 0, 0, 5, 13728, 0},
+       429},
+      {"uniform-box", 8, 0x9b226542286698af,
+       {56256, 84384, 39283, 204816, 5281, 975104, 73532, 0, 0, 0, 5, 157344, 0},
+       4917},
+      {"uniform-box", 32, 0x9b226542286698af,
+       {56256, 84384, 39283, 1091152, 5281, 975104, 73532, 0, 0, 0, 5, 1043680, 0},
+       32615},
+  };
+  for (const int workers : pins::kWorkerCounts) {
+    runtime::Device dev(workers);
+    runtime::ScopedDevice scope(dev);
+    for (const Pin& pin : pins_) {
+      SortedInput s = sorted_input(pin.scenario);
+      for (const simt::ExecMode mode :
+           {simt::ExecMode::Pascal, simt::ExecMode::Volta}) {
+        for (const bool simd : {false, true}) {
+          simt::ScopedSimd substrate(simd);
+          CalcNodeConfig cfg;
+          cfg.mode = mode;
+          cfg.tsub = pin.tsub;
+          cfg.compute_quadrupole = true;
+          simt::OpCounts ops;
+          calc_node(s.tree, s.x, s.y, s.z, s.m, cfg, &ops);
+          const Octree& t = s.tree;
+          std::uint64_t h = pins::digest(t.com_x);
+          for (const std::vector<real>* v :
+               {&t.com_y, &t.com_z, &t.mass, &t.bmax, &t.quad_xx, &t.quad_xy,
+                &t.quad_xz, &t.quad_yy, &t.quad_yz, &t.quad_zz}) {
+            h = pins::digest(*v, h);
+          }
+          Tallies want = pin.pascal;
+          if (mode == simt::ExecMode::Volta) want[7] = pin.volta_syncwarp;
+          const std::string where =
+              std::string(pin.scenario) + " tsub " +
+              std::to_string(pin.tsub) + " " + simt::exec_mode_name(mode) +
+              (simd ? " simd" : " scalar") + " workers " +
+              std::to_string(workers);
+          EXPECT_EQ(pins::hex(h), pins::hex(pin.moments)) << where;
+          EXPECT_EQ(tallies_of(ops), want) << where;
+        }
+      }
+    }
+  }
 }
 
 } // namespace

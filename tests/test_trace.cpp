@@ -29,14 +29,20 @@
 #include <thread>
 #include <vector>
 
-// --- global allocation counter (for the zero-overhead-when-off test) ------
+// --- global allocation counter (for the zero-overhead tests) --------------
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+/// Requests of at least 4 KiB: the size class of per-particle buffers.
+constexpr std::size_t kLargeRequest = 4096;
+std::atomic<std::uint64_t> g_large_allocations{0};
 }
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size >= kLargeRequest) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -441,6 +447,29 @@ nbody::SimConfig traced_config() {
   cfg.auto_rebuild = false;
   cfg.fixed_rebuild_interval = 2;
   return cfg;
+}
+
+TEST(ZeroOverhead, SteadyStateRebuildStepsAllocateNoLargeBuffers) {
+  // A rebuild every step: makeTree, the permute (particle and block-step
+  // gathers, walk groups, cost carry) and calcNode all run each step. A
+  // tiny dt keeps the tree and the groups the same from step to step, so
+  // every steady-state step does the same work through retained storage:
+  // no N-sized heap request, no arena growth.
+  runtime::Device dev(2);
+  runtime::ScopedDevice scope(dev);
+  nbody::SimConfig cfg = traced_config();
+  cfg.set_mode(simt::ExecMode::Pascal);
+  cfg.block_time_steps = false;
+  cfg.dt_max = 1.0 / 4096;
+  cfg.fixed_rebuild_interval = 1;
+  nbody::Simulation sim(plummer(16384, 5), cfg);
+  for (int warm = 0; warm < 3; ++warm) (void)sim.step();
+  const std::uint64_t arena = dev.arena_heap_allocations();
+  const std::uint64_t large = g_large_allocations.load();
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(sim.step().rebuilt);
+  EXPECT_EQ(g_large_allocations.load() - large, 0u)
+      << "steady-state rebuild steps requested heap blocks of >= 4 KiB";
+  EXPECT_EQ(dev.arena_heap_allocations(), arena);
 }
 
 /// Run `steps` traced steps and return (event counts per phase, session).

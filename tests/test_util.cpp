@@ -1,6 +1,5 @@
-// util: RNG determinism and statistics, aligned buffers, tables, env
+// util: RNG determinism and statistics, tables, env
 // parsing, timers.
-#include "util/aligned_buffer.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -82,21 +81,6 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (a.next() == b.next()) ++same;
   }
   EXPECT_EQ(same, 0);
-}
-
-TEST(AlignedBuffer, AlignmentAndValueInit) {
-  AlignedBuffer<double> buf(1000);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 64, 0u);
-  for (double v : buf) EXPECT_EQ(v, 0.0);
-  EXPECT_EQ(buf.size(), 1000u);
-}
-
-TEST(AlignedBuffer, MoveTransfersOwnership) {
-  AlignedBuffer<int> a(10);
-  a[3] = 7;
-  AlignedBuffer<int> b = std::move(a);
-  EXPECT_EQ(b[3], 7);
-  EXPECT_TRUE(a.empty());
 }
 
 TEST(Table, AlignsAndFormats) {

@@ -4,6 +4,8 @@
 #include "galaxy/spherical_sampler.hpp"
 #include "octree/calc_node.hpp"
 #include "octree/tree_build.hpp"
+#include "runtime/device.hpp"
+#include "tree_phase_pins.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -393,6 +395,50 @@ TEST(WalkGroups, ExplicitGroupsMatchInternalComputation) {
   EXPECT_EQ(s1.interactions, s2.interactions);
   for (std::size_t i = 0; i < c.x.size(); i += 173) {
     EXPECT_FLOAT_EQ(a1[i], a2[i]);
+  }
+}
+
+TEST(WalkGroups, SpansEqualThePinnedParentValues) {
+  // The decomposition of each pinned scenario's tree (bodies in tree
+  // order), recorded from the serial leaf scan, sort and compaction; it
+  // must hold on every worker count.
+  struct Pin {
+    const char* scenario;
+    octree::SpaceFillingCurve curve;
+    std::size_t groups;
+    std::uint64_t spans;
+  };
+  const Pin pins_[] = {
+      {"m31", octree::SpaceFillingCurve::Morton, 1860, 0xe5b70142525ce814},
+      {"m31", octree::SpaceFillingCurve::Hilbert, 1618, 0x703dfbd19e91e1e7},
+      {"lj-box", octree::SpaceFillingCurve::Morton, 564, 0x3569c77c22bf8a43},
+      {"lj-box", octree::SpaceFillingCurve::Hilbert, 569, 0x5156c8317fa0150a},
+      {"uniform-box", octree::SpaceFillingCurve::Morton, 1288, 0xb492b7702c657d93},
+      {"uniform-box", octree::SpaceFillingCurve::Hilbert, 1042, 0x29dff6de579b86b0},
+  };
+  for (const int workers : pins::kWorkerCounts) {
+    runtime::Device dev(workers);
+    runtime::ScopedDevice scope(dev);
+    for (const Pin& pin : pins_) {
+      const nbody::Particles& p = pins::input(pin.scenario);
+      octree::Octree tree;
+      std::vector<index_t> perm;
+      octree::BuildConfig cfg;
+      cfg.curve = pin.curve;
+      octree::build_tree(p.x, p.y, p.z, tree, perm, cfg);
+      std::vector<real> x(p.size()), y(p.size()), z(p.size());
+      octree::gather(p.x, perm, x);
+      octree::gather(p.y, perm, y);
+      octree::gather(p.z, perm, z);
+      const std::vector<GroupSpan> groups = walk_groups(tree, x, y, z);
+      const std::string where =
+          std::string(pin.scenario) +
+          (pin.curve == octree::SpaceFillingCurve::Morton ? " morton"
+                                                          : " hilbert") +
+          " workers " + std::to_string(workers);
+      EXPECT_EQ(groups.size(), pin.groups) << where;
+      EXPECT_EQ(pins::hex(pins::digest(groups)), pins::hex(pin.spans)) << where;
+    }
   }
 }
 

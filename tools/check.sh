@@ -46,12 +46,14 @@
 # project) against this tree into build/e2e, runs its unit tests, and
 # smokes the two-shard workload with its K=2 bit-identity check.
 #
-# The TSan stage rebuilds test_runtime, test_walk_tree, test_service,
-# test_shard, test_testkit and gothic_fuzz in a separate build tree
-# (build-tsan/) with GOTHIC_SANITIZE=thread and runs each once,
-# exercising the lane leaders' queue handshake, the cross-stream event
-# waits, the shared team's admission and fork/join, the per-launch merge
-# locks, the fault-injection paths, the serializing grant pump every
+# The TSan stage rebuilds test_runtime, test_octree, test_walk_groups,
+# test_walk_tree, test_service, test_shard, test_testkit and gothic_fuzz
+# in a separate build tree (build-tsan/) with GOTHIC_SANITIZE=thread and
+# runs each once, exercising the lane leaders' queue handshake, the
+# cross-stream event waits, the shared team's admission and fork/join,
+# the tree phase's collectives (bounding-cube reduction, level-by-level
+# linking, radix sort, calcNode, walk-group compaction), the per-launch
+# merge locks, the fault-injection paths, the serializing grant pump every
 # in-order reference goes through, the session pool's handoff between
 # device threads and the sharded engine's K devices with their host-side
 # cross-device waits under a real data-race detector.
@@ -211,6 +213,17 @@ for bad in --schedules=-1 --workers=0; do
   fi
   grep -q -- "$bad is out of range" <<<"$err"
 done
+# gothic_serve applies the same rule to its pool and batch flags.
+for bad in --devices=0 --steps=-2; do
+  status=0
+  err=$(./build/tools/gothic_serve --sessions=1 --n=64 "$bad" 2>&1 \
+    >/dev/null) || status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "gothic_serve $bad exited $status, not 2" >&2
+    exit 1
+  fi
+  grep -q -- "$bad is out of range" <<<"$err"
+done
 echo "shard stage passed"
 
 echo "== scenario stage: bench_scenario =="
@@ -328,13 +341,16 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== TSan: runtime + walk_tree + service + shard + testkit + fuzz =="
+echo "== TSan: runtime + octree + walk + service + shard + testkit + fuzz =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \
       -DGOTHIC_BUILD_BENCH=OFF >/dev/null
-cmake --build build-tsan -j --target test_runtime test_walk_tree \
-      test_service test_shard test_testkit gothic_fuzz
+cmake --build build-tsan -j --target test_runtime test_octree \
+      test_walk_groups test_walk_tree test_service test_shard test_testkit \
+      gothic_fuzz
 (cd build-tsan &&
   ./tests/test_runtime &&
+  ./tests/test_octree &&
+  ./tests/test_walk_groups &&
   ./tests/test_walk_tree &&
   ./tests/test_service &&
   ./tests/test_shard &&

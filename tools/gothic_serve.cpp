@@ -22,16 +22,22 @@
 //                     pooled final state to match bit-for-bit
 //   --metrics         print the metrics registry (service footer included)
 //
-// Exit code 0 iff every session completed (and, with --oracle, matched).
+// Exit code 0 iff every session completed (and, with --oracle, matched);
+// 2 for an unknown option or a value out of range (--devices, --steps and
+// --shards >= 1, --n and --snapshot-every >= 0, --workers in
+// [0, Device::kMaxWorkers]), with a message naming the flag.
+#include "runtime/device.hpp"
 #include "service/session_manager.hpp"
 #include "trace/metrics.hpp"
 #include "util/args.hpp"
 #include "util/env.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,26 +47,43 @@ using gothic::service::SessionConfig;
 using gothic::service::SessionInfo;
 using gothic::service::SessionState;
 
+/// --key as an integer in [lo, hi]; otherwise throws, and main() exits 2
+/// with a message naming the flag.
+long long get_in_range(const gothic::Args& args, const char* key,
+                       long long fallback, long long lo, long long hi) {
+  const long long v = args.get_int(key, fallback);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("--" + std::string(key) + "=" +
+                                std::to_string(v) + " is out of range [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return v;
+}
+
 int run(const gothic::Args& args) {
   const auto sessions = static_cast<int>(args.get_int(
       "sessions",
       static_cast<long long>(gothic::env_size("GOTHIC_SESSIONS", 6))));
   gothic::service::PoolOptions pool;
-  pool.devices = static_cast<int>(args.get_int("devices", 1));
-  pool.workers = static_cast<int>(args.get_int("workers", 0));
-  const auto steps = static_cast<int>(args.get_int("steps", 8));
-  const auto n = static_cast<std::size_t>(args.get_int("n", 0));
+  pool.devices = static_cast<int>(get_in_range(args, "devices", 1, 1, INT_MAX));
+  pool.workers = static_cast<int>(get_in_range(
+      args, "workers", 0, 0, gothic::runtime::Device::kMaxWorkers));
+  const auto steps = static_cast<int>(get_in_range(args, "steps", 8, 1, INT_MAX));
+  const auto n =
+      static_cast<std::size_t>(get_in_range(args, "n", 0, 0, LLONG_MAX));
   const auto base_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string scenario_spec = args.get("scenario", "");
-  const auto shards = static_cast<int>(args.get_int("shards", 1));
+  const auto shards =
+      static_cast<int>(get_in_range(args, "shards", 1, 1, INT_MAX));
   const auto quota = args.has("quota")
                          ? gothic::parse_size(args.get("quota", "0"))
                          : gothic::env_size("GOTHIC_SESSION_QUOTA", 0);
   const std::string trace_dir = args.get("trace-dir", "");
   const std::string telemetry_dir = args.get("telemetry-dir", "");
   const auto snapshot_every =
-      static_cast<int>(args.get_int("snapshot-every", 0));
+      static_cast<int>(get_in_range(args, "snapshot-every", 0, 0, INT_MAX));
   const std::string snapshot_dir = args.get("snapshot-dir", "");
   const bool oracle = args.get_flag("oracle");
   const bool metrics = args.get_flag("metrics");
