@@ -13,26 +13,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using minijson::JsonValue;
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  std::string s = buf;
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "null";
-  }
-  return s;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
+using minijson::num;
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -319,7 +300,7 @@ std::string DiffReport::json(const DiffOptions& opt) const {
     std::string a = "[";
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (i != 0) a += ", ";
-      a += quoted(v[i]);
+      a += minijson::quoted(v[i]);
     }
     return a + "]";
   };
@@ -328,8 +309,8 @@ std::string DiffReport::json(const DiffOptions& opt) const {
   for (std::size_t i = 0; i < regressions.size(); ++i) {
     const DiffFinding& f = regressions[i];
     if (i != 0) out += ",";
-    out += "\n      {\"report\": " + quoted(f.report) +
-           ", \"metric\": " + quoted(f.metric) +
+    out += "\n      {\"report\": " + minijson::quoted(f.report) +
+           ", \"metric\": " + minijson::quoted(f.metric) +
            ", \"baseline\": " + num(f.baseline) +
            ", \"candidate\": " + num(f.candidate) +
            ", \"ratio\": " + num(f.ratio()) + "}";

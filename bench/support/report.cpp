@@ -1,6 +1,8 @@
 #include "support/report.hpp"
 
+#include "trace/record_json.hpp"
 #include "util/env.hpp"
+#include "util/minijson.hpp"
 
 #include <cstdio>
 #include <fstream>
@@ -10,64 +12,8 @@ namespace gothic::bench {
 
 namespace {
 
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Built with += rather than `"\"" + escaped(s) + "\""` — the rvalue
-// operator+ chain trips a GCC 12 -Wrestrict false positive when inlined.
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  out += escaped(s);
-  out += '"';
-  return out;
-}
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // JSON has no inf/nan literals; a bench should never produce them, but
-  // keep the document parseable if one does.
-  std::string s = buf;
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "null";
-  }
-  return s;
-}
-
-std::string num(std::uint64_t v) { return std::to_string(v); }
-
-/// {"int32": ..., "fp32": ..., ...} over every OpCategory.
-std::string ops_json(const simt::OpCounts& ops) {
-  std::string out = "{";
-  for (int c = 0; c < static_cast<int>(simt::OpCategory::Count); ++c) {
-    const auto cat = static_cast<simt::OpCategory>(c);
-    if (c != 0) out += ", ";
-    out += "\"";
-    out += simt::op_category_name(cat);
-    out += "\": " + num(simt::op_category_value(ops, cat));
-  }
-  return out + "}";
-}
+using minijson::num;
+using trace::ops_json;
 
 void append_element(std::string& array, std::string element) {
   if (!array.empty()) array += ",\n    ";
@@ -91,15 +37,16 @@ void BenchReport::set_scale(const BenchScale& scale,
                             const std::string& force) {
   set_scale(scale);
   scale_json_.pop_back(); // reopen the object to append the matrix keys
-  scale_json_ += ", \"scenario\": " + quoted(scenario) +
-                 ", \"force\": " + quoted(force) + "}";
+  scale_json_ += ", \"scenario\": " + minijson::quoted(scenario) +
+                 ", \"force\": " + minijson::quoted(force) + "}";
 }
 
 void BenchReport::add_table(const Table& t) {
-  std::string e = "{\"title\": " + quoted(t.title()) + ",\n     \"headers\": [";
+  std::string e = "{\"title\": " + minijson::quoted(t.title()) +
+                  ",\n     \"headers\": [";
   for (std::size_t c = 0; c < t.cols(); ++c) {
     if (c != 0) e += ", ";
-    e += quoted(t.headers()[c]);
+    e += minijson::quoted(t.headers()[c]);
   }
   e += "],\n     \"rows\": [";
   for (std::size_t r = 0; r < t.rows(); ++r) {
@@ -107,7 +54,7 @@ void BenchReport::add_table(const Table& t) {
     e += "[";
     for (std::size_t c = 0; c < t.cols(); ++c) {
       if (c != 0) e += ", ";
-      e += quoted(t.cell(r, c));
+      e += minijson::quoted(t.cell(r, c));
     }
     e += "]";
   }
@@ -116,7 +63,7 @@ void BenchReport::add_table(const Table& t) {
 }
 
 void BenchReport::add_profile(const std::string& label, const StepProfile& p) {
-  std::string e = "{\"label\": " + quoted(label) +
+  std::string e = "{\"label\": " + minijson::quoted(label) +
                   ", \"n\": " + num(static_cast<std::uint64_t>(p.n)) +
                   ", \"dacc\": " + num(p.dacc) +
                   ", \"rebuild_interval\": " + num(p.rebuild_interval) +
@@ -141,9 +88,9 @@ void BenchReport::add_metrics(const trace::MetricsRegistry& m) {
     const trace::KernelStats& ks = m.kernel(static_cast<Kernel>(k));
     if (ks.launches == 0) continue;
     if (!kernels.empty()) kernels += ",\n      ";
-    kernels += "{\"kernel\": \"";
-    kernels += kernel_name(static_cast<Kernel>(k));
-    kernels += "\", \"launches\": " + num(ks.launches) +
+    kernels += "{\"kernel\": " +
+               minijson::quoted(kernel_name(static_cast<Kernel>(k))) +
+               ", \"launches\": " + num(ks.launches) +
                ", \"seconds\": " + num(ks.seconds) +
                ",\n       \"p50_seconds\": " + num(ks.latency.p50_seconds()) +
                ", \"p95_seconds\": " + num(ks.latency.p95_seconds()) +
@@ -169,11 +116,11 @@ void BenchReport::add_metrics(const trace::MetricsRegistry& m) {
 }
 
 void BenchReport::add_note(const std::string& note) {
-  append_element(notes_json_, quoted(note));
+  append_element(notes_json_, minijson::quoted(note));
 }
 
 std::string BenchReport::json() const {
-  std::string out = "{\n  \"bench\": " + quoted(name_);
+  std::string out = "{\n  \"bench\": " + minijson::quoted(name_);
   if (!scale_json_.empty()) out += ",\n  \"scale\": " + scale_json_;
   out += ",\n  \"tables\": [\n    " + tables_json_ + "\n  ]";
   if (!profiles_json_.empty()) {

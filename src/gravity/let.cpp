@@ -1,7 +1,5 @@
 #include "gravity/let.hpp"
 
-#include "simt/scan.hpp"
-
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -10,7 +8,6 @@ namespace gothic::gravity {
 
 namespace {
 
-using simt::LaneArray;
 using simt::Warp;
 
 /// Would the conservative destination summary accept this node? True only
@@ -111,57 +108,20 @@ LetBounds let_bounds(std::span<const real> x, std::span<const real> y,
     const int gn = static_cast<int>(groups[gi].count);
     if (gn == 0) continue;
     Warp w(mode, counts);
-
-    // Exact replica of walk_group's group-summary block: same lane fill,
-    // same butterfly reductions, same float rounding — the per-group
-    // ctr/rgrp/amin below are bit-identical to the walk's.
-    LaneArray<float> gx{}, gy{}, gz{};
-    LaneArray<float> amin_l{};
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (lane < gn) {
-        gx[lane] = x[g0 + lane];
-        gy[lane] = y[g0 + lane];
-        gz[lane] = z[g0 + lane];
-        amin_l[lane] = aold_mag.empty()
-                           ? 0.0f
-                           : static_cast<float>(aold_mag[g0 + lane]);
-      } else {
-        amin_l[lane] = std::numeric_limits<float>::max();
-      }
-    }
-    LaneArray<float> cx = gx, cy = gy, cz = gz;
-    simt::reduce_add(w, cx, kWarpSize);
-    simt::reduce_add(w, cy, kWarpSize);
-    simt::reduce_add(w, cz, kWarpSize);
-    const float inv_n = 1.0f / static_cast<float>(gn);
-    const float ctr_x = cx[0] * inv_n;
-    const float ctr_y = cy[0] * inv_n;
-    const float ctr_z = cz[0] * inv_n;
-
-    LaneArray<float> dist{};
-    for (int lane = 0; lane < gn; ++lane) {
-      const float dx = gx[lane] - ctr_x;
-      const float dy = gy[lane] - ctr_y;
-      const float dz = gz[lane] - ctr_z;
-      dist[lane] = std::sqrt(dx * dx + dy * dy + dz * dz);
-    }
-    simt::reduce_max(w, dist, kWarpSize);
-    const float rgrp = dist[0];
-    simt::reduce_min(w, amin_l, kWarpSize);
-    const float amin = amin_l[0];
+    const GroupSummary g = summarize_group(w, x, y, z, aold_mag, g0, gn);
 
     b.any = true;
-    const auto dcx = static_cast<double>(ctr_x);
-    const auto dcy = static_cast<double>(ctr_y);
-    const auto dcz = static_cast<double>(ctr_z);
+    const auto dcx = static_cast<double>(g.ctr_x);
+    const auto dcy = static_cast<double>(g.ctr_y);
+    const auto dcz = static_cast<double>(g.ctr_z);
     b.ctr_min_x = dcx < b.ctr_min_x ? dcx : b.ctr_min_x;
     b.ctr_min_y = dcy < b.ctr_min_y ? dcy : b.ctr_min_y;
     b.ctr_min_z = dcz < b.ctr_min_z ? dcz : b.ctr_min_z;
     b.ctr_max_x = dcx > b.ctr_max_x ? dcx : b.ctr_max_x;
     b.ctr_max_y = dcy > b.ctr_max_y ? dcy : b.ctr_max_y;
     b.ctr_max_z = dcz > b.ctr_max_z ? dcz : b.ctr_max_z;
-    b.rgrp_max = rgrp > b.rgrp_max ? rgrp : b.rgrp_max;
-    b.amin_min = amin < b.amin_min ? amin : b.amin_min;
+    b.rgrp_max = g.rgrp > b.rgrp_max ? g.rgrp : b.rgrp_max;
+    b.amin_min = g.amin < b.amin_min ? g.amin : b.amin_min;
   }
   if (!b.any) {
     b = LetBounds{};

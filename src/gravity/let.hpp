@@ -13,8 +13,8 @@
 // conservative test cannot accept export their body ranges too (the
 // walk's spill path reads body positions).
 //
-// Exactness contract: let_bounds replicates walk_group's group-summary
-// arithmetic (same shfl butterflies, same float ops), so the per-group
+// Exactness contract: let_bounds computes each group's summary with the
+// walk's own summarize_group (gravity/walk_tree.hpp), so the per-group
 // centre/radius/amin it aggregates are bit-identical to what the walk
 // will compute; the conservative distance then subtracts an explicit
 // slack covering the walk's float rounding. The import set thus provably

@@ -70,8 +70,6 @@ struct WalkConfig {
   /// Interaction-list entries per warp (sized from the shared-memory
   /// carve-out, §2.1; 128 float4 = 2 KiB per warp).
   int list_capacity = 128;
-  /// Accumulate specific potentials alongside accelerations.
-  bool compute_potential = true;
   /// Evaluate the quadrupole term of MAC-accepted pseudo-particles (the
   /// tree must have been built with CalcNodeConfig::compute_quadrupole).
   /// Raises per-interaction cost but lets a coarser dacc reach the same
@@ -180,6 +178,25 @@ void walk_groups(const octree::Octree& tree, std::span<const real> x,
                                           std::span<const real> z,
                                           index_t first, index_t count,
                                           double& cx, double& cy, double& cz);
+
+/// A walk group's bounding sphere and minimum old acceleration — what the
+/// MAC reads of the group.
+struct GroupSummary {
+  float ctr_x = 0.0f, ctr_y = 0.0f, ctr_z = 0.0f; ///< mean body position
+  float rgrp = 0.0f; ///< largest body distance from the centre
+  float amin = 0.0f; ///< smallest |a_old| (0 when `aold` is empty)
+};
+
+/// Summary of the `gn` (1..32) bodies from `g0`, computed on `w` — lane
+/// fill, butterfly reductions and float rounding — with its tallies
+/// charged to w.counts(). walk_group and let_bounds both call it, which
+/// keeps the LET's bounds exact (gravity/let.hpp).
+[[nodiscard]] GroupSummary summarize_group(simt::Warp& w,
+                                           std::span<const real> x,
+                                           std::span<const real> y,
+                                           std::span<const real> z,
+                                           std::span<const real> aold,
+                                           std::size_t g0, int gn);
 
 /// `group_active`, when non-empty, holds one flag per walk group; the
 /// walk skips inactive groups entirely (their outputs are untouched).

@@ -116,11 +116,10 @@ ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
     v->resize(n);
   }
 
-  // Flight recorder before the first launch, so the bootstrap DAG is
-  // already on the ring if it faults. It heads the listener chain.
+  // Flight recorder before the first launch, so the bootstrap DAG reaches
+  // the ring if it faults.
   if (trace::FlightRecorder::env_enabled()) {
     flight_ = std::make_unique<trace::FlightRecorder>();
-    listener_ = flight_.get();
   }
 
   shards_.reserve(static_cast<std::size_t>(opt.shards));
@@ -443,10 +442,13 @@ void ShardedSimulation::deliver(const runtime::StepMark* mark) {
     for (const runtime::LaunchRecord& rec : sh->sink.step_records()) {
       timers_.add(rec.kernel, rec.seconds);
       ops_[static_cast<std::size_t>(rec.kernel)] += rec.ops;
+      if (flight_) flight_->on_record(rec);
       if (listener_ != nullptr) listener_->on_record(rec);
     }
   }
-  if (listener_ != nullptr && mark != nullptr) listener_->on_step(*mark);
+  if (mark == nullptr) return;
+  if (flight_) flight_->on_step(*mark);
+  if (listener_ != nullptr) listener_->on_step(*mark);
 }
 
 std::exception_ptr ShardedSimulation::join() {
@@ -465,12 +467,12 @@ void ShardedSimulation::fail(std::exception_ptr err,
                              const std::string& reason) {
   (void)join(); // the devices' own errors are secondary to `err`
   if (flight_) {
-    // The aborted phase's records never reached the listener chain:
-    // backfill them into the ring — record_only keeps the downstream
-    // listener out of the error path — then dump the incident.
+    // The aborted phase's records were never delivered: they go to the
+    // ring only — the listener stays out of the error path — and the
+    // incident is dumped.
     for (const auto& sh : shards_) {
       for (const runtime::LaunchRecord& rec : sh->sink.step_records()) {
-        flight_->record_only(rec);
+        flight_->on_record(rec);
       }
     }
     flight_->dump(reason);
@@ -676,15 +678,12 @@ StepReport ShardedSimulation::step() {
 
   double walk_seconds = 0.0;
   double busy_sum = 0.0;
-  double mark_lo = 0.0;
-  double mark_hi = 0.0;
-  bool mark_first = true;
+  double lo = 0.0;
+  double hi = 0.0;
+  bool first = true;
   for (const auto& shp : shards_) {
     const Shard& sh = *shp;
     const auto s = static_cast<std::size_t>(sh.id);
-    double lo = 0.0;
-    double hi = 0.0;
-    bool first = true;
     for (const runtime::LaunchRecord& rec : sh.sink.step_records()) {
       const auto ki = static_cast<std::size_t>(rec.kernel);
       report.seconds[ki] += rec.seconds;
@@ -694,14 +693,6 @@ StepReport ShardedSimulation::step() {
       if (first || rec.t_begin < lo) lo = rec.t_begin;
       if (first || rec.t_end > hi) hi = rec.t_end;
       first = false;
-    }
-    // Per-shard span in that shard's device epoch; the step's wall time
-    // is the slowest shard's span.
-    if (!first) {
-      report.wall_seconds = std::max(report.wall_seconds, hi - lo);
-      if (mark_first || lo < mark_lo) mark_lo = lo;
-      if (mark_first || hi > mark_hi) mark_hi = hi;
-      mark_first = false;
     }
     report.walk_stats += sh.stats;
     busy_sum += last_stats_.busy_seconds[s];
@@ -713,6 +704,9 @@ StepReport ShardedSimulation::step() {
     last_stats_.let_bodies_total += sh.let_bodies;
   }
   last_stats_.busy_mean = busy_sum / static_cast<double>(k);
+  // Every shard stamps the process clock: the step's wall time is the
+  // union span of all its launches.
+  report.wall_seconds = hi - lo;
   if (report.rebuilt) policy_.record_rebuild(step_make_seconds());
   policy_.record_walk(walk_seconds);
   report.time = steps_.time();
@@ -720,8 +714,8 @@ StepReport ShardedSimulation::step() {
   runtime::StepMark mark;
   mark.index = static_cast<std::uint64_t>(step_count_);
   mark.rebuilt = report.rebuilt;
-  mark.t_begin = mark_lo;
-  mark.t_end = mark_hi;
+  mark.t_begin = lo;
+  mark.t_end = hi;
   mark.kernel_seconds = report.total_seconds();
   mark.wall_seconds = report.wall_seconds;
   mark.walk_imbalance = report.walk_stats.imbalance();

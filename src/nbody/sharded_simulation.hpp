@@ -102,9 +102,9 @@ struct StepReport {
   std::array<double, static_cast<std::size_t>(Kernel::Count)> seconds{};
   std::array<simt::OpCounts, static_cast<std::size_t>(Kernel::Count)> ops{};
   gravity::WalkStats walk_stats{};
-  /// Span from the first launch body start to the last body end — the
-  /// step's launch wall time under concurrent streams (the slowest
-  /// shard's span when K > 1: device epochs are not comparable).
+  /// Span from the first launch body start to the last body end over
+  /// every shard — the step's launch wall time under concurrent streams,
+  /// equal to its StepMark's t_end - t_begin.
   double wall_seconds = 0.0;
 
   [[nodiscard]] double total_seconds() const {
@@ -218,27 +218,22 @@ public:
     return group_bounds_;
   }
 
-  /// Attach an observability hook (e.g. trace::Session). After each
-  /// step's join, on the thread that called step(), `l` receives the
-  /// step's LaunchRecords (shard by shard, each in issue order) and then
-  /// one StepMark; refresh_forces() hands over its records the same way.
-  /// Record timestamps are in the issuing shard's device epoch, so K > 1
-  /// traces show cross-shard skew. The listener must outlive its
-  /// attachment; set only between steps. When the flight recorder is
-  /// enabled (GOTHIC_FLIGHT) it stays at the head of the chain and
-  /// forwards to `l`.
+  /// Attach (or detach, with nullptr) an observability hook (e.g.
+  /// trace::Session). After each step's join, on the thread that called
+  /// step(), `l` receives the step's LaunchRecords (shard by shard, each
+  /// in issue order) and then one StepMark; refresh_forces() hands over
+  /// its records the same way. Every shard stamps its records on the
+  /// process clock, so K > 1 traces share one time axis. The listener
+  /// must outlive its attachment; set only between steps. The flight
+  /// recorder, when enabled, is fed beside it, first.
   void set_instrumentation_listener(runtime::RecordListener* l) {
-    if (flight_) {
-      flight_->set_next(l);
-    } else {
-      listener_ = l;
-    }
+    listener_ = l;
   }
 
   /// The GOTHIC_FLIGHT incident recorder; null when the env var is unset.
   /// Every error path (construction, step issue, step join,
-  /// refresh_forces) backfills the records that never reached the
-  /// listener chain and dumps it; callers may dump() on demand
+  /// refresh_forces) feeds it the aborted phase's records, which no
+  /// listener receives, and dumps it; callers may dump() on demand
   /// (gothic_run --flight-dump).
   [[nodiscard]] trace::FlightRecorder* flight_recorder() {
     return flight_.get();
@@ -279,15 +274,16 @@ private:
   /// Copy cell geometry / body positions into shard `sh`'s poisoned view
   /// (the body of the letImport launch, running on sh's device).
   void let_import(Shard& sh);
-  /// Hand the sinks' records (then `mark`, if any) to the listener chain
-  /// on the calling thread, folding them into timers_/ops_.
+  /// Hand the sinks' records (then `mark`, if any) to the flight recorder
+  /// and then the listener on the calling thread, folding them into
+  /// timers_/ops_.
   void deliver(const runtime::StepMark* mark);
   /// Synchronize every shard's device, past a failing one, so no device
   /// is left running; returns the first error.
   std::exception_ptr join();
-  /// The error path of every phase: drain every device, backfill the
-  /// sinks' records into the flight recorder (they never reached the
-  /// listener chain), dump it with `reason`, and rethrow `err`.
+  /// The error path of every phase: drain every device, feed the sinks'
+  /// records to the flight recorder alone (the listener never sees an
+  /// aborted phase), dump it with `reason`, and rethrow `err`.
   [[noreturn]] void fail(std::exception_ptr err, const std::string& reason);
   /// Sum of makeTree/makeTree(permute) record seconds of shard 0's
   /// current step (excludes letImport, which shares Kernel::MakeTree).
@@ -334,9 +330,8 @@ private:
   // Aggregated observability (the shard sinks hold one step's records).
   KernelTimers timers_;
   std::array<simt::OpCounts, static_cast<std::size_t>(Kernel::Count)> ops_{};
-  /// Head of the listener chain: the flight recorder when GOTHIC_FLIGHT
-  /// is set (user listeners chain behind it via set_next), otherwise the
-  /// user's listener directly.
+  /// The incident ring (GOTHIC_FLIGHT set) and the user's listener, fed in
+  /// that order.
   std::unique_ptr<trace::FlightRecorder> flight_;
   runtime::RecordListener* listener_ = nullptr;
   ShardStepStats last_stats_;

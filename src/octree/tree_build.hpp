@@ -30,8 +30,6 @@ struct BuildConfig {
   /// synchronisation counts (makeTree uses Cooperative-Groups tiled sync
   /// and activemask, §2.1/§4.1).
   simt::ExecMode mode = simt::ExecMode::Pascal;
-  /// Sub-warp width of the node-linking phase (Table 2: Tsub = 8).
-  int tsub = 8;
 };
 
 /// Build the topology of `tree` from unsorted positions. On return,

@@ -411,7 +411,7 @@ void Device::lane_loop(Lane& lane) {
 void Device::run_node(Lane& lane, LaunchNode& node) {
   simt::OpCounts ops;
   std::exception_ptr err;
-  const double t0 = now();
+  const double t0 = process_seconds();
   try {
     // The fault/stall injection point runs outside the lock, so a stalled
     // body blocks only its own lane. controller_ cannot change while this
@@ -421,7 +421,7 @@ void Device::run_node(Lane& lane, LaunchNode& node) {
   } catch (...) {
     err = std::current_exception();
   }
-  const double t1 = now();
+  const double t1 = process_seconds();
   node.destroy(node.storage);
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -18,7 +18,7 @@
 //    serial run is one schedule of the same DAG, forced through the
 //    schedule-control seam (runtime/schedule.hpp);
 //  * per-launch instrumentation: every launch emits a LaunchRecord (with
-//    begin/end timestamps, so the sink can report achieved overlap) into
+//    begin/end timestamps on the process clock, process_seconds()) into
 //    an InstrumentationSink.
 //
 // Kernels obtain the device with Device::current(): the thread-local
@@ -296,7 +296,6 @@ private:
   void dispatch(JobFn fn, void* ctx);
   /// Worker slots of the calling thread's execution context.
   [[nodiscard]] Slots& context_slots();
-  [[nodiscard]] double now() const { return epoch_.seconds(); }
 
   LaunchRecord make_record_locked(const LaunchDesc& desc);
   Event enqueue(const LaunchDesc& desc, BodyInvoke invoke, BodyCopy copy,
@@ -320,7 +319,6 @@ private:
 
   Slots slots_;                  ///< the host context's worker slots
   std::unique_ptr<Team> team_;   ///< the pool's threads, shared by all contexts
-  Stopwatch epoch_;              ///< timestamp origin of every LaunchRecord
 
   // Launch bookkeeping (ids, completion, queues, sinks) — one lock; the
   // per-collective fork/join hot path uses the team's own locks.

@@ -21,11 +21,9 @@
 #include "simt/op_counter.hpp"
 #include "util/timer.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,24 +100,24 @@ struct LaunchRecord {
   std::size_t items = 0;                ///< launch configuration: work items
   int workers = 0;                      ///< workers its collectives ran on
   double seconds = 0.0;                 ///< wall-clock of the launch body
-  double t_begin = 0.0;                 ///< body start, seconds since device epoch
-  double t_end = 0.0;                   ///< body end, seconds since device epoch
+  double t_begin = 0.0;                 ///< body start, process_seconds()
+  double t_end = 0.0;                   ///< body end, process_seconds()
   simt::OpCounts ops;                   ///< nvprof-style counts
 
   [[nodiscard]] std::uint64_t bytes() const { return ops.total_bytes(); }
 };
 
 /// Per-step summary the step engine hands to its RecordListener after each
-/// step() completed: the device-epoch span of the step's launches and the
-/// kernel-sum vs wall-span timing whose signed gap is the achieved (or
-/// anomalously negative) stream overlap.
+/// step() completed: the span of the step's launches on the process clock
+/// and the kernel-sum vs wall-span timing whose signed gap is the achieved
+/// (or anomalously negative) stream overlap.
 struct StepMark {
   std::uint64_t index = 0; ///< step count after the step (1-based)
   bool rebuilt = false;
-  double t_begin = 0.0;    ///< earliest body start, device-epoch seconds
-  double t_end = 0.0;      ///< latest body end, device-epoch seconds
+  double t_begin = 0.0;    ///< earliest body start, process_seconds()
+  double t_end = 0.0;      ///< latest body end, process_seconds()
   double kernel_seconds = 0.0; ///< sum of the step's launch body seconds
-  double wall_seconds = 0.0;   ///< first-start-to-last-end span
+  double wall_seconds = 0.0;   ///< t_end - t_begin
   /// Walk load-imbalance ratio (max worker time / mean worker time) of
   /// the step's tree walk; 0 when the step recorded no walk timing.
   double walk_imbalance = 0.0;
@@ -149,18 +147,42 @@ struct StepMark {
 };
 
 /// Observer of the instrumentation stream — the hook the trace/metrics
-/// layer attaches to. A sink's listener gets on_record() for every launch
-/// whose timing completed, under the issuing device's launch lock: keep
-/// it short, never call back into the device. The step engine instead
-/// replays each step's records, then one on_step(), on the thread that
-/// called step(), after the step's join. A null listener costs one
-/// pointer test per launch, so instrumentation consumers add zero overhead
-/// when detached.
+/// layer attaches to. Records reach a listener only through their owner's
+/// replay after a join: the step engine hands over each step's records,
+/// then one on_step(), on the thread that called step(); the owner of a
+/// raw Device replays sink().step_records() after synchronize(). Nothing
+/// observes a launch while it runs, so a detached listener costs nothing.
 class RecordListener {
 public:
   virtual ~RecordListener() = default;
   virtual void on_record(const LaunchRecord& rec) = 0;
   virtual void on_step(const StepMark& mark) { (void)mark; }
+};
+
+/// Owner-local, deduplicated copies of record names. After warm-up every
+/// kernel label / stream name is already present and interning allocates
+/// nothing; pointers stay valid for the table's lifetime, so a record
+/// whose names were adopted stays readable after its Stream object (or a
+/// transient label buffer) is gone.
+class NameTable {
+public:
+  [[nodiscard]] const char* intern(const char* s) {
+    if (s == nullptr) return "";
+    for (const std::string& owned : names_) {
+      if (owned == s) return owned.c_str();
+    }
+    names_.emplace_back(s);
+    return names_.back().c_str();
+  }
+
+  /// Point `rec`'s label and stream at this table's copies.
+  void adopt(LaunchRecord& rec) {
+    rec.label = intern(rec.label);
+    rec.stream = intern(rec.stream);
+  }
+
+private:
+  std::deque<std::string> names_; ///< std::deque: stable element addresses
 };
 
 /// Collects one step's LaunchRecords; cumulative per-kernel tallies are
@@ -180,34 +202,26 @@ public:
   /// Insert the issue-time half of a record (id, deps, stream, items);
   /// returns the record's index for finish_record(). Keeps records in
   /// issue order even when completion is out of order. The label and
-  /// stream names are interned into a sink-owned string table, so the
-  /// record stays readable after the Stream object (or a transient label
-  /// buffer) is gone — a trace flushed at shutdown must not chase freed
-  /// name pointers.
+  /// stream names are interned into the sink's NameTable, so a trace
+  /// flushed at shutdown never chases freed name pointers.
   std::size_t begin_record(const LaunchRecord& r) {
     records_.push_back(r);
-    LaunchRecord& rec = records_.back();
-    rec.label = intern(rec.label);
-    rec.stream = intern(rec.stream);
+    names_.adopt(records_.back());
     return records_.size() - 1;
   }
 
-  /// Complete the record at `index` with the measured timing and counts
-  /// and notify the listener. Returns false (and records nothing) when
-  /// the sink was cleared between issue and completion.
+  /// Complete the record at `index` with the measured timing and counts.
+  /// Returns false (and records nothing) when the sink was cleared between
+  /// issue and completion.
   bool finish_record(std::size_t index, std::uint64_t id, double t_begin,
                      double t_end, int workers, const simt::OpCounts& ops) {
-    const Kernel k = index < records_.size() && records_[index].id == id
-                         ? records_[index].kernel
-                         : Kernel::Count;
-    if (k == Kernel::Count) return false;
+    if (index >= records_.size() || records_[index].id != id) return false;
     LaunchRecord& rec = records_[index];
     rec.seconds = t_end - t_begin;
     rec.t_begin = t_begin;
     rec.t_end = t_end;
     rec.workers = workers;
     rec.ops = ops;
-    if (listener_ != nullptr) listener_->on_record(rec);
     return true;
   }
 
@@ -215,77 +229,15 @@ public:
   /// step_records() spans exactly one step.
   void begin_step() { records_.clear(); }
 
-  /// Records added since the last begin_step().
+  /// Records added since the last begin_step(), in issue order.
   [[nodiscard]] const std::vector<LaunchRecord>& step_records() const {
     return records_;
-  }
-
-  /// Most recent record. Precondition: step_records() is non-empty —
-  /// reachable otherwise when a caller clears the sink between launch and
-  /// read, so the violation throws instead of invoking UB.
-  [[nodiscard]] const LaunchRecord& last() const {
-    if (records_.empty()) {
-      throw std::logic_error(
-          "InstrumentationSink::last(): no records since begin_step()");
-    }
-    return records_.back();
-  }
-
-  /// Sum of the step's per-launch body seconds — what the per-kernel
-  /// breakdown adds up to.
-  [[nodiscard]] double step_kernel_seconds() const {
-    double s = 0.0;
-    for (const LaunchRecord& r : records_) s += r.seconds;
-    return s;
-  }
-
-  /// Span from the first body start to the last body end of the step —
-  /// the step's launch wall time. With concurrent streams this is less
-  /// than step_kernel_seconds(); the difference is the achieved overlap
-  /// that separates sum-of-kernel-times from step elapsed time in the
-  /// Fig 3/4 breakdowns. Valid once the step's launches completed.
-  [[nodiscard]] double step_wall_seconds() const {
-    if (records_.empty()) return 0.0;
-    double lo = records_.front().t_begin;
-    double hi = records_.front().t_end;
-    for (const LaunchRecord& r : records_) {
-      lo = std::min(lo, r.t_begin);
-      hi = std::max(hi, r.t_end);
-    }
-    return hi - lo;
-  }
-
-  /// Kernel seconds hidden by concurrent execution this step (>= 0).
-  [[nodiscard]] double step_overlap_seconds() const {
-    return std::max(0.0, step_kernel_seconds() - step_wall_seconds());
-  }
-
-  /// Attach (or detach, with nullptr) the observer notified on every
-  /// completed record. Set only while no launch targeting this sink is in
-  /// flight (same discipline as begin_step()). The listener must
-  /// outlive every launch issued while it is attached.
-  void set_listener(RecordListener* l) { listener_ = l; }
-  [[nodiscard]] RecordListener* listener() const { return listener_; }
-
-  /// Sink-owned copy of `s`, deduplicated: after warm-up every kernel
-  /// label / stream name is already present and interning allocates
-  /// nothing. Pointers stay valid for the sink's lifetime (begin_step()
-  /// keeps the table — it is a cache, not per-step state).
-  [[nodiscard]] const char* intern(const char* s) {
-    if (s == nullptr) return "";
-    for (const std::string& owned : names_) {
-      if (owned == s) return owned.c_str();
-    }
-    names_.emplace_back(s);
-    return names_.back().c_str();
   }
 
 private:
   static constexpr std::size_t kReserve = 64;
   std::vector<LaunchRecord> records_;
-  /// Interned label/stream names (std::deque: stable element addresses).
-  std::deque<std::string> names_;
-  RecordListener* listener_ = nullptr;
+  NameTable names_; ///< a cache, not per-step state: begin_step() keeps it
 };
 
 } // namespace gothic::runtime

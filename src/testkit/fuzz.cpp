@@ -217,13 +217,13 @@ FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
   dev.set_schedule_controller(&ctrl);
 
   // GOTHIC_FLIGHT turns every fault-plan failure into a self-describing
-  // incident report: the recorder rides the device's default sink and is
-  // dumped the moment an injected fault propagates, so the dump holds the
-  // faulted launch with its stream and dependency edges.
+  // incident report: the DAG's records are replayed from the device's
+  // default sink into the recorder after the join, and it is dumped when
+  // an injected fault propagated, so the dump holds the faulted launch
+  // with its stream and dependency edges.
   std::unique_ptr<trace::FlightRecorder> flight;
   if (trace::FlightRecorder::env_enabled()) {
     flight = std::make_unique<trace::FlightRecorder>();
-    dev.sink().set_listener(flight.get());
   }
 
   runtime::Stream a("fault-a");
@@ -256,20 +256,23 @@ FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
   bool threw = false;
   bool foreign_error = false;
   std::uint64_t faulted_id = 0;
+  std::string incident;
   try {
     dev.synchronize();
   } catch (const InjectedFault& f) {
     threw = true;
     faulted_id = f.launch_id();
-    if (flight) {
-      flight->dump("gothic_fuzz fault plan: injected fault at launch " +
-                   std::to_string(faulted_id));
-    }
+    incident = "gothic_fuzz fault plan: injected fault at launch " +
+               std::to_string(faulted_id);
   } catch (...) {
     foreign_error = true;
-    if (flight) {
-      flight->dump("gothic_fuzz fault plan: non-injected exception");
+    incident = "gothic_fuzz fault plan: non-injected exception";
+  }
+  if (flight) {
+    for (const runtime::LaunchRecord& rec : dev.sink().step_records()) {
+      flight->on_record(rec);
     }
+    if (!incident.empty()) flight->dump(incident);
   }
 
   bool second_clean = true;
@@ -290,7 +293,6 @@ FaultOutcome run_fault_plan(const FuzzConfig& cfg, const FaultPlan& plan) {
     reuse_ok = false;
   }
   dev.set_schedule_controller(nullptr);
-  if (flight) dev.sink().set_listener(nullptr);
 
   out.injected_throws = ctrl.injected_throws();
   out.injected_stalls = ctrl.injected_stalls();

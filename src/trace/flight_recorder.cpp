@@ -1,7 +1,8 @@
 #include "trace/flight_recorder.hpp"
 
+#include "trace/record_json.hpp"
 #include "util/env.hpp"
-#include "util/timer.hpp"
+#include "util/minijson.hpp"
 
 #include <cstdio>
 #include <filesystem>
@@ -15,54 +16,7 @@ namespace gothic::trace {
 
 namespace {
 
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string quoted(const std::string& s) { return "\"" + escaped(s) + "\""; }
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  std::string s = buf;
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "null";
-  }
-  return s;
-}
-
-std::string num(std::uint64_t v) { return std::to_string(v); }
-
-std::string ops_json(const simt::OpCounts& ops) {
-  std::string out = "{";
-  for (int c = 0; c < static_cast<int>(simt::OpCategory::Count); ++c) {
-    const auto cat = static_cast<simt::OpCategory>(c);
-    if (c != 0) out += ", ";
-    out += "\"";
-    out += simt::op_category_name(cat);
-    out += "\": " + num(simt::op_category_value(ops, cat));
-  }
-  return out + "}";
-}
+using minijson::num;
 
 std::string launch_json(const runtime::LaunchRecord& r) {
   std::string deps = "[";
@@ -75,9 +29,10 @@ std::string launch_json(const runtime::LaunchRecord& r) {
   }
   deps += "]";
   return "{\"id\": " + num(r.id) + ", \"kernel\": " +
-         quoted(std::string(kernel_name(r.kernel))) +
-         ", \"label\": " + quoted(r.label) +
-         ", \"stream\": " + quoted(r.stream) + ", \"deps\": " + deps +
+         minijson::quoted(kernel_name(r.kernel)) +
+         ", \"label\": " + minijson::quoted(r.label) +
+         ", \"stream\": " + minijson::quoted(r.stream) +
+         ", \"deps\": " + deps +
          ",\n       \"items\": " +
          num(static_cast<std::uint64_t>(r.items)) +
          ", \"workers\": " + std::to_string(r.workers) +
@@ -85,20 +40,6 @@ std::string launch_json(const runtime::LaunchRecord& r) {
          ", \"t_begin\": " + num(r.t_begin) +
          ", \"t_end\": " + num(r.t_end) +
          ",\n       \"ops\": " + ops_json(r.ops) + "}";
-}
-
-std::string step_json(const runtime::StepMark& m) {
-  return "{\"index\": " + num(m.index) +
-         ", \"rebuilt\": " + (m.rebuilt ? "true" : "false") +
-         ", \"t_begin\": " + num(m.t_begin) + ", \"t_end\": " + num(m.t_end) +
-         ",\n       \"kernel_seconds\": " + num(m.kernel_seconds) +
-         ", \"wall_seconds\": " + num(m.wall_seconds) +
-         ", \"walk_imbalance\": " + num(m.walk_imbalance) +
-         ",\n       \"shards\": " + std::to_string(m.shards) +
-         ", \"shard_busy_max\": " + num(m.shard_busy_max) +
-         ", \"shard_busy_mean\": " + num(m.shard_busy_mean) +
-         ", \"let_cells\": " + num(m.let_cells) +
-         ", \"let_bodies\": " + num(m.let_bodies) + "}";
 }
 
 } // namespace
@@ -115,32 +56,16 @@ FlightRecorder::FlightRecorder(std::size_t launch_capacity,
       steps_(step_capacity == 0 ? 1 : step_capacity),
       dump_path_(env_flight_path()) {}
 
-void FlightRecorder::record_only(const runtime::LaunchRecord& rec) {
+void FlightRecorder::on_record(const runtime::LaunchRecord& rec) {
   runtime::LaunchRecord& slot = ring_[seen_records_ % ring_.size()];
   slot = rec;
-  slot.label = intern(slot.label);
-  slot.stream = intern(slot.stream);
+  names_.adopt(slot);
   ++seen_records_;
-}
-
-void FlightRecorder::on_record(const runtime::LaunchRecord& rec) {
-  record_only(rec);
-  if (next_ != nullptr) next_->on_record(rec);
 }
 
 void FlightRecorder::on_step(const runtime::StepMark& mark) {
   steps_[seen_steps_ % steps_.size()] = mark;
   ++seen_steps_;
-  if (next_ != nullptr) next_->on_step(mark);
-}
-
-const char* FlightRecorder::intern(const char* s) {
-  if (s == nullptr) return "";
-  for (const std::string& owned : names_) {
-    if (owned == s) return owned.c_str();
-  }
-  names_.emplace_back(s);
-  return names_.back().c_str();
 }
 
 void FlightRecorder::write(std::ostream& os, const std::string& reason) const {
@@ -160,10 +85,13 @@ void FlightRecorder::write(std::ostream& os, const std::string& reason) const {
   for (std::uint64_t i = 0; i < sheld; ++i) {
     const std::uint64_t slot = (seen_steps_ - sheld + i) % scap;
     if (!marks.empty()) marks += ",\n      ";
-    marks += step_json(steps_[slot]);
+    marks += '{';
+    marks += step_fields(steps_[slot]);
+    marks += '}';
   }
   os << "{\n  \"flight_recorder\": {\n    \"v\": 1,\n    \"reason\": "
-     << quoted(reason) << ",\n    \"seen_records\": " << seen_records_
+     << minijson::quoted(reason)
+     << ",\n    \"seen_records\": " << seen_records_
      << ",\n    \"seen_steps\": " << seen_steps_
      << ",\n    \"launch_capacity\": " << ring_.size()
      << ",\n    \"step_capacity\": " << steps_.size()

@@ -15,27 +15,21 @@
 // Enablement is environment-driven: GOTHIC_FLIGHT=<path> makes the step
 // engine and testkit::run_fault_plan construct a recorder and
 // dump to <path> on their error paths ("-" dumps to stderr). When the
-// variable is unset nothing is constructed and the hot path keeps its
-// null-listener pointer test.
+// variable is unset nothing is constructed.
 //
-// Chaining: a sink has exactly one listener slot, so the recorder sits at
-// the head and forwards every record/mark to an optional downstream
-// listener (e.g. a trace::Session) via set_next() — the ring write adds
-// two pointer copies and an interned-name probe on top of whatever the
-// downstream costs.
+// The recorder is a plain listener: its owner feeds it beside (before)
+// any other listener, and on an error path feeds it alone, so the rings
+// also hold the records of a step that never completed.
 //
-// Thread discipline: on_record() runs wherever its feeder calls it — under
-// the issuing device's launch lock for a sink listener (single device ⇒
-// serialized), on the stepping thread for the step engine;
-// record_only()/on_step()/write()/dump() are host-thread calls made while
-// no launch targeting the feeding sink is in flight.
+// Thread discipline: every call is a host-thread call made while no
+// launch targeting the feeding sink is in flight (records arrive by the
+// owner's replay after a join).
 #pragma once
 
 #include "runtime/stream.hpp"
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -56,19 +50,9 @@ public:
       std::size_t launch_capacity = kDefaultLaunchCapacity,
       std::size_t step_capacity = kDefaultStepCapacity);
 
-  // RecordListener: ring write, then forward to the downstream listener.
+  // RecordListener: ring writes.
   void on_record(const runtime::LaunchRecord& rec) override;
   void on_step(const runtime::StepMark& mark) override;
-
-  /// Ring write without forwarding — the error-path backfill used when a
-  /// step aborts before its records were forwarded to the listener chain
-  /// (the step engine feeds its shard sinks through this before dumping).
-  void record_only(const runtime::LaunchRecord& rec);
-
-  /// Attach (or detach, with nullptr) the downstream listener every
-  /// record/mark is forwarded to after the ring write.
-  void set_next(runtime::RecordListener* next) { next_ = next; }
-  [[nodiscard]] runtime::RecordListener* next() const { return next_; }
 
   [[nodiscard]] std::size_t launch_capacity() const { return ring_.size(); }
   [[nodiscard]] std::size_t step_capacity() const { return steps_.size(); }
@@ -113,18 +97,14 @@ public:
   }
 
 private:
-  [[nodiscard]] const char* intern(const char* s);
-
   std::vector<runtime::LaunchRecord> ring_;
   std::vector<runtime::StepMark> steps_;
   std::uint64_t seen_records_ = 0;
   std::uint64_t seen_steps_ = 0;
-  /// Recorder-owned label/stream names (std::deque: stable addresses).
-  std::deque<std::string> names_;
+  runtime::NameTable names_; ///< recorder-owned label/stream names
   std::string dump_path_;
   std::string dump_tag_;
   mutable std::string last_dump_path_;
-  runtime::RecordListener* next_ = nullptr;
 };
 
 } // namespace gothic::trace

@@ -54,6 +54,7 @@ void MetricsRegistry::record_launch(const runtime::LaunchRecord& rec) {
   k.launches += 1;
   k.seconds += rec.seconds;
   k.ops += rec.ops;
+  launch_workers_ = std::max(launch_workers_, rec.workers);
 }
 
 void MetricsRegistry::record_step(const runtime::StepMark& mark) {

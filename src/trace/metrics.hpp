@@ -109,6 +109,9 @@ public:
     return kernels_[static_cast<std::size_t>(k)];
   }
   [[nodiscard]] std::uint64_t launches() const;
+  /// Largest worker count an observed launch ran its collectives on (0
+  /// before the first launch).
+  [[nodiscard]] int launch_workers() const { return launch_workers_; }
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
   /// Steps whose signed overlap gap was negative — scheduler anomalies
   /// that the clamped overlap accessors silently zero out.
@@ -189,6 +192,7 @@ public:
 
 private:
   std::array<KernelStats, static_cast<std::size_t>(Kernel::Count)> kernels_{};
+  int launch_workers_ = 0;
   std::uint64_t steps_ = 0;
   std::uint64_t negative_overlap_steps_ = 0;
   double min_raw_overlap_ = 0.0;

@@ -6,13 +6,13 @@
 // explicitly or via GOTHIC_TRACE=<path>, and (c) an optional step
 // TelemetryWriter (JSONL time series) when a telemetry path is configured,
 // explicitly or via GOTHIC_TELEMETRY=<path>. Attach it with
-// ShardedSimulation::set_instrumentation_listener(&session) (or
-// Device::sink().set_listener(&session) for raw device launches), run, and
-// call finish() to sample the device gauges and flush the trace file.
+// ShardedSimulation::set_instrumentation_listener(&session) (or replay a
+// raw Device's sink().step_records() into it after synchronize()), run,
+// and call finish() to sample the device gauges and flush the trace file.
 //
 // When GOTHIC_TRACE/GOTHIC_TELEMETRY are unset and no session is attached
-// anywhere, the instrumentation stream has no observer: the only residual
-// cost is the sink's null-listener pointer test per launch.
+// anywhere, the instrumentation stream has no observer and costs nothing
+// beyond the sink's own records.
 #pragma once
 
 #include "trace/metrics.hpp"

@@ -3,13 +3,15 @@
 // One line per record, flushed as written, so a long run produces a time
 // series any external scraper can tail:
 //
-//   {"type":"config","v":1,...}    once, at construction — the run's
-//                                  config fingerprint (simd/lanes as
-//                                  they run, threads/shards from the
-//                                  environment)
-//   {"type":"step","v":1,...}      once per step — the StepMark's timing,
-//                                  walk/shard imbalance and LET traffic,
-//                                  plus cumulative per-kernel launch
+//   {"type":"config","v":1,...}    once, just before the first step
+//                                  line — the run's config fingerprint,
+//                                  all of it as it ran: the SIMD tier,
+//                                  the lanes of every device, the
+//                                  launches' worker count and the first
+//                                  StepMark's shard count
+//   {"type":"step","v":1,...}      once per step — the StepMark's fields
+//                                  (trace/record_json.hpp), plus
+//                                  cumulative per-kernel launch
 //                                  counts/seconds/p50/p95 and the arena
 //                                  gauges from the MetricsRegistry as of
 //                                  that step.
@@ -37,8 +39,8 @@ public:
   /// Stream destination from GOTHIC_TELEMETRY; empty = telemetry off.
   [[nodiscard]] static std::string env_telemetry_path();
 
-  /// Opens `path` and emits the config line. On failure, reports once to
-  /// stderr and leaves the writer disabled (ok() == false).
+  /// Opens `path`; the config line waits for the first step. On failure,
+  /// reports once to stderr and leaves the writer disabled (ok() == false).
   explicit TelemetryWriter(std::string path);
 
   /// True while the stream is open and healthy.
@@ -47,13 +49,13 @@ public:
   /// Lines emitted (config + steps).
   [[nodiscard]] std::uint64_t lines() const { return lines_; }
 
-  /// Emit one step record. `metrics` supplies the cumulative per-kernel
-  /// stats and arena gauges embedded in the line.
+  /// Emit one step record, preceded on the first call by the config line.
+  /// `metrics` supplies the cumulative per-kernel stats and arena gauges
+  /// embedded in the line, and the worker count the config line logs.
   void write_step(const runtime::StepMark& mark,
                   const MetricsRegistry& metrics);
 
 private:
-  void write_config();
 
   std::string path_;
   std::ofstream os_;

@@ -1,11 +1,11 @@
 #include "trace/trace_writer.hpp"
 
+#include "trace/record_json.hpp"
+#include "util/minijson.hpp"
 #include "util/timer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <ostream>
@@ -14,31 +14,11 @@ namespace gothic::trace {
 
 namespace {
 
-/// Microsecond timestamp with nanosecond resolution — the unit Perfetto
-/// and chrome://tracing expect.
-std::string usec(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
-}
+using minijson::escaped;
+using minijson::num;
 
-std::string escaped(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
+/// Microseconds — the unit Perfetto and chrome://tracing expect.
+std::string usec(double seconds) { return num(seconds * 1e6); }
 
 /// Emits one trace event object per emit() call, comma-separating them.
 class EventArray {
@@ -71,24 +51,13 @@ TraceWriter::TraceWriter(std::size_t max_records)
   steps_.reserve(256);
 }
 
-const char* TraceWriter::intern(const char* s) {
-  if (s == nullptr) return "";
-  for (const std::string& owned : names_) {
-    if (owned == s) return owned.c_str();
-  }
-  names_.emplace_back(s);
-  return names_.back().c_str();
-}
-
 void TraceWriter::on_record(const runtime::LaunchRecord& rec) {
   if (records_.size() >= max_records_) {
     ++dropped_;
     return;
   }
   records_.push_back(rec);
-  runtime::LaunchRecord& own = records_.back();
-  own.label = intern(own.label);
-  own.stream = intern(own.stream);
+  names_.adopt(records_.back());
 }
 
 void TraceWriter::on_step(const runtime::StepMark& mark) {
@@ -137,15 +106,10 @@ void TraceWriter::write(std::ostream& os) const {
 
   // Duration events: one span per launch body on its stream's track.
   for (const runtime::LaunchRecord& rec : records_) {
-    std::string args = "\"id\":" + std::to_string(rec.id) +
-                       ",\"items\":" + std::to_string(rec.items) +
-                       ",\"workers\":" + std::to_string(rec.workers);
-    for (int c = 0; c < static_cast<int>(simt::OpCategory::Count); ++c) {
-      const auto cat = static_cast<simt::OpCategory>(c);
-      args += ",\"";
-      args += simt::op_category_name(cat);
-      args += "\":" + std::to_string(simt::op_category_value(rec.ops, cat));
-    }
+    const std::string args = "\"id\":" + std::to_string(rec.id) +
+                             ",\"items\":" + std::to_string(rec.items) +
+                             ",\"workers\":" + std::to_string(rec.workers) +
+                             "," + ops_fields(rec.ops);
     events.emit("\"name\":\"" + escaped(rec.label) + "\",\"cat\":\"" +
                 std::string(kernel_name(rec.kernel)) +
                 "\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
@@ -188,11 +152,10 @@ void TraceWriter::write(std::ostream& os) const {
         "\"kernel_seconds\":" + usec(mark.kernel_seconds) +
         ",\"wall_seconds\":" + usec(mark.wall_seconds) +
         ",\"raw_overlap_us\":" + usec(mark.raw_overlap_seconds()) +
-        ",\"walk_imbalance\":" + std::to_string(mark.walk_imbalance);
+        ",\"walk_imbalance\":" + num(mark.walk_imbalance);
     if (mark.shards > 0) {
       step_args += ",\"shards\":" + std::to_string(mark.shards) +
-                   ",\"shard_imbalance\":" +
-                   std::to_string(mark.shard_imbalance()) +
+                   ",\"shard_imbalance\":" + num(mark.shard_imbalance()) +
                    ",\"let_cells\":" + std::to_string(mark.let_cells) +
                    ",\"let_bodies\":" + std::to_string(mark.let_bodies);
     }
@@ -206,7 +169,7 @@ void TraceWriter::write(std::ostream& os) const {
     // timing carry 0 and are visually obvious.
     events.emit("\"name\":\"walk_imbalance\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
                 usec(mark.t_begin) + ",\"args\":{\"ratio\":" +
-                std::to_string(mark.walk_imbalance) + "}");
+                num(mark.walk_imbalance) + "}");
     // Shard busy-time imbalance and LET traffic counter tracks (sharded
     // runs only; per-shard launch lanes already exist via the
     // "shardK/..." stream names).
@@ -214,7 +177,7 @@ void TraceWriter::write(std::ostream& os) const {
       events.emit(
           "\"name\":\"shard_imbalance\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
           usec(mark.t_begin) + ",\"args\":{\"ratio\":" +
-          std::to_string(mark.shard_imbalance()) + "}");
+          num(mark.shard_imbalance()) + "}");
       events.emit("\"name\":\"let_traffic\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
                   usec(mark.t_begin) + ",\"args\":{\"cells\":" +
                   std::to_string(mark.let_cells) + ",\"bodies\":" +
@@ -231,21 +194,12 @@ void TraceWriter::write(std::ostream& os) const {
                    [&](std::size_t a, std::size_t b) {
                      return records_[a].t_end < records_[b].t_end;
                    });
-  std::array<std::uint64_t, static_cast<std::size_t>(simt::OpCategory::Count)>
-      cumulative{};
+  simt::OpCounts cumulative;
   for (std::size_t i : by_end) {
     const runtime::LaunchRecord& rec = records_[i];
-    std::string args;
-    for (std::size_t c = 0; c < cumulative.size(); ++c) {
-      cumulative[c] +=
-          simt::op_category_value(rec.ops, static_cast<simt::OpCategory>(c));
-      if (!args.empty()) args += ",";
-      args += "\"";
-      args += simt::op_category_name(static_cast<simt::OpCategory>(c));
-      args += "\":" + std::to_string(cumulative[c]);
-    }
+    cumulative += rec.ops;
     events.emit("\"name\":\"ops\",\"ph\":\"C\",\"pid\":1,\"ts\":" +
-                usec(rec.t_end) + ",\"args\":{" + args + "}");
+                usec(rec.t_end) + ",\"args\":" + ops_json(cumulative));
   }
 
   struct Edge {

@@ -23,14 +23,14 @@
 // (excess launches are counted as dropped and noted in the JSON metadata),
 // and name pointers are re-interned into a writer-owned table so the trace
 // can be flushed after the originating sink/streams are gone. Timestamps
-// are microseconds since the issuing device's epoch, so a written file
-// loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// are microseconds of the process clock (process_seconds()), so every
+// device of a run shares one time axis, and a written file loads directly
+// in Perfetto (ui.perfetto.dev) or chrome://tracing.
 #pragma once
 
 #include "runtime/stream.hpp"
 
 #include <cstddef>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -43,8 +43,8 @@ public:
 
   explicit TraceWriter(std::size_t max_records = kDefaultMaxRecords);
 
-  // RecordListener: called under the issuing device's launch lock — both
-  // overrides only append to the pre-reserved buffers.
+  // RecordListener: both overrides only append to the pre-reserved
+  // buffers.
   void on_record(const runtime::LaunchRecord& rec) override;
   void on_step(const runtime::StepMark& mark) override;
 
@@ -61,11 +61,9 @@ public:
   [[nodiscard]] bool write_file(const std::string& path) const;
 
 private:
-  [[nodiscard]] const char* intern(const char* s);
-
   std::vector<runtime::LaunchRecord> records_;
   std::vector<runtime::StepMark> steps_;
-  std::deque<std::string> names_; ///< writer-owned label/stream storage
+  runtime::NameTable names_; ///< writer-owned label/stream storage
   std::size_t max_records_;
   std::size_t dropped_ = 0;
 };

@@ -53,6 +53,17 @@ long long Args::get_int(const std::string& key, long long fallback) const {
   return v;
 }
 
+long long Args::get_in_range(const std::string& key, long long fallback,
+                            long long lo, long long hi) const {
+  const long long v = get_int(key, fallback);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("--" + key + "=" + std::to_string(v) +
+                                " is out of range [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
 double Args::get_double(const std::string& key, double fallback) const {
   used_[key] = true;
   const auto it = values_.find(key);

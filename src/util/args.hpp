@@ -19,6 +19,12 @@ public:
                                 const std::string& fallback) const;
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const;
+  /// get_int() checked to lie in [lo, hi]; otherwise throws
+  /// std::invalid_argument naming the flag ("--key=v is out of range
+  /// [lo, hi]"), which the driver tools turn into exit status 2.
+  [[nodiscard]] long long get_in_range(const std::string& key,
+                                       long long fallback, long long lo,
+                                       long long hi) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_flag(const std::string& key) const;

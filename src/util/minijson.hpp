@@ -1,4 +1,10 @@
-// Minimal JSON DOM parser — shared by the observability consumers that
+// The repo's JSON in both directions.
+//
+// Writing: the one escape/quote/number set every JSON artifact is written
+// with — Perfetto traces, flight-recorder dumps, step telemetry, BENCH
+// reports and bench_diff's verdicts.
+//
+// Reading: a minimal DOM parser shared by the observability consumers that
 // read the machine-written JSON this repo emits: the trace-export and
 // bench-report golden-schema tests, the flight-recorder incident tests,
 // and the tools/bench_diff perf-regression gate (which parses whole
@@ -10,14 +16,68 @@
 #pragma once
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gothic::minijson {
+
+// --- writing -----------------------------------------------------------------
+
+/// `s` with quotes, backslashes and control characters escaped.
+inline std::string escaped(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// `s` as a JSON string literal. Built with += rather than
+/// `"\"" + escaped(s) + "\""`: the rvalue operator+ chain trips a GCC 12
+/// -Wrestrict false positive when inlined.
+inline std::string quoted(std::string_view s) {
+  std::string out = "\"";
+  out += escaped(s);
+  out += '"';
+  return out;
+}
+
+/// Round-trip form of `v` (%.17g). JSON has no inf/nan literals, so those
+/// are written as null and the document stays parseable.
+inline std::string num(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  std::string s = buf;
+  if (s.find("inf") != std::string::npos ||
+      s.find("nan") != std::string::npos) {
+    return "null";
+  }
+  return s;
+}
+
+inline std::string num(std::uint64_t v) { return std::to_string(v); }
+
+// --- reading -----------------------------------------------------------------
 
 struct JsonValue {
   enum class Type { Null, Bool, Number, String, Array, Object };

@@ -31,6 +31,15 @@ private:
   clock::time_point start_;
 };
 
+/// Steady seconds since the process's first call: the one clock every
+/// LaunchRecord and StepMark is stamped on, so launches of every device
+/// share one time axis.
+[[nodiscard]] inline double process_seconds() {
+  using clock = std::chrono::steady_clock;
+  static const clock::time_point epoch = clock::now();
+  return std::chrono::duration<double>(clock::now() - epoch).count();
+}
+
 /// The representative GOTHIC functions whose execution time the paper
 /// breaks down (Figs 3-5).
 enum class Kernel : int {

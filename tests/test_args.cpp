@@ -56,6 +56,19 @@ TEST(ArgsTest, TypeErrorsThrow) {
   EXPECT_THROW(parse({"prog", "--"}), std::invalid_argument);
 }
 
+TEST(ArgsTest, OutOfRangeValuesThrowNamingTheFlag) {
+  const Args a = parse({"prog", "--steps=-2", "--n=5"});
+  EXPECT_EQ(a.get_in_range("n", 1, 1, 10), 5);
+  EXPECT_EQ(a.get_in_range("missing", 3, 1, 10), 3);
+  try {
+    (void)a.get_in_range("steps", 64, 1, 100);
+    FAIL() << "--steps=-2 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--steps=-2 is out of range [1, 100]");
+  }
+  EXPECT_THROW((void)a.get_in_range("n", 1, 6, 10), std::invalid_argument);
+}
+
 TEST(ArgsTest, UnusedDetectsTypos) {
   const Args a = parse({"prog", "--n=1", "--tpyo=5"});
   (void)a.get_int("n", 0);

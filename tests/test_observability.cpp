@@ -141,31 +141,6 @@ TEST(FlightRecorder, RingKeepsTheMostRecentEntriesOldestFirst) {
   EXPECT_EQ(steps[1].at("index").number, 3.0);
 }
 
-TEST(FlightRecorder, ForwardsToTheDownstreamListenerButNotFromRecordOnly) {
-  struct Capture final : runtime::RecordListener {
-    std::size_t records = 0;
-    std::size_t steps = 0;
-    void on_record(const runtime::LaunchRecord&) override { ++records; }
-    void on_step(const runtime::StepMark&) override { ++steps; }
-  };
-  trace::FlightRecorder flight(4, 2);
-  Capture cap;
-  flight.set_next(&cap);
-  EXPECT_EQ(flight.next(), &cap);
-  flight.on_record(synthetic_record(1, 0.0, 1e-4));
-  flight.on_step(synthetic_mark(1));
-  // record_only is the error-path backfill: ring write, no forwarding
-  // (the downstream listener never saw the aborted step's records and
-  // must not start seeing them mid-dump).
-  flight.record_only(synthetic_record(2, 0.0, 1e-4));
-  EXPECT_EQ(cap.records, 1u);
-  EXPECT_EQ(cap.steps, 1u);
-  EXPECT_EQ(flight.seen_records(), 2u);
-  flight.set_next(nullptr);
-  flight.on_record(synthetic_record(3, 0.0, 1e-4));
-  EXPECT_EQ(cap.records, 1u);
-}
-
 // --- flight recorder: golden dump schema ------------------------------------
 
 TEST(FlightRecorder, DumpKeepsGoldenSchema) {
@@ -223,10 +198,12 @@ TEST(FlightRecorder, DumpKeepsGoldenSchema) {
   require(s, "t_end", JsonValue::Type::Number);
   require(s, "kernel_seconds", JsonValue::Type::Number);
   require(s, "wall_seconds", JsonValue::Type::Number);
+  require(s, "raw_overlap_seconds", JsonValue::Type::Number);
   require(s, "walk_imbalance", JsonValue::Type::Number);
   EXPECT_EQ(require(s, "shards", JsonValue::Type::Number).number, 2.0);
   require(s, "shard_busy_max", JsonValue::Type::Number);
   require(s, "shard_busy_mean", JsonValue::Type::Number);
+  require(s, "shard_imbalance", JsonValue::Type::Number);
   EXPECT_EQ(require(s, "let_cells", JsonValue::Type::Number).number, 7.0);
   EXPECT_EQ(require(s, "let_bodies", JsonValue::Type::Number).number, 19.0);
 }
@@ -237,7 +214,6 @@ TEST(FlightRecorder, FaultedLaunchAppearsInTheDumpWithItsDependencyEdges) {
   trace::FlightRecorder flight;
   runtime::Device dev(2);
   runtime::InstrumentationSink sink;
-  sink.set_listener(&flight);
 
   testkit::FaultPlan plan;
   plan.throw_at.push_back(3); // 1-based issue order: b1 below
@@ -262,7 +238,9 @@ TEST(FlightRecorder, FaultedLaunchAppearsInTheDumpWithItsDependencyEdges) {
   EXPECT_THROW(dev.synchronize(), testkit::InjectedFault);
   EXPECT_EQ(ctrl.injected_throws(), 1);
   dev.set_schedule_controller(nullptr);
-  sink.set_listener(nullptr);
+  for (const runtime::LaunchRecord& rec : sink.step_records()) {
+    flight.on_record(rec);
+  }
 
   // All three launches completed their records — the faulted body
   // included — so the incident dump carries the full DAG neighborhood.
@@ -375,7 +353,7 @@ TEST(Telemetry, StreamKeepsGoldenSchema) {
   trace::TelemetryWriter w(path);
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(w.path(), path);
-  EXPECT_EQ(w.lines(), 1u); // the config line is emitted at construction
+  EXPECT_EQ(w.lines(), 0u); // the config line waits for the first step
 
   trace::MetricsRegistry metrics;
   metrics.record_launch(synthetic_record(1, 0.0, 1e-3));
@@ -398,14 +376,17 @@ TEST(Telemetry, StreamKeepsGoldenSchema) {
   EXPECT_FALSE(cfg.has("async"));
   require(cfg, "simd", JsonValue::Type::Number);
   require(cfg, "lanes", JsonValue::Type::Number);
-  require(cfg, "threads", JsonValue::Type::Number);
-  require(cfg, "shards", JsonValue::Type::Number);
+  // The records' worker count and the StepMark's shard count.
+  EXPECT_EQ(require(cfg, "threads", JsonValue::Type::Number).number, 2.0);
+  EXPECT_EQ(require(cfg, "shards", JsonValue::Type::Number).number, 2.0);
 
   const JsonValue& step = docs[1];
   EXPECT_EQ(require(step, "type", JsonValue::Type::String).str, "step");
   EXPECT_EQ(require(step, "v", JsonValue::Type::Number).number, 1.0);
   EXPECT_EQ(require(step, "index", JsonValue::Type::Number).number, 1.0);
   require(step, "rebuilt", JsonValue::Type::Bool);
+  require(step, "t_begin", JsonValue::Type::Number);
+  require(step, "t_end", JsonValue::Type::Number);
   require(step, "kernel_seconds", JsonValue::Type::Number);
   require(step, "wall_seconds", JsonValue::Type::Number);
   require(step, "raw_overlap_seconds", JsonValue::Type::Number);
@@ -438,6 +419,7 @@ TEST(Telemetry, ConfigLineLogsTheSimdTierThatRan) {
     {
       trace::TelemetryWriter w(path);
       EXPECT_TRUE(w.ok());
+      w.write_step(synthetic_mark(1), trace::MetricsRegistry{});
     }
     std::ifstream is(path);
     std::string line;
@@ -491,6 +473,7 @@ TEST(Telemetry, ConfigLineLogsTheLanesThatRun) {
     {
       trace::TelemetryWriter w(path);
       EXPECT_TRUE(w.ok());
+      w.write_step(synthetic_mark(1), trace::MetricsRegistry{});
     }
     std::ifstream is(path);
     std::string line;
@@ -505,6 +488,33 @@ TEST(Telemetry, ConfigLineLogsTheLanesThatRun) {
         << "GOTHIC_ASYNC=" << value;
     EXPECT_FALSE(cfg.has("async")) << "GOTHIC_ASYNC=" << value;
   }
+  std::remove(path.c_str());
+}
+
+TEST(Telemetry, ConfigLineLogsTheWorkersAndShardsThatRan) {
+  // The launches' worker count and the first StepMark's shard count (an
+  // unsharded step is one shard), whatever the environment says.
+  const std::string path = "test_telemetry_run.jsonl";
+  const ScopedEnv threads("GOTHIC_THREADS", "7");
+  const ScopedEnv shards("GOTHIC_SHARDS", "5");
+  {
+    trace::TelemetryWriter w(path);
+    ASSERT_TRUE(w.ok());
+    trace::MetricsRegistry metrics;
+    runtime::LaunchRecord rec = synthetic_record(1, 0.0, 1e-3);
+    rec.workers = 3;
+    metrics.record_launch(rec);
+    runtime::StepMark mark = synthetic_mark(1);
+    mark.shards = 0;
+    w.write_step(mark, metrics);
+  }
+  std::ifstream is(path);
+  std::string line;
+  std::getline(is, line);
+  const JsonValue cfg = JsonParser(line).parse();
+  EXPECT_EQ(cfg.at("type").str, "config");
+  EXPECT_EQ(require(cfg, "threads", JsonValue::Type::Number).number, 3.0);
+  EXPECT_EQ(require(cfg, "shards", JsonValue::Type::Number).number, 1.0);
   std::remove(path.c_str());
 }
 
@@ -694,22 +704,46 @@ TEST(FlightIntegration, ShardFaultDumpsTheRingOnTheErrorPath) {
   ASSERT_NE(sim.flight_recorder(), nullptr);
   (void)sim.step(); // fault against steady state, not the bootstrap
 
+  // A listener attached beside the recorder.
+  struct Counter final : runtime::RecordListener {
+    std::size_t records = 0;
+    std::size_t steps = 0;
+    void on_record(const runtime::LaunchRecord&) override { ++records; }
+    void on_step(const runtime::StepMark&) override { ++steps; }
+  };
+  Counter listener;
+  sim.set_instrumentation_listener(&listener);
+  const std::uint64_t seen = sim.flight_recorder()->seen_records();
+
   runtime::Device& dev = sim.shard_device(1);
   testkit::FaultPlan plan;
-  plan.throw_at.push_back(dev.launch_count() + 2);
+  const std::uint64_t faulted = dev.launch_count() + 2;
+  plan.throw_at.push_back(faulted);
   testkit::FaultController ctrl(plan);
   dev.set_schedule_controller(&ctrl);
   EXPECT_THROW((void)sim.step(), testkit::InjectedFault);
   dev.set_schedule_controller(nullptr);
+  sim.set_instrumentation_listener(nullptr);
   ASSERT_GT(ctrl.injected_throws(), 0);
 
-  // The error path backfilled the shard sinks into the ring and dumped.
+  // The error path fed the aborted step's records to the ring alone and
+  // dumped it: the listener received none of them.
+  EXPECT_EQ(listener.records, 0u);
+  EXPECT_EQ(listener.steps, 0u);
+  EXPECT_GT(sim.flight_recorder()->seen_records(), seen);
   const JsonValue doc = JsonParser(read_file(path)).parse();
   const JsonValue& fr = doc.at("flight_recorder");
   EXPECT_NE(fr.at("reason").str.find("ShardedSimulation"), std::string::npos)
       << fr.at("reason").str;
   EXPECT_FALSE(fr.at("launches").array.empty());
   EXPECT_GT(fr.at("seen_records").number, 0.0);
+  bool holds_faulted = false;
+  for (const JsonValue& l : fr.at("launches").array) {
+    holds_faulted = holds_faulted ||
+                    (l.at("id").number == static_cast<double>(faulted) &&
+                     l.at("stream").str.rfind("shard1/", 0) == 0);
+  }
+  EXPECT_TRUE(holds_faulted) << "the dump lacks the aborted step's fault";
   std::remove(path.c_str());
 }
 

@@ -229,7 +229,7 @@ TEST(Launch, RecordsIdsOpsAndSink) {
   EXPECT_TRUE(e.valid());
   dev.synchronize(); // the record is complete once its launch is
   ASSERT_EQ(sink.step_records().size(), 1u);
-  const LaunchRecord& rec = sink.last();
+  const LaunchRecord& rec = sink.step_records().back();
   EXPECT_EQ(rec.id, e.id);
   EXPECT_EQ(rec.kernel, Kernel::CalcNode);
   EXPECT_STREQ(rec.stream, "tree");
@@ -250,7 +250,7 @@ TEST(Launch, SameStreamLaunchesAreImplicitlyOrdered) {
   const Event a = dev.launch(desc, [](simt::OpCounts&) {});
   (void)dev.launch(desc, [](simt::OpCounts&) {});
   dev.synchronize();
-  const LaunchRecord& second = sink.last();
+  const LaunchRecord& second = sink.step_records().back();
   EXPECT_EQ(second.deps[0], a.id); // CUDA stream semantics, recorded
 }
 
@@ -272,7 +272,7 @@ TEST(Launch, CrossStreamDepsAreRecordedAndDeduplicated) {
   wd.sink = &sink;
   (void)dev.launch(wd, [](simt::OpCounts&) {});
   dev.synchronize();
-  const LaunchRecord& walk = sink.last();
+  const LaunchRecord& walk = sink.step_records().back();
   // Explicit {pred, calc}; the implicit same-stream dep duplicates calc and
   // must not be recorded twice.
   EXPECT_EQ(walk.deps[0], e_pred.id);
@@ -317,7 +317,7 @@ TEST(Launch, AsyncRecordCompletesByEventWait) {
   e.wait(); // a real completion handle now
   EXPECT_EQ(ran.load(std::memory_order_acquire), 1);
   dev.synchronize();
-  const LaunchRecord& rec = sink.last();
+  const LaunchRecord& rec = sink.step_records().back();
   EXPECT_EQ(rec.id, e.id);
   EXPECT_EQ(rec.ops.int_ops, 7u);
   EXPECT_GT(rec.workers, 0);
@@ -370,10 +370,13 @@ TEST(Launch, IndependentStreamsOverlap) {
     (void)dev.launch(da, sleeper);
     (void)dev.launch(db, sleeper);
     dev.synchronize();
-    EXPECT_GE(sink.step_kernel_seconds(), 0.18) << workers << " workers";
-    EXPECT_LT(sink.step_wall_seconds(), 0.9 * sink.step_kernel_seconds())
-        << workers << " workers";
-    EXPECT_GT(sink.step_overlap_seconds(), 0.0) << workers << " workers";
+    const auto& recs = sink.step_records();
+    ASSERT_EQ(recs.size(), 2u);
+    const double kernel = recs[0].seconds + recs[1].seconds;
+    const double wall = std::max(recs[0].t_end, recs[1].t_end) -
+                        std::min(recs[0].t_begin, recs[1].t_begin);
+    EXPECT_GE(kernel, 0.18) << workers << " workers";
+    EXPECT_LT(wall, 0.9 * kernel) << workers << " workers";
   }
 }
 
@@ -431,13 +434,6 @@ TEST(Launch, AsyncBodyErrorSurfacesAtSynchronize) {
   (void)dev.launch(desc, [&ran](simt::OpCounts&) { ran.store(1); });
   dev.synchronize();
   EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(Sink, LastThrowsWhenEmpty) {
-  InstrumentationSink sink;
-  EXPECT_THROW((void)sink.last(), std::logic_error);
-  sink.begin_step();
-  EXPECT_THROW((void)sink.last(), std::logic_error);
 }
 
 TEST(Device, DispatchPropagatesExactlyOneError) {
@@ -693,8 +689,16 @@ TEST(SimulationRuntime, StepReportCarriesWallAndOverlap) {
   const nbody::StepReport r = sim.step();
   EXPECT_GT(r.wall_seconds, 0.0);
   EXPECT_GE(r.overlap_seconds(), 0.0);
-  // Wall time never exceeds the serial sum by more than scheduling slack.
-  EXPECT_DOUBLE_EQ(r.wall_seconds, sim.sink().step_wall_seconds());
+  // The wall time is the span of the step's launch bodies.
+  const auto& recs = sim.sink().step_records();
+  ASSERT_FALSE(recs.empty());
+  double lo = recs.front().t_begin;
+  double hi = recs.front().t_end;
+  for (const LaunchRecord& rec : recs) {
+    lo = std::min(lo, rec.t_begin);
+    hi = std::max(hi, rec.t_end);
+  }
+  EXPECT_DOUBLE_EQ(r.wall_seconds, hi - lo);
 }
 
 /// One step of `sim`: its report must be drained from the step's launch

@@ -1,7 +1,8 @@
 // ShardedSimulation: the K-shard pipeline must be bit-identical to the
 // single-device Simulation for any shard count and worker count (rebuilds
-// included), report per-shard busy time and LET traffic,
-// and isolate one shard's launch fault from the other shards' devices.
+// included), report per-shard busy time and LET traffic, stamp every
+// shard's launches on one clock, and isolate one shard's launch fault
+// from the other shards' devices.
 #include "nbody/sharded_simulation.hpp"
 #include "nbody/simulation.hpp"
 #include "runtime/device.hpp"
@@ -13,6 +14,8 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace gothic::nbody {
 namespace {
@@ -162,6 +165,45 @@ TEST(Shard, ListenerReceivesShardedStepMarks) {
     EXPECT_GE(m.shard_imbalance(), 1.0);
     EXPECT_GT(m.let_cells, 0u);
   }
+}
+
+TEST(Shard, EveryShardStampsTheProcessClock) {
+  // K = 2 devices stamp their launches on one clock: a host bracket of
+  // step() holds every record of both shards, the step's StepMark spans
+  // them all, and the report's wall time is exactly that span.
+  struct Marks final : runtime::RecordListener {
+    std::vector<runtime::StepMark> marks;
+    void on_record(const runtime::LaunchRecord&) override {}
+    void on_step(const runtime::StepMark& mark) override {
+      marks.push_back(mark);
+    }
+  };
+  ShardOptions opt;
+  opt.shards = 2;
+  opt.workers = 2;
+  ShardedSimulation sim(plummer(kN, 9), shard_config(), opt);
+  Marks cap;
+  sim.set_instrumentation_listener(&cap);
+  for (std::size_t i = 1; i <= 3; ++i) {
+    const double before = process_seconds();
+    const StepReport r = sim.step();
+    const double after = process_seconds();
+    ASSERT_EQ(cap.marks.size(), i);
+    const runtime::StepMark& m = cap.marks.back();
+    for (int s = 0; s < sim.shard_count(); ++s) {
+      ASSERT_FALSE(sim.sink(s).step_records().empty());
+      for (const runtime::LaunchRecord& rec : sim.sink(s).step_records()) {
+        const std::string what = "step " + std::to_string(i) + " shard " +
+                                 std::to_string(s) + " " + rec.label;
+        EXPECT_GE(rec.t_begin, before) << what;
+        EXPECT_LE(rec.t_end, after) << what;
+        EXPECT_GE(rec.t_begin, m.t_begin) << what;
+        EXPECT_LE(rec.t_end, m.t_end) << what;
+      }
+    }
+    EXPECT_EQ(r.wall_seconds, m.t_end - m.t_begin) << "step " << i;
+  }
+  sim.set_instrumentation_listener(nullptr);
 }
 
 TEST(Shard, FaultInOneShardLeavesAllDevicesReusable) {

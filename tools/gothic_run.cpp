@@ -45,10 +45,15 @@
 //   --metrics                     print per-kernel latency histograms
 //                                 (p50/p95/max) and arena gauges at exit
 //   --shards=<int>                run the step engine over K per-shard
-//                                 devices (default: $GOTHIC_SHARDS, else 1
-//                                 = one shard on the shared device; results
-//                                 are bit-identical for every K; at most
-//                                 INT_MAX)
+//                                 devices (default 1 = one shard on the
+//                                 shared device; results are
+//                                 bit-identical for every K)
+//
+// Exit status 0 on success, 1 when the run fails, and 2 when the command
+// line is rejected, with a message naming the flag: a value out of range
+// (--n, --steps and --shards >= 1, --snapshot-every >= 0; --n at most
+// LLONG_MAX, the others at most INT_MAX), a non-numeric value, or an
+// unknown model, scenario, mode, curve or MAC.
 #include "galaxy/m31.hpp"
 #include "galaxy/spherical_sampler.hpp"
 #include "nbody/sharded_simulation.hpp"
@@ -57,7 +62,6 @@
 #include "nbody/snapshot.hpp"
 #include "trace/session.hpp"
 #include "util/args.hpp"
-#include "util/env.hpp"
 #include "util/table.hpp"
 
 #include <algorithm>
@@ -84,13 +88,14 @@ nbody::Particles make_initial(const Args& args,
     return p;
   }
   if (sc != nullptr) {
-    const auto n = static_cast<std::size_t>(
-        args.get_int("n", static_cast<long long>(sc->default_n)));
+    const auto n = static_cast<std::size_t>(args.get_in_range(
+        "n", static_cast<long long>(sc->default_n), 1, LLONG_MAX));
     const auto seed = static_cast<std::uint64_t>(
         args.get_int("seed", static_cast<long long>(sc->default_seed)));
     return sc->make(n, seed);
   }
-  const auto n = static_cast<std::size_t>(args.get_int("n", 32768));
+  const auto n =
+      static_cast<std::size_t>(args.get_in_range("n", 32768, 1, LLONG_MAX));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string model = args.get("model", "m31");
   if (model == "m31") return galaxy::build_m31(n, seed);
@@ -164,9 +169,8 @@ std::string snapshot_name(const std::string& prefix, int step) {
 
 /// The drive loop for any shard count (bit-identical results). Shard 0's
 /// device is the one whose arena gauges the metrics footer samples.
-int drive(nbody::ShardedSimulation& sim, const Args& args) {
-  const int steps = static_cast<int>(args.get_int("steps", 64));
-  const int snap_every = static_cast<int>(args.get_int("snapshot-every", 0));
+int drive(nbody::ShardedSimulation& sim, const Args& args, int steps,
+          int snap_every) {
   const std::string prefix = args.get("out", "gothic_");
   const std::string csv = args.get("csv", "");
   const std::string trace_path =
@@ -258,20 +262,6 @@ int drive(nbody::ShardedSimulation& sim, const Args& args) {
   return 0;
 }
 
-int shard_count(const Args& args) {
-  // GOTHIC_SHARDS goes through the strict reader telemetry logs it with,
-  // so a malformed value ("4x") warns and falls back to 1 in both places.
-  const auto env = static_cast<long long>(
-      std::min<std::size_t>(env_size("GOTHIC_SHARDS", 1), LLONG_MAX));
-  const long long k = args.get_int("shards", env);
-  if (k < 1) throw std::invalid_argument("--shards must be >= 1");
-  if (k > INT_MAX) {
-    throw std::invalid_argument("--shards must be <= " +
-                                std::to_string(INT_MAX));
-  }
-  return static_cast<int>(k);
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -298,7 +288,13 @@ int main(int argc, char** argv) {
                 << gravity::force_law_name(sc->law) << "]: " << sc->summary
                 << "\n";
     }
-    const int shards = shard_count(args);
+    // Range-checked before anything is built.
+    const auto shards =
+        static_cast<int>(args.get_in_range("shards", 1, 1, INT_MAX));
+    const auto steps =
+        static_cast<int>(args.get_in_range("steps", 64, 1, INT_MAX));
+    const auto snap_every =
+        static_cast<int>(args.get_in_range("snapshot-every", 0, 0, INT_MAX));
     std::unique_ptr<nbody::ShardedSimulation> sim;
     if (shards > 1) {
       nbody::ShardOptions opt;
@@ -310,7 +306,10 @@ int main(int argc, char** argv) {
       sim = std::make_unique<nbody::Simulation>(make_initial(args, sc.get()),
                                                 make_config(args, sc.get()));
     }
-    return drive(*sim, args);
+    return drive(*sim, args, steps, snap_every);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "gothic_run: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "gothic_run: " << e.what() << "\n";
     return 1;

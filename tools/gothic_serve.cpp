@@ -2,7 +2,7 @@
 // layer & multi-tenancy"): sweeps a batch of scenario-registry sessions
 // through one service::SessionManager and reports per-session outcomes.
 //
-//   --sessions=N      batch size (default: GOTHIC_SESSIONS, else 6).
+//   --sessions=N      batch size (default 6).
 //                     Session i cycles the scenario registry unless
 //                     --scenario pins one.
 //   --devices=N       pool devices / driver threads (default 1)
@@ -13,7 +13,7 @@
 //   --scenario=SPEC   pin every session to one registry name / config file
 //   --shards=K        shard count per session (default 1 = unsharded)
 //   --quota=BYTES     per-session arena quota, k/m suffixes accepted
-//                     (default: GOTHIC_SESSION_QUOTA, else 0 = unlimited)
+//                     (default 0 = unlimited)
 //   --trace-dir=D     per-session Perfetto trace at D/<name>.trace.json
 //   --telemetry-dir=D per-session JSONL telemetry at D/<name>.jsonl
 //   --snapshot-every=N --snapshot-dir=D
@@ -23,8 +23,8 @@
 //   --metrics         print the metrics registry (service footer included)
 //
 // Exit code 0 iff every session completed (and, with --oracle, matched);
-// 2 for an unknown option or a value out of range (--devices, --steps and
-// --shards >= 1, --n and --snapshot-every >= 0, --workers in
+// 2 for an unknown option or a value out of range (--sessions, --devices,
+// --steps and --shards >= 1, --n and --snapshot-every >= 0, --workers in
 // [0, Device::kMaxWorkers]), with a message naming the flag.
 #include "runtime/device.hpp"
 #include "service/session_manager.hpp"
@@ -37,7 +37,6 @@
 #include <exception>
 #include <filesystem>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,53 +46,32 @@ using gothic::service::SessionConfig;
 using gothic::service::SessionInfo;
 using gothic::service::SessionState;
 
-/// --key as an integer in [lo, hi]; otherwise throws, and main() exits 2
-/// with a message naming the flag.
-long long get_in_range(const gothic::Args& args, const char* key,
-                       long long fallback, long long lo, long long hi) {
-  const long long v = args.get_int(key, fallback);
-  if (v < lo || v > hi) {
-    throw std::invalid_argument("--" + std::string(key) + "=" +
-                                std::to_string(v) + " is out of range [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]");
-  }
-  return v;
-}
-
 int run(const gothic::Args& args) {
-  const auto sessions = static_cast<int>(args.get_int(
-      "sessions",
-      static_cast<long long>(gothic::env_size("GOTHIC_SESSIONS", 6))));
+  const auto sessions =
+      static_cast<int>(args.get_in_range("sessions", 6, 1, INT_MAX));
   gothic::service::PoolOptions pool;
-  pool.devices = static_cast<int>(get_in_range(args, "devices", 1, 1, INT_MAX));
-  pool.workers = static_cast<int>(get_in_range(
-      args, "workers", 0, 0, gothic::runtime::Device::kMaxWorkers));
-  const auto steps = static_cast<int>(get_in_range(args, "steps", 8, 1, INT_MAX));
+  pool.devices = static_cast<int>(args.get_in_range("devices", 1, 1, INT_MAX));
+  pool.workers = static_cast<int>(args.get_in_range(
+      "workers", 0, 0, gothic::runtime::Device::kMaxWorkers));
+  const auto steps = static_cast<int>(args.get_in_range("steps", 8, 1, INT_MAX));
   const auto n =
-      static_cast<std::size_t>(get_in_range(args, "n", 0, 0, LLONG_MAX));
+      static_cast<std::size_t>(args.get_in_range("n", 0, 0, LLONG_MAX));
   const auto base_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string scenario_spec = args.get("scenario", "");
   const auto shards =
-      static_cast<int>(get_in_range(args, "shards", 1, 1, INT_MAX));
-  const auto quota = args.has("quota")
-                         ? gothic::parse_size(args.get("quota", "0"))
-                         : gothic::env_size("GOTHIC_SESSION_QUOTA", 0);
+      static_cast<int>(args.get_in_range("shards", 1, 1, INT_MAX));
+  const auto quota = gothic::parse_size(args.get("quota", "0"));
   const std::string trace_dir = args.get("trace-dir", "");
   const std::string telemetry_dir = args.get("telemetry-dir", "");
   const auto snapshot_every =
-      static_cast<int>(get_in_range(args, "snapshot-every", 0, 0, INT_MAX));
+      static_cast<int>(args.get_in_range("snapshot-every", 0, 0, INT_MAX));
   const std::string snapshot_dir = args.get("snapshot-dir", "");
   const bool oracle = args.get_flag("oracle");
   const bool metrics = args.get_flag("metrics");
 
   for (const std::string& key : args.unused()) {
     std::fprintf(stderr, "gothic_serve: unknown option --%s\n", key.c_str());
-    return 2;
-  }
-  if (sessions <= 0) {
-    std::fprintf(stderr, "gothic_serve: --sessions must be positive\n");
     return 2;
   }
 
