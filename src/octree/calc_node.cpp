@@ -38,18 +38,19 @@ void validate_inputs(const CalcNodeConfig& cfg, std::span<const real> x,
   }
 }
 
-/// Summarise the nodes [begin, end) — the shared core of calc_node (one
-/// call per level) and calc_node_ranges (one call per caller range). Every
+/// Summarise worker `worker`'s share of the nodes [begin, end) — its
+/// static chunk of the range's warps — into `counts`: the shared core of
+/// calc_node (one call per level) and calc_node_ranges (one call per
+/// caller range), both run inside one cooperative collective. Every
 /// node's result depends only on its own elements and cfg.tsub, so the
 /// warp packing below (node = begin + warp*tiles + tile) affects op
 /// tallies at most, never the stored moments.
 void sum_node_range(Octree& tree, std::span<const real> x,
                     std::span<const real> y, std::span<const real> z,
                     std::span<const real> m, const CalcNodeConfig& cfg,
-                    index_t begin, index_t end, std::mutex& merge,
-                    simt::OpCounts& total) {
+                    const runtime::Device& dev, int worker, index_t begin,
+                    index_t end, simt::OpCounts& counts) {
   const int tsub = cfg.tsub;
-  runtime::Device& dev = runtime::Device::current();
   const int tiles = kWarpSize / tsub;
 
   // Device-measurement calibration: GOTHIC's calcNode moves several times
@@ -70,10 +71,8 @@ void sum_node_range(Octree& tree, std::span<const real> x,
   const index_t rg_nodes = end - begin;
   const index_t warps = (rg_nodes + tiles - 1) / tiles;
 
-  dev.parallel_ranges(0, warps, [&](runtime::Worker&, std::size_t wlo,
-                                    std::size_t whi) {
-    simt::OpCounts counts;
-    for (std::size_t widx = wlo; widx < whi; ++widx) {
+  const runtime::Device::Chunk mine = dev.static_chunk(worker, 0, warps);
+  for (std::size_t widx = mine.lo; widx < mine.hi; ++widx) {
     Warp w(cfg.mode, counts);
 
     // The nodes this warp's tiles own (kInvalidIndex = idle tile).
@@ -237,10 +236,7 @@ void sum_node_range(Octree& tree, std::span<const real> x,
         counts.bytes_store += 24;
       }
     }
-    } // per-warp loop of this worker's chunk
-    const std::scoped_lock lock(merge);
-    total += counts;
-  });
+  } // per-warp loop of this worker's chunk
 }
 
 } // namespace
@@ -272,18 +268,26 @@ void calc_node(Octree& tree, std::span<const real> x, std::span<const real> y,
 
   std::mutex merge;
   simt::OpCounts total;
+  runtime::Device& dev = runtime::Device::current();
+  const int levels = tree.num_levels();
 
-  // Bottom-up sweep: children live one level deeper and are finished first.
-  for (int level = tree.num_levels() - 1; level >= 0; --level) {
-    const index_t lv_begin = tree.level_offset[static_cast<std::size_t>(level)];
-    const index_t lv_end = tree.level_offset[static_cast<std::size_t>(level) + 1];
-    sum_node_range(tree, x, y, z, m, cfg, lv_begin, lv_end, merge, total);
-
-    // The level-by-level bottom-up sweep requires a grid-wide
-    // synchronisation between levels — GOTHIC's lock-free barrier, the
-    // subject of Appendix A (21 grid syncs per step for this kernel).
-    total.global_barrier += 1;
-  }
+  // Bottom-up sweep in one launch: children live one level deeper and are
+  // finished before the grid barrier that opens their parents' level —
+  // GOTHIC's lock-free barrier, the subject of Appendix A.
+  dev.cooperative([&](runtime::Worker& w, runtime::Grid& grid) {
+    simt::OpCounts counts;
+    for (int level = levels - 1; level >= 0; --level) {
+      if (level != levels - 1) grid.sync();
+      const auto lv = static_cast<std::size_t>(level);
+      sum_node_range(tree, x, y, z, m, cfg, dev, w.id, tree.level_offset[lv],
+                     tree.level_offset[lv + 1], counts);
+    }
+    const std::scoped_lock lock(merge);
+    total += counts;
+  });
+  // The device kernel's grid syncs: one per level (21 per step for the
+  // paper's trees).
+  total.global_barrier += static_cast<std::uint64_t>(levels);
 
   if (ops != nullptr) *ops += total;
 }
@@ -300,16 +304,32 @@ void calc_node_ranges(Octree& tree, std::span<const real> x,
         "calc_node_ranges: call prepare_quadrupole before a quadrupole sweep");
   }
 
-  std::mutex merge;
   simt::OpCounts total;
   for (const NodeRange& r : ranges) {
     if (r.end > tree.num_nodes() || r.begin > r.end) {
       throw std::out_of_range("calc_node_ranges: range outside the tree");
     }
-    if (r.end <= r.begin) continue;
-    sum_node_range(tree, x, y, z, m, cfg, r.begin, r.end, merge, total);
-    total.global_barrier += 1;
+    // One device grid sync per range, as in GOTHIC's kernel.
+    if (r.end > r.begin) total.global_barrier += 1;
   }
+  if (total.global_barrier == 0) return; // no node to summarise
+
+  std::mutex merge;
+  runtime::Device& dev = runtime::Device::current();
+  dev.cooperative([&](runtime::Worker& w, runtime::Grid& grid) {
+    simt::OpCounts counts;
+    // A range may read the moments of any range before it, so each one
+    // after the first waits behind a grid sync.
+    bool first = true;
+    for (const NodeRange& r : ranges) {
+      if (r.end <= r.begin) continue;
+      if (!first) grid.sync();
+      sum_node_range(tree, x, y, z, m, cfg, dev, w.id, r.begin, r.end, counts);
+      first = false;
+    }
+    const std::scoped_lock lock(merge);
+    total += counts;
+  });
   if (ops != nullptr) *ops += total;
 }
 

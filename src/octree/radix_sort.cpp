@@ -53,59 +53,61 @@ void radix_sort_pairs(std::span<std::uint64_t> keys,
     offset[static_cast<std::size_t>(t)] = &tables[1];
   }
 
-  std::uint64_t* src_k = keys.data();
-  index_t* src_p = payload.data();
-  std::uint64_t* dst_k = tmp_keys.data();
-  index_t* dst_p = tmp_payload.data();
+  // One cooperative collective per sort. Each worker owns the same
+  // contiguous chunk in the histogram and scatter phases (parallel_ranges'
+  // static schedule), so the sort stays stable and its output is
+  // independent of the worker count; grid syncs separate the phases.
+  const bool copy_back = passes % 2 != 0;
+  dev.cooperative([&](runtime::Worker& w, runtime::Grid& grid) {
+    const runtime::Device::Chunk mine = dev.static_chunk(w.id, 0, n);
+    BucketTable& h = *hist[static_cast<std::size_t>(w.id)];
+    BucketTable& off = *offset[static_cast<std::size_t>(w.id)];
+    std::uint64_t* src_k = keys.data();
+    index_t* src_p = payload.data();
+    std::uint64_t* dst_k = tmp_keys.data();
+    index_t* dst_p = tmp_payload.data();
 
-  for (int pass = 0; pass < passes; ++pass) {
-    const int shift = pass * kDigitBits;
-    for (int t = 0; t < nt; ++t) hist[static_cast<std::size_t>(t)]->fill(0);
-
-    // Histogram phase: each worker owns the same contiguous chunk the
-    // scatter phase will walk (parallel_ranges' static schedule), so the
-    // sort stays stable and its output is independent of the worker count.
-    dev.parallel_ranges(0, n, [&](runtime::Worker& w, std::size_t lo,
-                                  std::size_t hi) {
-      auto& h = *hist[static_cast<std::size_t>(w.id)];
-      for (std::size_t i = lo; i < hi; ++i) {
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = pass * kDigitBits;
+      h.fill(0);
+      for (std::size_t i = mine.lo; i < mine.hi; ++i) {
         ++h[(src_k[i] >> shift) & (kBuckets - 1)];
       }
-    });
+      grid.sync();
 
-    // Exclusive scan over (bucket, worker) pairs — bucket-major so equal
-    // digits preserve chunk order (stability).
-    std::size_t running = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-      for (int t = 0; t < nt; ++t) {
-        (*offset[static_cast<std::size_t>(t)])[b] = running;
-        running += (*hist[static_cast<std::size_t>(t)])[b];
+      // Exclusive scan over (bucket, worker) pairs — bucket-major so equal
+      // digits preserve chunk order (stability).
+      if (w.id == 0) {
+        std::size_t running = 0;
+        for (int b = 0; b < kBuckets; ++b) {
+          for (int t = 0; t < nt; ++t) {
+            (*offset[static_cast<std::size_t>(t)])[b] = running;
+            running += (*hist[static_cast<std::size_t>(t)])[b];
+          }
+        }
       }
-    }
+      grid.sync();
 
-    // Scatter phase.
-    dev.parallel_ranges(0, n, [&](runtime::Worker& w, std::size_t lo,
-                                  std::size_t hi) {
-      auto& off = *offset[static_cast<std::size_t>(w.id)];
-      for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t i = mine.lo; i < mine.hi; ++i) {
         const auto b = (src_k[i] >> shift) & (kBuckets - 1);
         const std::size_t dst = off[b]++;
         dst_k[dst] = src_k[i];
         dst_p[dst] = src_p[i];
       }
-    });
+      grid.sync();
 
-    std::swap(src_k, dst_k);
-    std::swap(src_p, dst_p);
-  }
+      std::swap(src_k, dst_k);
+      std::swap(src_p, dst_p);
+    }
 
-  // After an odd number of passes the result lives in the temporaries.
-  if (src_k != keys.data()) {
-    dev.parallel_for(0, n, [&](std::size_t i) {
-      keys[i] = src_k[i];
-      payload[i] = src_p[i];
-    });
-  }
+    // After an odd number of passes the result lives in the temporaries.
+    if (copy_back) {
+      for (std::size_t i = mine.lo; i < mine.hi; ++i) {
+        keys[i] = src_k[i];
+        payload[i] = src_p[i];
+      }
+    }
+  });
 
   if (ops != nullptr) {
     // Device-style accounting, one read+write of the pair per pass plus

@@ -1,5 +1,6 @@
 #include "runtime/device.hpp"
 
+#include "simt/barrier.hpp"
 #include "util/env.hpp"
 
 #include <algorithm>
@@ -32,7 +33,18 @@ std::vector<std::unique_ptr<Worker>> make_slots(int n) {
   }
   return slots;
 }
+
+/// What Grid::sync() throws on the workers a failed body left behind. The
+/// failed body's exception is already recorded, so this one never reaches
+/// the caller.
+struct GridAborted {};
 } // namespace
+
+void Grid::sync() {
+  if (barrier_ == nullptr) return;
+  barrier_->arrive_and_wait(worker_);
+  if (barrier_->aborted()) throw GridAborted{};
+}
 
 // ---------------------------------------------------------------------------
 // Team: the device's fork/join threads. Member 0 of a collective is the
@@ -40,14 +52,15 @@ std::vector<std::unique_ptr<Worker>> make_slots(int n) {
 // condition variable. run() is handed the calling context's worker slots
 // (the host's or one lane's) and member i executes on slot i. It admits
 // one caller at a time — a lane leader or a host thread — so every
-// collective gets the whole pool. A 1-worker team has no threads: each
-// caller runs its collective inline on its own slot 0, so the lanes and
-// the host then run collectives at the same time.
+// collective gets the whole pool, and the team's one grid barrier serves
+// whichever collective is admitted. A 1-worker team has no threads: each
+// caller runs its collective inline on its own slot 0 with a barrier-less
+// Grid, so the lanes and the host then run collectives at the same time.
 // ---------------------------------------------------------------------------
 
 class Device::Team {
 public:
-  explicit Team(int size) {
+  explicit Team(int size) : barrier_(size) {
     threads_.reserve(static_cast<std::size_t>(size - 1));
     for (int i = 1; i < size; ++i) {
       threads_.emplace_back([this, i] { member_loop(i); });
@@ -70,10 +83,10 @@ public:
   /// busy counter (imbalance observability). The counter also ticks while
   /// a body waits on a fault-injected stall — busy means "occupied", which
   /// is exactly what the imbalance ratio should see.
-  static void run_timed(JobFn fn, void* ctx, Worker& w) {
+  static void run_timed(JobFn fn, void* ctx, Worker& w, Grid& grid) {
     const Stopwatch clock;
     try {
-      fn(ctx, w);
+      fn(ctx, w, grid);
     } catch (...) {
       w.busy_ns.fetch_add(static_cast<std::uint64_t>(clock.seconds() * 1e9),
                           std::memory_order_relaxed);
@@ -83,14 +96,16 @@ public:
                         std::memory_order_relaxed);
   }
 
-  /// Run `fn(ctx, *slots[i])` once per member i; the caller executes
+  /// Run `fn(ctx, *slots[i], grid)` once per member i; the caller executes
   /// member 0. All member exceptions land in one first-recorded-wins slot
   /// and exactly that one is rethrown after every member finished, leaving
-  /// the team reusable. Without member threads the job runs inline and
-  /// unadmitted: `slots` belong to the caller's context alone.
+  /// the team and its barrier reusable. Without member threads the job
+  /// runs inline and unadmitted: `slots` belong to the caller's context
+  /// alone.
   void run(JobFn fn, void* ctx, const Slots& slots) {
     if (threads_.empty()) {
-      run_timed(fn, ctx, *slots.front());
+      Grid grid(nullptr, 0);
+      run_timed(fn, ctx, *slots.front(), grid);
       return;
     }
     const std::lock_guard<std::mutex> admitted(admit_);
@@ -104,20 +119,35 @@ public:
       ++generation_;
     }
     start_cv_.notify_all();
-    try {
-      run_timed(fn, ctx, *slots.front());
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!error_) error_ = std::current_exception();
-    }
+    run_member(0, fn, ctx, *slots.front());
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] { return unfinished_ == 0; });
     std::exception_ptr err = std::exchange(error_, nullptr);
     lock.unlock();
-    if (err) std::rethrow_exception(err);
+    if (err) {
+      // Every member has left the body, so no one is inside the barrier.
+      barrier_.reset();
+      std::rethrow_exception(err);
+    }
   }
 
 private:
+  /// Member i's share of a collective. A throw is recorded before the
+  /// barrier aborts, so the GridAborted of the members it releases never
+  /// wins the error slot.
+  void run_member(int i, JobFn fn, void* ctx, Worker& w) {
+    Grid grid(&barrier_, i);
+    try {
+      run_timed(fn, ctx, w, grid);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!error_) error_ = std::current_exception();
+      }
+      barrier_.abort();
+    }
+  }
+
   void member_loop(int i) {
     std::uint64_t seen = 0;
     for (;;) {
@@ -133,12 +163,7 @@ private:
         ctx = job_ctx_;
         w = (*job_slots_)[static_cast<std::size_t>(i)].get();
       }
-      try {
-        run_timed(job, ctx, *w);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
+      run_member(i, job, ctx, *w);
       bool last = false;
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -149,6 +174,7 @@ private:
   }
 
   std::vector<std::thread> threads_;
+  simt::LockFreeBarrier barrier_; ///< Grid::sync() of the admitted collective
   std::mutex admit_; ///< held by the one caller whose collective is running
   std::mutex mutex_;
   std::condition_variable start_cv_;
@@ -283,6 +309,7 @@ Worker& Device::context_worker(int i) {
 }
 
 void Device::dispatch(JobFn fn, void* ctx) {
+  collectives_.fetch_add(1, std::memory_order_relaxed);
   team_->run(fn, ctx, context_slots());
 }
 

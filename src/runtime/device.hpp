@@ -8,6 +8,8 @@
 //  * a persistent worker pool whose size is GOTHIC_THREADS-overridable,
 //    with one cache-line-padded Worker slot per pool worker carrying a
 //    scratch Arena that retains its high-water capacity across launches;
+//    a level-synchronous kernel runs as one cooperative collective whose
+//    phases sync on the pool's grid barrier (Grid::sync);
 //  * Stream/Event scheduling: launches enqueue onto their stream's lane —
 //    one of two FIFO queues, each with a leader thread, built with the
 //    device — and execute as soon as their dependency events complete, so
@@ -47,6 +49,10 @@
 #include <type_traits>
 #include <vector>
 
+namespace gothic::simt {
+class LockFreeBarrier;
+}
+
 namespace gothic::runtime {
 
 /// Per-member execution context handed to range bodies: a stable worker
@@ -66,6 +72,28 @@ struct alignas(64) Worker {
   [[nodiscard]] double busy_seconds() const {
     return static_cast<double>(busy_ns.load(std::memory_order_relaxed)) * 1e-9;
   }
+};
+
+/// A cooperative body's view of its collective (Device::cooperative).
+/// sync() is the grid-wide barrier of the paper's Appendix A — GOTHIC's
+/// lock-free barrier, run between the phases of one fork/join instead of
+/// one fork/join per phase.
+class Grid {
+public:
+  Grid(simt::LockFreeBarrier* barrier, int worker)
+      : barrier_(barrier), worker_(worker) {}
+
+  /// Return once every worker of the collective has called sync() as
+  /// often as this one: everything any worker wrote before it is visible
+  /// to every worker after it. Every worker must make the same sequence of
+  /// calls. Once another worker's body has thrown, sync() unwinds instead
+  /// of waiting, so the collective ends and rethrows that first exception.
+  /// A no-op that touches no shared state on a 1-worker device.
+  void sync();
+
+private:
+  simt::LockFreeBarrier* barrier_; ///< null on a 1-worker device
+  int worker_;
 };
 
 class Device {
@@ -109,11 +137,24 @@ public:
   // are recorded first-wins and exactly one is rethrown on the caller; the
   // pool stays reusable. Bodies must not re-enter the device.
 
-  /// Invoke `fn(Worker&)` once per context worker.
+  /// Cooperative collective: invoke `fn(Worker&, Grid&)` once per context
+  /// worker — a worker with no work included — as one fork/join whose
+  /// phases the body separates with Grid::sync(). The barrier belongs to
+  /// the pool (no allocation per call). Level-synchronous kernels use it
+  /// as GOTHIC does: one launch, a grid barrier between levels.
+  template <typename Fn>
+  void cooperative(Fn&& fn) {
+    using F = std::remove_reference_t<Fn>;
+    dispatch(+[](void* ctx, Worker& w, Grid& g) {
+      (*static_cast<F*>(ctx))(w, g);
+    }, &fn);
+  }
+
+  /// Invoke `fn(Worker&)` once per context worker: a cooperative
+  /// collective that never syncs.
   template <typename Fn>
   void for_workers(Fn&& fn) {
-    using F = std::remove_reference_t<Fn>;
-    dispatch(+[](void* ctx, Worker& w) { (*static_cast<F*>(ctx))(w); }, &fn);
+    cooperative([&fn](Worker& w, Grid&) { fn(w); });
   }
 
   /// Invoke `fn(Worker&, lo, hi)` on each worker's contiguous chunk of
@@ -124,11 +165,9 @@ public:
   template <typename Fn>
   void parallel_ranges(std::size_t begin, std::size_t end, Fn&& fn) {
     if (end <= begin) return;
-    const std::size_t chunk = chunk_size(begin, end);
     for_workers([&](Worker& w) {
-      const std::size_t lo = begin + static_cast<std::size_t>(w.id) * chunk;
-      const std::size_t hi = std::min(end, lo + chunk);
-      if (lo < hi) fn(w, lo, hi);
+      const Chunk c = static_chunk(w.id, begin, end);
+      if (c.lo < c.hi) fn(w, c.lo, c.hi);
     });
   }
 
@@ -187,6 +226,20 @@ public:
     const std::size_t n = end - begin;
     const auto nw = static_cast<std::size_t>(workers());
     return (n + nw - 1) / nw;
+  }
+
+  /// Worker `id`'s chunk [lo, hi) of [begin, end) under parallel_ranges'
+  /// static schedule; empty (lo == hi) once the range ran out.
+  struct Chunk {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+  };
+  [[nodiscard]] Chunk static_chunk(int id, std::size_t begin,
+                                   std::size_t end) const {
+    const std::size_t chunk = chunk_size(begin, end);
+    const std::size_t lo = std::min(
+        end, begin + static_cast<std::size_t>(id) * chunk);
+    return {lo, std::min(end, lo + chunk)};
   }
 
   // --- launch layer -------------------------------------------------------
@@ -268,6 +321,11 @@ public:
   [[nodiscard]] std::size_t arena_capacity() const;
   /// Launches issued so far.
   [[nodiscard]] std::uint64_t launch_count() const;
+  /// Collectives (fork/joins, inline ones on a 1-worker device included)
+  /// run so far, from any context.
+  [[nodiscard]] std::uint64_t collective_count() const {
+    return collectives_.load(std::memory_order_relaxed);
+  }
 
   // Worker busy-time gauges (host and lane slots; relaxed samples of the
   // per-worker counters, safe to read while collectives run). The spread
@@ -282,7 +340,7 @@ public:
   [[nodiscard]] int busy_worker_count() const;
 
 private:
-  using JobFn = void (*)(void*, Worker&);
+  using JobFn = void (*)(void*, Worker&, Grid&);
   using BodyInvoke = void (*)(void*, simt::OpCounts&);
   using BodyCopy = void (*)(void*, const void*);
   using BodyDestroy = void (*)(void*);
@@ -319,6 +377,7 @@ private:
 
   Slots slots_;                  ///< the host context's worker slots
   std::unique_ptr<Team> team_;   ///< the pool's threads, shared by all contexts
+  std::atomic<std::uint64_t> collectives_{0};
 
   // Launch bookkeeping (ids, completion, queues, sinks) — one lock; the
   // per-collective fork/join hot path uses the team's own locks.

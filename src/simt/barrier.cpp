@@ -52,7 +52,10 @@ void LockFreeBarrier::wait(int block) {
     // arrival slot, then release all blocks through their depart slots.
     Backoff bo;
     for (auto& s : in_) {
-      while (s.value.load(std::memory_order_acquire) != goal) bo.pause();
+      while (s.value.load(std::memory_order_acquire) != goal) {
+        if (aborted()) return;
+        bo.pause();
+      }
     }
     for (auto& s : out_) {
       s.value.store(goal, std::memory_order_release);
@@ -60,8 +63,18 @@ void LockFreeBarrier::wait(int block) {
   } else {
     auto& mine = out_[static_cast<std::size_t>(block)].value;
     Backoff bo;
-    while (mine.load(std::memory_order_acquire) != goal) bo.pause();
+    while (mine.load(std::memory_order_acquire) != goal) {
+      if (aborted()) return;
+      bo.pause();
+    }
   }
+}
+
+void LockFreeBarrier::reset() {
+  for (auto* slots : {&in_, &out_, &local_goal_}) {
+    for (Slot& s : *slots) s.value.store(0, std::memory_order_relaxed);
+  }
+  aborted_.store(false, std::memory_order_relaxed);
 }
 
 CentralizedBarrier::CentralizedBarrier(int num_blocks)

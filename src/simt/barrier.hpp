@@ -40,11 +40,23 @@ protected:
 /// arrival in its own slot of `in_`; block 0 observes all slots, then
 /// releases every block through its own slot of `out_`. Each block spins
 /// only on its private cache line — no shared atomic RMW.
+///
+/// abort() is the escape hatch of a grid whose block failed: every pending
+/// and later wait() returns at once, and aborted() tells the caller the
+/// episode did not complete. reset() rearms the barrier once no block is
+/// inside arrive() or wait().
 class LockFreeBarrier final : public InterBlockBarrier {
 public:
   explicit LockFreeBarrier(int num_blocks);
   void arrive(int block) override;
   void wait(int block) override;
+
+  void abort() { aborted_.store(true, std::memory_order_release); }
+  [[nodiscard]] bool aborted() const {
+    return aborted_.load(std::memory_order_acquire);
+  }
+  /// Back to the constructed state (no episode pending, not aborted).
+  void reset();
 
 private:
   struct alignas(64) Slot {
@@ -52,8 +64,8 @@ private:
   };
   std::vector<Slot> in_;
   std::vector<Slot> out_;
-  std::uint32_t goal_ = 0; // advanced every episode; block-local copies
-  std::vector<Slot> local_goal_;
+  std::vector<Slot> local_goal_; // episodes each block has arrived at
+  std::atomic<bool> aborted_{false};
 };
 
 /// Centralised sense-reversing barrier: the shape of CUDA 9 Cooperative

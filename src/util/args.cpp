@@ -1,5 +1,7 @@
 #include "util/args.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -60,6 +62,32 @@ long long Args::get_in_range(const std::string& key, long long fallback,
     throw std::invalid_argument("--" + key + "=" + std::to_string(v) +
                                 " is out of range [" + std::to_string(lo) +
                                 ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+std::uint64_t Args::get_u64(const std::string& key,
+                            std::uint64_t fallback) const {
+  used_[key] = true;
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  // Hex after 0x/0X, decimal otherwise: base 0 would read a leading zero
+  // as octal. strtoull would also skip blanks, accept a sign and negate
+  // "-1" into 2^64 - 1; only a leading digit is a value here.
+  const bool hex = text.rfind("0x", 0) == 0 || text.rfind("0X", 0) == 0;
+  const char* digits = text.c_str() + (hex ? 2 : 0);
+  const auto lead = static_cast<unsigned char>(*digits);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v =
+      (hex ? std::isxdigit(lead) : std::isdigit(lead)) == 0
+          ? 0
+          : std::strtoull(digits, &end, hex ? 16 : 10);
+  if (end == nullptr || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + key +
+                                " expects an unsigned 64-bit integer, got '" +
+                                text + "'");
   }
   return v;
 }

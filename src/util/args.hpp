@@ -2,6 +2,7 @@
 // --key=value / --key value / --flag, with typed accessors and defaults.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,6 +26,12 @@ public:
   [[nodiscard]] long long get_in_range(const std::string& key,
                                        long long fallback, long long lo,
                                        long long hi) const;
+  /// An unsigned 64-bit value (a seed): hex after a 0x/0X prefix, so the
+  /// seeds the tools print replay as given, decimal otherwise (a leading
+  /// zero is not octal). A sign, trailing characters or a value past
+  /// 2^64 - 1 throws std::invalid_argument naming the flag.
+  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
+                                      std::uint64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_flag(const std::string& key) const;

@@ -69,6 +69,31 @@ TEST(ArgsTest, OutOfRangeValuesThrowNamingTheFlag) {
   EXPECT_THROW((void)a.get_in_range("n", 1, 6, 10), std::invalid_argument);
 }
 
+TEST(ArgsTest, Unsigned64AcceptsDecimalAndHexAndRejectsTheRest) {
+  const Args a = parse({"prog", "--seed=12", "--replay=0xffffffffffffffff",
+                        "--oct=010", "--nine=09", "--upper=0XaB",
+                        "--big=18446744073709551616", "--neg=-1",
+                        "--plus=+5", "--tail=12abc", "--word=abc", "--blank=",
+                        "--space= 7", "--bare=0x", "--hexneg=0x-1"});
+  EXPECT_EQ(a.get_u64("seed", 0), 12u);
+  EXPECT_EQ(a.get_u64("replay", 0), 0xffffffffffffffffULL);
+  EXPECT_EQ(a.get_u64("oct", 0), 10u);
+  EXPECT_EQ(a.get_u64("nine", 0), 9u);
+  EXPECT_EQ(a.get_u64("upper", 0), 0xabu);
+  EXPECT_EQ(a.get_u64("missing", 42), 42u);
+  for (const char* key : {"big", "neg", "plus", "tail", "word", "blank",
+                          "space", "bare", "hexneg"}) {
+    try {
+      (void)a.get_u64(key, 0);
+      ADD_FAILURE() << "--" << key << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(std::string("--") + key + " ", 0),
+                0u)
+          << e.what();
+    }
+  }
+}
+
 TEST(ArgsTest, UnusedDetectsTypos) {
   const Args a = parse({"prog", "--n=1", "--tpyo=5"});
   (void)a.get_int("n", 0);

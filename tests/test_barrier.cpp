@@ -54,6 +54,27 @@ TEST(LockFreeBarrierTest, SingleBlockNeverBlocks) {
   SUCCEED();
 }
 
+TEST(LockFreeBarrierTest, AbortReleasesWaitersAndResetRearms) {
+  // Block 2 never arrives: abort() must free the master (block 0, waiting
+  // on arrivals) and block 1 (waiting on its release); reset() then makes
+  // the barrier whole for a normal run.
+  LockFreeBarrier bar(3);
+  std::atomic<int> released{0};
+  std::vector<std::thread> ts;
+  for (int b = 0; b < 2; ++b) {
+    ts.emplace_back([&, b] {
+      bar.arrive_and_wait(b);
+      if (bar.aborted()) released.fetch_add(1);
+    });
+  }
+  bar.abort();
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(released.load(), 2);
+  bar.reset();
+  EXPECT_FALSE(bar.aborted());
+  exercise_barrier(bar, 3, 200);
+}
+
 TEST(CentralizedBarrierTest, OrdersAcrossBlocks) {
   CentralizedBarrier bar(4);
   exercise_barrier(bar, 4, 500);

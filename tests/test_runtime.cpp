@@ -9,6 +9,7 @@
 #include "octree/calc_node.hpp"
 #include "octree/radix_sort.hpp"
 #include "octree/tree_build.hpp"
+#include "scenario/registry.hpp"
 #include "testkit/schedule.hpp"
 #include "util/rng.hpp"
 
@@ -464,6 +465,214 @@ TEST(Device, DispatchPropagatesExactlyOneError) {
                std::runtime_error);
   EXPECT_TRUE(reusable());
   dev.for_workers([](Worker&) {}); // must not rethrow a stale error
+}
+
+// --- Cooperative collectives -----------------------------------------------
+
+TEST(Cooperative, SyncPublishesEveryWorkersWritesToEveryWorker) {
+  // Each phase every worker writes its slot, syncs, then reads every slot:
+  // a sync that let a worker through early shows up as a stale value.
+  for (int workers : {1, 2, 4}) {
+    Device dev(workers);
+    constexpr int kPhases = 200;
+    std::vector<int> slot(static_cast<std::size_t>(workers), -1);
+    std::vector<int> stale(static_cast<std::size_t>(workers), 0);
+    dev.cooperative([&](Worker& w, Grid& grid) {
+      const auto me = static_cast<std::size_t>(w.id);
+      for (int phase = 0; phase < kPhases; ++phase) {
+        slot[me] = phase;
+        grid.sync();
+        for (const int v : slot) stale[me] += v != phase ? 1 : 0;
+        grid.sync(); // nobody overwrites a slot another worker still reads
+      }
+    });
+    for (int i = 0; i < workers; ++i) {
+      EXPECT_EQ(stale[static_cast<std::size_t>(i)], 0)
+          << workers << " workers, worker " << i;
+    }
+  }
+}
+
+TEST(Cooperative, EveryWorkerReachesEverySyncWhenWorkIsScarce) {
+  // Two items on four workers: parallel_ranges would skip the two empty
+  // chunks, a cooperative body must not, or the syncs would never fill.
+  Device dev(4);
+  std::array<int, 4> bodies{};
+  std::array<int, 4> syncs{};
+  std::array<std::size_t, 4> items{};
+  dev.cooperative([&](Worker& w, Grid& grid) {
+    const auto me = static_cast<std::size_t>(w.id);
+    ++bodies[me];
+    const Device::Chunk c = dev.static_chunk(w.id, 0, 2);
+    for (int phase = 0; phase < 5; ++phase) {
+      items[me] += c.hi - c.lo;
+      grid.sync();
+      ++syncs[me];
+    }
+  });
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(bodies[i], 1) << "worker " << i;
+    EXPECT_EQ(syncs[i], 5) << "worker " << i;
+  }
+  EXPECT_EQ(items[0] + items[1], 10u);
+  EXPECT_EQ(items[2] + items[3], 0u);
+
+  // The kernels built on it, on inputs smaller than the pool.
+  ScopedDevice scope(dev);
+  std::vector<std::uint64_t> keys{3, 1, 2};
+  std::vector<index_t> payload{0, 1, 2};
+  octree::radix_sort_pairs(keys, payload, 8, nullptr);
+  EXPECT_EQ(keys, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(payload, (std::vector<index_t>{1, 2, 0}));
+}
+
+TEST(Cooperative, ThrowOnOneWorkerUnwindsTheOthersAndRethrowsItOnce) {
+  // Phase 1 of 3 throws on one worker — a pool thread, then the caller
+  // (the barrier's master): the others' syncs unwind instead of waiting,
+  // the caller rethrows that exception alone, and the device (its barrier
+  // included) serves the next cooperative collective.
+  Device dev(4);
+  for (int thrower : {2, 0}) {
+    SCOPED_TRACE(testing::Message() << "worker " << thrower << " throws");
+    std::atomic<int> reached_phase2{0};
+    std::atomic<int> bodies{0};
+    try {
+      dev.cooperative([&](Worker& w, Grid& grid) {
+        bodies.fetch_add(1);
+        grid.sync(); // end of phase 0
+        if (w.id == thrower) throw std::runtime_error("phase 1");
+        grid.sync(); // end of phase 1
+        reached_phase2.fetch_add(1);
+        grid.sync();
+      });
+      ADD_FAILURE() << "the collective did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "phase 1");
+    }
+    EXPECT_EQ(bodies.load(), 4);
+    EXPECT_EQ(reached_phase2.load(), 0);
+
+    std::array<int, 4> syncs{};
+    dev.cooperative([&](Worker& w, Grid& grid) {
+      for (int phase = 0; phase < 3; ++phase) {
+        grid.sync();
+        ++syncs[static_cast<std::size_t>(w.id)];
+      }
+    });
+    EXPECT_EQ(syncs, (std::array<int, 4>{3, 3, 3, 3}));
+  }
+}
+
+TEST(Cooperative, OneWorkerLanesRunCooperativeCollectivesAtOnce) {
+  // A 1-worker device runs collectives inline and unadmitted: each lane's
+  // cooperative body waits, between two syncs, until the other lane's
+  // body is inside its own, which only concurrent execution can satisfy.
+  Device dev(1);
+  Stream a("a");
+  Stream b("b");
+  std::atomic<int> inside{0};
+  std::atomic<int> met{0};
+  auto body = [&inside, &met](simt::OpCounts&) {
+    Device::current().cooperative([&](Worker&, Grid& grid) {
+      grid.sync();
+      inside.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (inside.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (inside.load() == 2) met.fetch_add(1);
+      grid.sync();
+    });
+  };
+  LaunchDesc da;
+  da.stream = &a;
+  LaunchDesc db;
+  db.stream = &b;
+  (void)dev.launch(da, body);
+  (void)dev.launch(db, body);
+  dev.synchronize();
+  EXPECT_EQ(met.load(), 2);
+}
+
+TEST(Cooperative, InsideALaunchBodyRunsOnTheLanesWorkerSlots) {
+  Device dev(4);
+  std::array<const Worker*, 4> host{};
+  for (int i = 0; i < 4; ++i) {
+    host[static_cast<std::size_t>(i)] = &dev.context_worker(i);
+  }
+  std::array<const Worker*, 4> lane{};
+  std::array<const Worker*, 4> ran{};
+  LaunchDesc desc;
+  (void)dev.launch(desc, [&](simt::OpCounts&) {
+    Device& d = Device::current();
+    for (int i = 0; i < 4; ++i) {
+      lane[static_cast<std::size_t>(i)] = &d.context_worker(i);
+    }
+    d.cooperative([&](Worker& w, Grid& grid) {
+      grid.sync();
+      ran[static_cast<std::size_t>(w.id)] = &w;
+    });
+  });
+  dev.synchronize();
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(ran[i], lane[i]) << "worker " << i;
+    EXPECT_NE(ran[i], host[i]) << "worker " << i;
+  }
+}
+
+TEST(Cooperative, LevelSynchronousKernelsForkOncePerCall) {
+  // The mechanism's regression gauge: calcNode's level sweep, a
+  // calc_node_ranges launch and a radix sort are one collective each, and
+  // a non-rebuild step of the m31 scenario forks four times (predict,
+  // calcNode, walk, correct) on every worker count.
+  const scenario::Scenario& sc = scenario::find_scenario("m31");
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    Device dev(workers);
+    ScopedDevice scope(dev);
+    nbody::SimConfig cfg = scenario::scenario_sim_config(sc);
+    cfg.block_time_steps = true;
+    cfg.dt_max = 1.0 / 8;
+    cfg.max_level = 4;
+    cfg.auto_rebuild = false;
+    cfg.fixed_rebuild_interval = 8;
+    nbody::Simulation sim(sc.make(4096, 1), cfg);
+
+    std::uint64_t before = dev.collective_count();
+    ASSERT_FALSE(sim.step().rebuilt);
+    EXPECT_EQ(dev.collective_count() - before, 4u);
+
+    octree::Octree tree = sim.tree();
+    ASSERT_GE(tree.num_levels(), 8);
+    const nbody::Particles& p = sim.particles();
+    simt::OpCounts ops;
+    before = dev.collective_count();
+    octree::calc_node(tree, p.x, p.y, p.z, p.m, cfg.calc, &ops);
+    EXPECT_EQ(dev.collective_count() - before, 1u);
+    EXPECT_EQ(ops.global_barrier,
+              static_cast<std::uint64_t>(tree.num_levels()));
+
+    std::vector<octree::NodeRange> levels;
+    for (int l = tree.num_levels() - 1; l >= 0; --l) {
+      const auto lv = static_cast<std::size_t>(l);
+      levels.push_back({tree.level_offset[lv], tree.level_offset[lv + 1]});
+    }
+    before = dev.collective_count();
+    octree::calc_node_ranges(tree, p.x, p.y, p.z, p.m, cfg.calc, levels);
+    EXPECT_EQ(dev.collective_count() - before, 1u);
+
+    std::vector<std::uint64_t> keys(p.size());
+    std::vector<index_t> perm(p.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = (i * 0x9E3779B97F4A7C15ULL) >> 1;
+      perm[i] = static_cast<index_t>(i);
+    }
+    before = dev.collective_count();
+    octree::radix_sort_pairs(keys, perm, 63, nullptr);
+    EXPECT_EQ(dev.collective_count() - before, 1u);
+    EXPECT_TRUE(octree::is_sorted_keys(keys));
+  }
 }
 
 // --- Radix sort on arena scratch ------------------------------------------

@@ -50,16 +50,20 @@
 # GOTHIC_SANITIZE=address plus UBSan and runs both: their counting
 # allocators replace every form of the global operator new/delete.
 #
-# The TSan stage rebuilds test_runtime, test_octree, test_walk_groups,
-# test_walk_tree, test_service, test_shard, test_testkit and gothic_fuzz
-# in a separate build tree (build-tsan/) with GOTHIC_SANITIZE=thread and
-# runs each once, exercising the lane leaders' queue handshake, the
-# cross-stream event waits, the shared team's admission and fork/join,
-# the tree phase's collectives (bounding-cube reduction, level-by-level
-# linking, radix sort, calcNode, walk-group compaction), the per-launch
-# merge locks, the fault-injection paths, the serializing grant pump every
-# in-order reference goes through, the session pool's handoff between
-# device threads and the sharded engine's K devices with their host-side
+# The TSan stage rebuilds test_barrier, test_runtime, test_octree,
+# test_walk_groups, test_walk_tree, test_service, test_shard, test_testkit
+# and gothic_fuzz in a separate build tree (build-tsan/) with
+# GOTHIC_SANITIZE=thread and runs each once, exercising the Appendix A
+# grid barriers (the lock-free one with its abort and reset), the lane
+# leaders' queue handshake, the cross-stream event waits, the shared
+# team's admission and fork/join, the cooperative collectives whose
+# phases sync on the team's lock-free barrier (calcNode's level sweep,
+# the radix sort's passes, a body that throws mid-phase), the tree
+# phase's other collectives (bounding-cube reduction, level-by-level
+# linking, walk-group compaction), the per-launch merge locks, the
+# fault-injection paths, the serializing grant pump every in-order
+# reference goes through, the session pool's handoff between device
+# threads and the sharded engine's K devices with their host-side
 # cross-device waits under a real data-race detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -221,7 +225,9 @@ for bad in --steps=-2 --n=-5 --shards=4294967297; do
 done
 # gothic_fuzz applies the same rule (Args::get_in_range): a negative count
 # or a worker count outside [1, Device::kMaxWorkers] exits 2 with a
-# message naming the flag, before any device is built.
+# message naming the flag, before any device is built. Its seeds go
+# through Args::get_u64: a value that is not an unsigned 64-bit integer
+# exits 2 naming the flag too.
 for bad in --schedules=-1 --workers=0; do
   status=0
   err=$(./build/tools/gothic_fuzz "$bad" 2>&1 >/dev/null) || status=$?
@@ -230,6 +236,15 @@ for bad in --schedules=-1 --workers=0; do
     exit 1
   fi
   grep -q -- "$bad is out of range" <<<"$err"
+done
+for bad in --seed=abc --replay=zz --replay-scenario=q; do
+  status=0
+  err=$(./build/tools/gothic_fuzz "$bad" 2>&1 >/dev/null) || status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "gothic_fuzz $bad exited $status, not 2" >&2
+    exit 1
+  fi
+  grep -q -- "${bad%%=*} expects an unsigned 64-bit integer" <<<"$err"
 done
 # gothic_serve applies the same rule to its pool and batch flags.
 for bad in --devices=0 --steps=-2; do
@@ -371,13 +386,14 @@ cmake --build build-asan -j --target test_trace test_testkit
   ./tests/test_trace &&
   ./tests/test_testkit)
 
-echo "== TSan: runtime + octree + walk + service + shard + testkit + fuzz =="
+echo "== TSan: barrier + runtime + octree + walk + service + shard + testkit + fuzz =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \
       -DGOTHIC_BUILD_BENCH=OFF >/dev/null
-cmake --build build-tsan -j --target test_runtime test_octree \
+cmake --build build-tsan -j --target test_barrier test_runtime test_octree \
       test_walk_groups test_walk_tree test_service test_shard test_testkit \
       gothic_fuzz
 (cd build-tsan &&
+  ./tests/test_barrier &&
   ./tests/test_runtime &&
   ./tests/test_octree &&
   ./tests/test_walk_groups &&

@@ -75,8 +75,7 @@ int run(const gothic::Args& args) {
       "workers", 2, 1, gothic::runtime::Device::kMaxWorkers));
   cfg.rebuild_interval = static_cast<int>(
       args.get_in_range("rebuild-interval", 1, 1, INT_MAX));
-  const std::uint64_t base_seed =
-      std::stoull(args.get("seed", "1"), nullptr, 0);
+  const std::uint64_t base_seed = args.get_u64("seed", 1);
   const bool scenario_leg =
       args.has("scenarios") || args.has("replay-scenario");
   const std::size_t schedules = get_count(
@@ -90,13 +89,10 @@ int run(const gothic::Args& args) {
   const std::size_t service = get_count(args, "service", 0);
   const std::size_t scenarios = get_count(args, "scenarios", 0);
   const bool replay = args.has("replay");
-  const std::uint64_t replay_seed_value =
-      replay ? std::stoull(args.get("replay", "0"), nullptr, 0) : 0;
+  const std::uint64_t replay_seed_value = args.get_u64("replay", 0);
   const bool replay_scenario = args.has("replay-scenario");
   const std::uint64_t replay_scenario_seed =
-      replay_scenario ? std::stoull(args.get("replay-scenario", "0"), nullptr,
-                                    0)
-                      : 0;
+      args.get_u64("replay-scenario", 0);
 
   for (const std::string& key : args.unused()) {
     std::fprintf(stderr, "gothic_fuzz: unknown option --%s\n", key.c_str());

@@ -87,7 +87,8 @@ int run(const gothic::Args& args) {
   batch.reserve(static_cast<std::size_t>(sessions));
   for (int i = 0; i < sessions; ++i) {
     SessionConfig sc;
-    sc.name = "s" + std::to_string(i);
+    sc.name = "s";
+    sc.name += std::to_string(i);
     sc.scenario =
         scenario_spec.empty()
             ? registry[static_cast<std::size_t>(i) % registry.size()]
