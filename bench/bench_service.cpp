@@ -44,7 +44,8 @@ int main() {
   std::vector<std::vector<real>> reference;
   for (int i = 0; i < kMaxSessions; ++i) {
     SessionConfig sc;
-    sc.name = "s" + std::to_string(i);
+    sc.name = "s";
+    sc.name += std::to_string(i);
     sc.scenario = registry[static_cast<std::size_t>(i) % registry.size()];
     sc.n = n;
     sc.seed = 1 + static_cast<std::uint64_t>(i);

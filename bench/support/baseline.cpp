@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <ostream>
+#include <set>
 
 namespace gothic::bench {
 
@@ -325,6 +326,25 @@ std::size_t update_baseline(const BaselineStore& baseline,
                             const BaselineStore& candidate) {
   std::error_code ec;
   fs::create_directories(baseline.dir(), ec);
+  // The promoted point is exactly the candidate tree: a report or .runK
+  // repeat the candidate did not produce leaves the baseline, so a later
+  // gate neither misses it nor folds it into the MIN.
+  std::set<std::string> promoted;
+  for (const auto& [key, files] : candidate.entries()) {
+    for (const std::string& file : files) {
+      promoted.insert(fs::path(file).filename().string());
+    }
+  }
+  for (const auto& [key, files] : baseline.entries()) {
+    for (const std::string& file : files) {
+      if (promoted.contains(fs::path(file).filename().string())) continue;
+      std::error_code rm_ec;
+      if (!fs::remove(file, rm_ec) && rm_ec) {
+        std::fprintf(stderr, "gothic: error: could not remove stale %s: %s\n",
+                     file.c_str(), rm_ec.message().c_str());
+      }
+    }
+  }
   std::size_t copied = 0;
   for (const auto& [key, files] : candidate.entries()) {
     for (const std::string& file : files) {

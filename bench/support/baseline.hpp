@@ -98,9 +98,10 @@ private:
                                         const DiffOptions& opt);
 
 /// Archive every candidate report into the baseline directory (creating
-/// it if needed, overwriting same-named files) — the --update-baseline
-/// mode that commits a new point on the BENCH trajectory. Returns the
-/// number of files copied.
+/// it if needed, overwriting same-named files) and remove the baseline
+/// files the candidate lacks, so each report's baseline files become
+/// exactly the candidate's — the --update-baseline mode that commits a
+/// new point on the BENCH trajectory. Returns the number of files copied.
 std::size_t update_baseline(const BaselineStore& baseline,
                             const BaselineStore& candidate);
 

@@ -16,7 +16,6 @@ namespace gothic::bench {
 namespace {
 constexpr auto kWalk = static_cast<std::size_t>(Kernel::WalkTree);
 constexpr auto kCalc = static_cast<std::size_t>(Kernel::CalcNode);
-constexpr auto kMake = static_cast<std::size_t>(Kernel::MakeTree);
 constexpr auto kPred = static_cast<std::size_t>(Kernel::PredictCorrect);
 
 /// Fractional per-step growth of the walk cost as the tree ages — the
@@ -85,46 +84,28 @@ StepProfile profile_step(const nbody::Particles& init, double dacc,
   p.n = init.size();
   p.dacc = dacc;
 
-  // Measure one rebuild exactly: force it by running a dedicated step
-  // with the interval set low. Instead we rebuild through the public API:
-  // the constructor already performed one; measure another via a fresh
-  // profile of kernel_ops deltas around a forced-rebuild step.
-  // Simpler: capture the constructor's makeTree counts.
-  p.make_raw = sim.kernel_ops(Kernel::MakeTree);
+  // One rebuild: the constructor's makeTree records, still in the sink.
+  for (const runtime::LaunchRecord& rec : sim.sink().step_records()) {
+    if (rec.kernel == Kernel::MakeTree) p.make_raw += rec.ops;
+  }
 
   // Warm step: establishes aold for the acceleration MAC and absorbs the
   // bootstrap opening-angle walk out of the measured window.
   (void)sim.step();
 
-  simt::OpCounts w0 = sim.kernel_ops(Kernel::WalkTree);
-  simt::OpCounts c0 = sim.kernel_ops(Kernel::CalcNode);
-  simt::OpCounts i0 = sim.kernel_ops(Kernel::PredictCorrect);
+  simt::OpCounts walk, calc, pred;
   gravity::WalkStats stats;
   for (int s = 0; s < steps; ++s) {
     const nbody::StepReport r = sim.step();
+    walk += r.ops[kWalk];
+    calc += r.ops[kCalc];
+    pred += r.ops[kPred];
     stats += r.walk_stats;
     p.measured_kernel_seconds += r.total_seconds();
     p.measured_wall_seconds += r.wall_seconds;
   }
   p.measured_kernel_seconds /= std::max(steps, 1);
   p.measured_wall_seconds /= std::max(steps, 1);
-  auto minus = [](const simt::OpCounts& a, const simt::OpCounts& b) {
-    simt::OpCounts d;
-    d.int_ops = a.int_ops - b.int_ops;
-    d.fp32_fma = a.fp32_fma - b.fp32_fma;
-    d.fp32_mul = a.fp32_mul - b.fp32_mul;
-    d.fp32_add = a.fp32_add - b.fp32_add;
-    d.fp32_special = a.fp32_special - b.fp32_special;
-    d.bytes_load = a.bytes_load - b.bytes_load;
-    d.bytes_store = a.bytes_store - b.bytes_store;
-    d.syncwarp = a.syncwarp - b.syncwarp;
-    d.tile_sync = a.tile_sync - b.tile_sync;
-    d.block_sync = a.block_sync - b.block_sync;
-    d.global_barrier = a.global_barrier - b.global_barrier;
-    d.shfl = a.shfl - b.shfl;
-    d.ballot = a.ballot - b.ballot;
-    return d;
-  };
   auto per_step = [steps](simt::OpCounts c) {
     const auto div = static_cast<std::uint64_t>(steps);
     c.int_ops /= div;
@@ -142,9 +123,9 @@ StepProfile profile_step(const nbody::Particles& init, double dacc,
     c.ballot /= div;
     return c;
   };
-  p.walk = per_step(minus(sim.kernel_ops(Kernel::WalkTree), w0));
-  p.calc = per_step(minus(sim.kernel_ops(Kernel::CalcNode), c0));
-  p.pred = per_step(minus(sim.kernel_ops(Kernel::PredictCorrect), i0));
+  p.walk = per_step(walk);
+  p.calc = per_step(calc);
+  p.pred = per_step(pred);
   p.walk_stats = stats;
 
   // GOTHIC's auto-tuned rebuild interval k* = sqrt(2 T_make / (alpha

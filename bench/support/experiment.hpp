@@ -58,8 +58,9 @@ struct StepProfile {
     return o > 0.0 ? o : 0.0;
   }
 
-  /// The same gap, signed; negative values flag scheduler anomalies that
-  /// the clamped accessor hides (counted by trace::MetricsRegistry).
+  /// The same gap, signed; a negative value is the dispatch time between
+  /// dependent launches, which the clamped accessor hides (counted by
+  /// trace::MetricsRegistry).
   [[nodiscard]] double measured_raw_overlap_seconds() const {
     return measured_kernel_seconds - measured_wall_seconds;
   }

@@ -75,17 +75,6 @@ DiskModel::DiskModel(DiskParams params, const CompositePotential& spheroids)
     min_g = std::min(min_g, g);
   }
   sigma0_ = params_.q_min / min_g;
-  // Record where the minimum sits (diagnostics/tests).
-  double best = 1e300;
-  for (int i = 0; i < n; ++i) {
-    const double R = std::exp(logr[i]);
-    if (R < 0.2 * rd || R > 8.0 * rd) continue;
-    const double q = toomre_q(R);
-    if (q < best) {
-      best = q;
-      q_min_radius_ = R;
-    }
-  }
 
   // Radius sampler: cumulative mass of the exponential profile.
   std::vector<double> rr(n), cdf(n);

@@ -47,8 +47,6 @@ public:
   [[nodiscard]] double mean_vphi(double R) const;
   /// Toomre Q at R.
   [[nodiscard]] double toomre_q(double R) const;
-  /// The radius where Q attains its minimum.
-  [[nodiscard]] double q_min_radius() const { return q_min_radius_; }
 
   /// Append `count` disk particles of mass `particle_mass` to `p`.
   void sample(nbody::Particles& p, std::size_t count, double particle_mass,
@@ -57,7 +55,6 @@ public:
 private:
   DiskParams params_;
   double sigma0_ = 0.0;
-  double q_min_radius_ = 0.0;
   CubicSpline vc_of_logr_;
   CubicSpline kappa_of_logr_;
   InverseCdf radius_sampler_;

@@ -57,9 +57,6 @@ public:
   [[nodiscard]] const DiskModel& disk() const { return *disk_model_; }
   [[nodiscard]] const SphericalProfile& halo() const { return *halo_; }
   [[nodiscard]] const SphericalProfile& bulge() const { return bulge_; }
-  [[nodiscard]] const SphericalProfile& stellar_halo() const {
-    return *stellar_halo_;
-  }
 
 private:
   M31Parameters params_;

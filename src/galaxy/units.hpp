@@ -21,14 +21,4 @@ inline constexpr double kVelocityUnitKms = 207.38245; // sqrt(43009.1)
 /// Time unit in Myr: (kpc/km/s = 977.79 Myr) / v_unit.
 inline constexpr double kTimeUnitMyr = 977.79222 / kVelocityUnitKms; // 4.715
 
-/// Convert a mass in Msun to simulation units.
-[[nodiscard]] constexpr double mass_from_msun(double msun) {
-  return msun / kMassUnitMsun;
-}
-
-/// Convert a velocity in km/s to simulation units.
-[[nodiscard]] constexpr double velocity_from_kms(double kms) {
-  return kms / kVelocityUnitKms;
-}
-
 } // namespace gothic::galaxy::units

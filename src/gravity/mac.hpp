@@ -15,7 +15,6 @@
 
 #include "util/types.hpp"
 
-#include <string_view>
 
 namespace gothic::gravity {
 
@@ -24,15 +23,6 @@ enum class MacType {
   OpeningAngle, ///< classic Barnes-Hut b_J/d < theta
   Gadget,       ///< GADGET-2 geometric variant with the cell edge length
 };
-
-[[nodiscard]] constexpr std::string_view mac_name(MacType t) {
-  switch (t) {
-    case MacType::Acceleration: return "acceleration";
-    case MacType::OpeningAngle: return "opening-angle";
-    case MacType::Gadget: return "gadget";
-  }
-  return "?";
-}
 
 struct MacParams {
   MacType type = MacType::Acceleration;

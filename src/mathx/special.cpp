@@ -62,8 +62,6 @@ double gamma_p(double a, double x) {
   return 1.0 - gamma_q_cf(a, x);
 }
 
-double gamma_fn(double a) { return std::exp(lgamma_threadsafe(a)); }
-
 double sersic_b_approx(double n) {
   // Ciotti & Bertin (1999) eq. 18, accurate to ~1e-6 for n > 0.36.
   const double n2 = n * n;

@@ -7,9 +7,6 @@ namespace gothic {
 /// regularised; series for x < a+1, continued fraction otherwise.
 double gamma_p(double a, double x);
 
-/// Complete gamma function (via lgamma).
-double gamma_fn(double a);
-
 /// The Sersic b_n coefficient: solves P(2n, b) = 1/2 so that the
 /// effective radius encloses half the projected light.
 double sersic_b(double n);

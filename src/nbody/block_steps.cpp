@@ -78,10 +78,6 @@ void BlockTimeSteps::update_level(std::size_t i, double dt_required) {
   levels_[i] = static_cast<std::uint8_t>(next);
 }
 
-double BlockTimeSteps::particle_dt(std::size_t i) const {
-  return static_cast<double>(step_ticks(levels_[i])) * dt_min_;
-}
-
 double BlockTimeSteps::time_since_correction(std::size_t i) const {
   return static_cast<double>(now_ - last_corrected_[i]) * dt_min_;
 }

@@ -46,8 +46,6 @@ public:
   /// enforcing the one-level-shallower-per-firing rule and tick alignment.
   void update_level(std::size_t i, double dt_required);
 
-  /// Physical time step of particle i.
-  [[nodiscard]] double particle_dt(std::size_t i) const;
   /// Physical time since particle i's last correction.
   [[nodiscard]] double time_since_correction(std::size_t i) const;
   /// Record that particle i was corrected at the current time.

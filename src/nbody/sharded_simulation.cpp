@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -145,7 +144,13 @@ ShardedSimulation::ShardedSimulation(Particles particles, SimConfig cfg,
   } catch (...) {
     fail(std::current_exception(), "ShardedSimulation bootstrap error");
   }
-  policy_.record_rebuild(step_make_seconds());
+  // The bootstrap's makeTree records are shard 0's: it issues every
+  // rebuild.
+  double make_seconds = 0.0;
+  for (const runtime::LaunchRecord& rec : shards_[0]->sink.step_records()) {
+    if (rec.kernel == Kernel::MakeTree) make_seconds += rec.seconds;
+  }
+  policy_.record_rebuild(make_seconds);
   deliver(nullptr);
 
   // Assign initial block levels from the bootstrap accelerations.
@@ -240,20 +245,6 @@ runtime::Event ShardedSimulation::launch_rebuild(bool with_pred) {
   ++rebuilds_;
   steps_since_rebuild_ = 0;
   return e_perm;
-}
-
-double ShardedSimulation::step_make_seconds() const {
-  // letImport launches share Kernel::MakeTree (they are tree-data motion,
-  // not walk/calc work) — filter by label so the rebuild auto-tuner only
-  // sees the build + permute cost.
-  double s = 0.0;
-  for (const runtime::LaunchRecord& rec : shards_[0]->sink.step_records()) {
-    if (rec.kernel == Kernel::MakeTree &&
-        std::strncmp(rec.label, "makeTree", 8) == 0) {
-      s += rec.seconds;
-    }
-  }
-  return s;
 }
 
 void ShardedSimulation::whole_tree_forces(bool bootstrap) {
@@ -440,8 +431,6 @@ void ShardedSimulation::let_import(Shard& sh) {
 void ShardedSimulation::deliver(const runtime::StepMark* mark) {
   for (const auto& sh : shards_) {
     for (const runtime::LaunchRecord& rec : sh->sink.step_records()) {
-      timers_.add(rec.kernel, rec.seconds);
-      ops_[static_cast<std::size_t>(rec.kernel)] += rec.ops;
       if (flight_) flight_->on_record(rec);
       if (listener_ != nullptr) listener_->on_record(rec);
     }
@@ -590,7 +579,7 @@ StepReport ShardedSimulation::step() {
             px_, py_, pz_, particles_.aold_mag,
             all_groups.subspan(sh.group_begin, gcount),
             all_active.subspan(sh.group_begin, gcount), cfg_.walk.mode);
-        runtime::LaunchDesc ld = sh.desc(Kernel::MakeTree, "letImport",
+        runtime::LaunchDesc ld = sh.desc(Kernel::LetImport, "letImport",
                                          tree_.num_nodes(), sh.tree_stream);
         for (const auto& o : shards_) {
           sh.depend(ld, o->e_pred);
@@ -666,49 +655,42 @@ StepReport ShardedSimulation::step() {
   }
 
   // --- harvest ----------------------------------------------------------
-  // The rebuild and walk costs feed the interval auto-tuner; the report's
-  // per-kernel seconds/ops are the step's LaunchRecords.
-  const auto k = static_cast<std::size_t>(shard_count());
-  last_stats_.busy_seconds.assign(k, 0.0);
-  last_stats_.let_cells.assign(k, 0);
-  last_stats_.let_bodies.assign(k, 0);
-  last_stats_.busy_max = 0.0;
-  last_stats_.let_cells_total = 0;
-  last_stats_.let_bodies_total = 0;
-
-  double walk_seconds = 0.0;
+  // The report's per-kernel seconds/ops are the step's LaunchRecords; its
+  // makeTree and walkTree seconds feed the interval auto-tuner (shard 0
+  // issues every makeTree launch, so that bucket is the rebuild alone).
+  last_stats_ = ShardStepStats{};
   double busy_sum = 0.0;
   double lo = 0.0;
   double hi = 0.0;
   bool first = true;
   for (const auto& shp : shards_) {
     const Shard& sh = *shp;
-    const auto s = static_cast<std::size_t>(sh.id);
+    double busy = 0.0;
     for (const runtime::LaunchRecord& rec : sh.sink.step_records()) {
       const auto ki = static_cast<std::size_t>(rec.kernel);
       report.seconds[ki] += rec.seconds;
       report.ops[ki] += rec.ops;
-      if (rec.kernel == Kernel::WalkTree) walk_seconds += rec.seconds;
-      last_stats_.busy_seconds[s] += rec.seconds;
+      busy += rec.seconds;
       if (first || rec.t_begin < lo) lo = rec.t_begin;
       if (first || rec.t_end > hi) hi = rec.t_end;
       first = false;
     }
     report.walk_stats += sh.stats;
-    busy_sum += last_stats_.busy_seconds[s];
-    last_stats_.busy_max =
-        std::max(last_stats_.busy_max, last_stats_.busy_seconds[s]);
-    last_stats_.let_cells[s] = sh.let_cells;
-    last_stats_.let_bodies[s] = sh.let_bodies;
+    busy_sum += busy;
+    last_stats_.busy_max = std::max(last_stats_.busy_max, busy);
     last_stats_.let_cells_total += sh.let_cells;
     last_stats_.let_bodies_total += sh.let_bodies;
   }
-  last_stats_.busy_mean = busy_sum / static_cast<double>(k);
+  last_stats_.busy_mean = busy_sum / static_cast<double>(shard_count());
   // Every shard stamps the process clock: the step's wall time is the
   // union span of all its launches.
   report.wall_seconds = hi - lo;
-  if (report.rebuilt) policy_.record_rebuild(step_make_seconds());
-  policy_.record_walk(walk_seconds);
+  if (report.rebuilt) {
+    policy_.record_rebuild(
+        report.seconds[static_cast<std::size_t>(Kernel::MakeTree)]);
+  }
+  policy_.record_walk(
+      report.seconds[static_cast<std::size_t>(Kernel::WalkTree)]);
   report.time = steps_.time();
 
   runtime::StepMark mark;

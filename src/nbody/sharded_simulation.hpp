@@ -120,9 +120,10 @@ struct StepReport {
     return o > 0.0 ? o : 0.0;
   }
 
-  /// The same gap, signed. A negative value is a scheduler anomaly (the
-  /// step's wall span exceeded the work it contained) that the clamped
-  /// accessor hides; the metrics registry counts such steps.
+  /// The same gap, signed. It reads negative when the step's wall span
+  /// exceeds its summed launch bodies: the dispatch time between dependent
+  /// launches, which the clamped accessor hides and the metrics registry
+  /// counts.
   [[nodiscard]] double raw_overlap_seconds() const {
     return total_seconds() - wall_seconds;
   }
@@ -136,15 +137,12 @@ struct ShardOptions {
   int workers = 0;
 };
 
-/// Per-shard observability of the most recent step.
+/// Cross-shard observability of the most recent step. A shard's busy
+/// time is its summed launch-body seconds.
 struct ShardStepStats {
-  /// Summed launch-body seconds per shard (the shard's busy time).
-  std::vector<double> busy_seconds;
-  /// LET cells / bodies imported into each shard this step (all sources).
-  std::vector<std::uint64_t> let_cells;
-  std::vector<std::uint64_t> let_bodies;
   double busy_max = 0.0;
   double busy_mean = 0.0;
+  /// LET cells / bodies imported this step (all shards, all sources).
   std::uint64_t let_cells_total = 0;
   std::uint64_t let_bodies_total = 0;
 
@@ -168,8 +166,8 @@ public:
   ShardedSimulation(ShardedSimulation&&) noexcept;
   ShardedSimulation& operator=(ShardedSimulation&&) noexcept;
 
-  /// Advance one block step (or one shared step). Returns the report;
-  /// with K > 1 its MakeTree bucket also holds the letImport launches.
+  /// Advance one block step (or one shared step). Returns the report: the
+  /// per-kernel sums of the step's launch records.
   StepReport step();
   void run(int n);
 
@@ -183,7 +181,6 @@ public:
   [[nodiscard]] const octree::Octree& tree() const { return tree_; }
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
   [[nodiscard]] double time() const { return steps_.time(); }
-  [[nodiscard]] const KernelTimers& timers() const { return timers_; }
   [[nodiscard]] const RebuildPolicy& rebuild_policy() const { return policy_; }
   [[nodiscard]] int rebuild_count() const { return rebuilds_; }
   [[nodiscard]] int step_count() const { return step_count_; }
@@ -191,20 +188,17 @@ public:
     return static_cast<int>(shards_.size());
   }
 
-  /// Accumulated per-kernel instruction counts since construction.
-  [[nodiscard]] const simt::OpCounts& kernel_ops(Kernel k) const {
-    return ops_[static_cast<std::size_t>(k)];
-  }
-
   /// Shard s's device — for tests installing schedule/fault controllers
   /// and for gauges. A Simulation's one shard answers Device::current().
   [[nodiscard]] runtime::Device& shard_device(int s);
 
   /// Shard s's instrumentation sink: its records span the most recent
-  /// step() or refresh_forces().
+  /// step() or refresh_forces(). Before the first of those it holds the
+  /// constructor's records (the bootstrap build and force evaluation),
+  /// which no listener received: a caller that wants them replays them.
   [[nodiscard]] const runtime::InstrumentationSink& sink(int s = 0) const;
 
-  /// Per-shard busy time and LET traffic of the most recent step().
+  /// Cross-shard busy time and LET traffic of the most recent step().
   [[nodiscard]] const ShardStepStats& last_shard_stats() const {
     return last_stats_;
   }
@@ -275,8 +269,7 @@ private:
   /// (the body of the letImport launch, running on sh's device).
   void let_import(Shard& sh);
   /// Hand the sinks' records (then `mark`, if any) to the flight recorder
-  /// and then the listener on the calling thread, folding them into
-  /// timers_/ops_.
+  /// and then the listener on the calling thread.
   void deliver(const runtime::StepMark* mark);
   /// Synchronize every shard's device, past a failing one, so no device
   /// is left running; returns the first error.
@@ -285,9 +278,6 @@ private:
   /// records to the flight recorder alone (the listener never sees an
   /// aborted phase), dump it with `reason`, and rethrow `err`.
   [[noreturn]] void fail(std::exception_ptr err, const std::string& reason);
-  /// Sum of makeTree/makeTree(permute) record seconds of shard 0's
-  /// current step (excludes letImport, which shares Kernel::MakeTree).
-  [[nodiscard]] double step_make_seconds() const;
 
   Particles particles_;
   SimConfig cfg_;
@@ -327,9 +317,6 @@ private:
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Aggregated observability (the shard sinks hold one step's records).
-  KernelTimers timers_;
-  std::array<simt::OpCounts, static_cast<std::size_t>(Kernel::Count)> ops_{};
   /// The incident ring (GOTHIC_FLIGHT set) and the user's listener, fed in
   /// that order.
   std::unique_ptr<trace::FlightRecorder> flight_;

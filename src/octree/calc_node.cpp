@@ -1,8 +1,10 @@
 #include "octree/calc_node.hpp"
 
+#include "octree/morton.hpp"
 #include "runtime/device.hpp"
 #include "simt/scan.hpp"
 
+#include <array>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
@@ -39,9 +41,8 @@ void validate_inputs(const CalcNodeConfig& cfg, std::span<const real> x,
 }
 
 /// Summarise worker `worker`'s share of the nodes [begin, end) — its
-/// static chunk of the range's warps — into `counts`: the shared core of
-/// calc_node (one call per level) and calc_node_ranges (one call per
-/// caller range), both run inside one cooperative collective. Every
+/// static chunk of the range's warps — into `counts`: calc_node_ranges'
+/// core, one call per range inside its cooperative collective. Every
 /// node's result depends only on its own elements and cfg.tsub, so the
 /// warp packing below (node = begin + warp*tiles + tile) affects op
 /// tallies at most, never the stored moments.
@@ -264,32 +265,18 @@ void calc_node(Octree& tree, std::span<const real> x, std::span<const real> y,
                std::span<const real> z, std::span<const real> m,
                const CalcNodeConfig& cfg, simt::OpCounts* ops) {
   validate_inputs(cfg, x, y, z, m);
+  // Bottom-up sweep in one launch, one range per level, deepest first:
+  // children live one level deeper and are finished before the grid
+  // barrier that opens their parents' level — GOTHIC's lock-free barrier,
+  // the subject of Appendix A (21 per step for the paper's trees).
+  std::array<NodeRange, kMaxDepth + 1> levels;
+  std::size_t count = 0;
+  for (int level = tree.num_levels() - 1; level >= 0; --level) {
+    const auto lv = static_cast<std::size_t>(level);
+    levels.at(count++) = {tree.level_offset[lv], tree.level_offset[lv + 1]};
+  }
   prepare_quadrupole(tree, cfg.compute_quadrupole);
-
-  std::mutex merge;
-  simt::OpCounts total;
-  runtime::Device& dev = runtime::Device::current();
-  const int levels = tree.num_levels();
-
-  // Bottom-up sweep in one launch: children live one level deeper and are
-  // finished before the grid barrier that opens their parents' level —
-  // GOTHIC's lock-free barrier, the subject of Appendix A.
-  dev.cooperative([&](runtime::Worker& w, runtime::Grid& grid) {
-    simt::OpCounts counts;
-    for (int level = levels - 1; level >= 0; --level) {
-      if (level != levels - 1) grid.sync();
-      const auto lv = static_cast<std::size_t>(level);
-      sum_node_range(tree, x, y, z, m, cfg, dev, w.id, tree.level_offset[lv],
-                     tree.level_offset[lv + 1], counts);
-    }
-    const std::scoped_lock lock(merge);
-    total += counts;
-  });
-  // The device kernel's grid syncs: one per level (21 per step for the
-  // paper's trees).
-  total.global_barrier += static_cast<std::uint64_t>(levels);
-
-  if (ops != nullptr) *ops += total;
+  calc_node_ranges(tree, x, y, z, m, cfg, std::span(levels).first(count), ops);
 }
 
 void calc_node_ranges(Octree& tree, std::span<const real> x,

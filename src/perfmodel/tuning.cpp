@@ -7,17 +7,6 @@
 
 namespace gothic::perfmodel {
 
-const char* gothic_kernel_name(GothicKernel k) {
-  switch (k) {
-    case GothicKernel::WalkTree: return "walkTree";
-    case GothicKernel::CalcNode: return "calcNode";
-    case GothicKernel::MakeTree: return "makeTree";
-    case GothicKernel::Predict: return "predict";
-    case GothicKernel::Correct: return "correct";
-  }
-  return "?";
-}
-
 KernelResources kernel_resources(GothicKernel k, int ttot) {
   KernelResources r;
   r.threads_per_block = ttot;

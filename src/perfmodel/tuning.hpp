@@ -19,8 +19,6 @@ namespace gothic::perfmodel {
 /// The five functions of Table 2.
 enum class GothicKernel { WalkTree, CalcNode, MakeTree, Predict, Correct };
 
-[[nodiscard]] const char* gothic_kernel_name(GothicKernel k);
-
 /// Static launch footprint of each GOTHIC kernel as a function of Ttot.
 /// Register counts follow the paper where given (calcNode: 56 registers,
 /// Appendix A); shared-memory appetite is per warp (walkTree's interaction

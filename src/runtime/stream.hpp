@@ -83,9 +83,10 @@ struct LaunchDesc {
   InstrumentationSink* sink = nullptr;
 };
 
-/// One record per launch — the runtime's unified replacement for the
-/// hand-threaded KernelTimers + per-kernel OpCounts bookkeeping, and the
-/// stand-in for one row of an nvprof kernel trace. Records are inserted
+/// One record per launch — the only per-kernel ledger: the step engine's
+/// StepReport is a step's sum of them and trace::MetricsRegistry their
+/// cumulative sum; the stand-in for one row of an nvprof kernel trace.
+/// Records are inserted
 /// into the sink in issue order and completed in execution order; the
 /// timing fields are valid once the launch's event has completed.
 struct LaunchRecord {
@@ -110,7 +111,8 @@ struct LaunchRecord {
 /// Per-step summary the step engine hands to its RecordListener after each
 /// step() completed: the span of the step's launches on the process clock
 /// and the kernel-sum vs wall-span timing whose signed gap is the achieved
-/// (or anomalously negative) stream overlap.
+/// stream overlap, or, when negative, the dispatch time between dependent
+/// launches.
 struct StepMark {
   std::uint64_t index = 0; ///< step count after the step (1-based)
   bool rebuilt = false;
@@ -138,9 +140,11 @@ struct StepMark {
   }
 
   /// Signed overlap gap. Positive: kernel seconds hidden by concurrent
-  /// streams. Negative: a scheduler anomaly (the wall span exceeded the
-  /// work it contained) — the clamped StepReport::overlap_seconds() hides
-  /// it, this field and the metrics registry surface it.
+  /// streams. Negative: the wall span exceeded the work it contained by
+  /// the dispatch time between dependent launches (a K = 1 step, whose
+  /// launches mostly run one after another, usually reads negative) — the
+  /// clamped StepReport::overlap_seconds() hides it, this field and the
+  /// metrics registry surface it.
   [[nodiscard]] double raw_overlap_seconds() const {
     return kernel_seconds - wall_seconds;
   }
@@ -185,9 +189,8 @@ private:
   std::deque<std::string> names_; ///< std::deque: stable element addresses
 };
 
-/// Collects one step's LaunchRecords; cumulative per-kernel tallies are
-/// the step engine's (ShardedSimulation::timers()/kernel_ops()). The
-/// record list is bounded by its warm-up capacity as long as the owner
+/// Collects one step's LaunchRecords; cumulative per-kernel tallies are a
+/// listener's (trace::MetricsRegistry). The record list is bounded by its warm-up capacity as long as the owner
 /// clears it once per step (the step engine does), so steady-state
 /// recording performs no heap allocation.
 ///

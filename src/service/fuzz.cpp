@@ -47,7 +47,8 @@ ServiceFaultOutcome run_service_fault(const ServiceFuzzConfig& cfg,
   for (int i = 0; i < out.sessions; ++i) {
     const std::uint64_t sbits = mix(seed ^ (0xa5a5ull * (i + 1)));
     SessionConfig sc;
-    sc.name = "f" + std::to_string(i);
+    sc.name = "f";
+    sc.name += std::to_string(i);
     sc.scenario = scenario::scenario_from_seed(sbits);
     sc.n = cfg.n;
     sc.seed = (sbits >> 8) | 1; // nonzero: keep the explicit seed

@@ -95,7 +95,10 @@ std::uint64_t SessionManager::submit(SessionConfig cfg) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto s = std::make_unique<Session>();
   s->id = sessions_.size();
-  if (cfg.name.empty()) cfg.name = "s" + std::to_string(s->id);
+  if (cfg.name.empty()) {
+    cfg.name += 's';
+    cfg.name += std::to_string(s->id);
+  }
   // A new session starts at the runnable minimum virtual time: it neither
   // jumps ahead of sessions that already paid for their progress nor gets
   // the whole pool to itself to catch up from zero.

@@ -6,8 +6,8 @@
 // StepMarks; all state is fixed-size (log2-binned histograms, per-kernel
 // counter slots), so steady-state recording performs no heap allocation.
 // GOTHIC's companion paper tunes every kernel from exactly such per-kernel
-// latency/instruction aggregates; the figure benches and gothic_run
-// --metrics print this table, and BENCH_*.json embeds its summary.
+// latency/instruction aggregates; the figure benches and gothic_run print
+// this table, and BENCH_*.json embeds its summary.
 #pragma once
 
 #include "runtime/stream.hpp"
@@ -113,8 +113,9 @@ public:
   /// before the first launch).
   [[nodiscard]] int launch_workers() const { return launch_workers_; }
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
-  /// Steps whose signed overlap gap was negative — scheduler anomalies
-  /// that the clamped overlap accessors silently zero out.
+  /// Steps whose signed overlap gap was negative — the wall span exceeded
+  /// the summed launch bodies by the dispatch time between dependent
+  /// launches, which the clamped overlap accessors silently zero out.
   [[nodiscard]] std::uint64_t negative_overlap_steps() const {
     return negative_overlap_steps_;
   }

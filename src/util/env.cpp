@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -96,26 +95,6 @@ std::size_t env_size(const char* name, std::size_t fallback) {
     return fallback;
   }
   return out;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  if (end == v) {
-    warn_once(name, v, "not a number");
-    return fallback;
-  }
-  if (*end != '\0') {
-    warn_once(name, v, "trailing characters");
-    return fallback;
-  }
-  if (!std::isfinite(x)) {
-    warn_once(name, v, "must be finite");
-    return fallback;
-  }
-  return x;
 }
 
 std::string env_string(const char* name, const std::string& fallback) {

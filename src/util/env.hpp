@@ -23,11 +23,6 @@ std::size_t env_size(const char* name, std::size_t fallback);
 /// bad value should be an error rather than a warn-and-fallback.
 std::size_t parse_size(const std::string& text);
 
-/// Read an environment variable as double; returns `fallback` when unset
-/// or unparsable. Trailing characters and non-finite values (nan/inf) are
-/// rejected with a once-per-value stderr warning.
-double env_double(const char* name, double fallback);
-
 /// Read an environment variable as string.
 std::string env_string(const char* name, const std::string& fallback);
 

@@ -1,14 +1,13 @@
-// Wall-clock stopwatches and accumulating per-kernel timers.
+// Wall-clock stopwatches, the process clock and the kernel buckets.
 //
 // GOTHIC measures the elapsed time of each device function (walkTree,
 // calcNode, makeTree, predict/correct) every step; the auto-tuner for the
-// tree-rebuild interval feeds on those measurements. KernelTimers mirrors
-// that bookkeeping.
+// tree-rebuild interval feeds on those measurements. Here every launch's
+// runtime::LaunchRecord carries its Kernel bucket and body seconds; the
+// step engine's StepReport and trace::MetricsRegistry are their sums.
 #pragma once
 
-#include <array>
 #include <chrono>
-#include <cstdint>
 #include <string_view>
 
 namespace gothic {
@@ -41,12 +40,14 @@ private:
 }
 
 /// The representative GOTHIC functions whose execution time the paper
-/// breaks down (Figs 3-5).
+/// breaks down (Figs 3-5), plus the sharded engine's LET import, which
+/// gets its own bucket so that makeTree holds only the tree build.
 enum class Kernel : int {
   WalkTree = 0,  ///< gravity calculation by tree traversal
   CalcNode,      ///< centre-of-mass / total mass of tree nodes
   MakeTree,      ///< tree construction (Morton keys + radix sort + linking)
   PredictCorrect,///< orbit integration (2nd-order Runge-Kutta)
+  LetImport,     ///< sharded runs: copy of the local essential trees
   Count
 };
 
@@ -56,49 +57,9 @@ enum class Kernel : int {
     case Kernel::CalcNode: return "calcNode";
     case Kernel::MakeTree: return "makeTree";
     case Kernel::PredictCorrect: return "pred/corr";
+    case Kernel::LetImport: return "letImport";
     default: return "?";
   }
 }
-
-/// Accumulates seconds and invocation counts per kernel.
-class KernelTimers {
-public:
-  void add(Kernel k, double seconds) {
-    auto i = static_cast<std::size_t>(k);
-    seconds_[i] += seconds;
-    calls_[i] += 1;
-  }
-
-  [[nodiscard]] double seconds(Kernel k) const {
-    return seconds_[static_cast<std::size_t>(k)];
-  }
-  [[nodiscard]] std::uint64_t calls(Kernel k) const {
-    return calls_[static_cast<std::size_t>(k)];
-  }
-  [[nodiscard]] double total_seconds() const {
-    double s = 0.0;
-    for (double v : seconds_) s += v;
-    return s;
-  }
-
-  void reset() {
-    seconds_.fill(0.0);
-    calls_.fill(0);
-  }
-
-  /// Merge another set of timers into this one.
-  KernelTimers& operator+=(const KernelTimers& o) {
-    for (std::size_t i = 0; i < seconds_.size(); ++i) {
-      seconds_[i] += o.seconds_[i];
-      calls_[i] += o.calls_[i];
-    }
-    return *this;
-  }
-
-private:
-  static constexpr std::size_t kN = static_cast<std::size_t>(Kernel::Count);
-  std::array<double, kN> seconds_{};
-  std::array<std::uint64_t, kN> calls_{};
-};
 
 } // namespace gothic

@@ -180,7 +180,7 @@ TEST(ScenarioSpec, RegisteredNameWinsAndFileFallbackWorks) {
   EXPECT_EQ(sc.law, gravity::ForceLaw::LennardJones);
 }
 
-// --- env_size / env_double rejection semantics ----------------------------
+// --- env_size rejection semantics -------------------------------------------
 //
 // Every malformed setting must warn (once per value) and fall back — never
 // silently misparse. Each test uses its own variable name because the
@@ -267,28 +267,6 @@ TEST(ParseSize, ThrowsWhereEnvSizeFallsBack) {
   EXPECT_THROW((void)parse_size("8kb"), std::invalid_argument);
   EXPECT_THROW((void)parse_size("-1"), std::invalid_argument);
   EXPECT_THROW((void)parse_size("junk"), std::invalid_argument);
-}
-
-TEST(EnvDouble, ValidValuesParse) {
-  const ScopedEnv pos("GOTHIC_TEST_DBL_POS", "2.5");
-  const ScopedEnv neg("GOTHIC_TEST_DBL_NEG", "-0.5");
-  EXPECT_DOUBLE_EQ(env_double("GOTHIC_TEST_DBL_POS", 1.0), 2.5);
-  EXPECT_DOUBLE_EQ(env_double("GOTHIC_TEST_DBL_NEG", 1.0), -0.5);
-  EXPECT_DOUBLE_EQ(env_double("GOTHIC_TEST_DBL_UNSET", 1.0), 1.0);
-}
-
-TEST(EnvDouble, TrailingGarbageAndNonFiniteFallBack) {
-  // "1.5zzz" used to parse as 1.5; "nan"/"inf" parsed as non-finite
-  // values that poison every downstream tolerance comparison.
-  const ScopedEnv garbage("GOTHIC_TEST_DBL_GARBAGE", "1.5zzz");
-  const ScopedEnv nan_v("GOTHIC_TEST_DBL_NAN", "nan");
-  const ScopedEnv inf_v("GOTHIC_TEST_DBL_INF", "inf");
-  testing::internal::CaptureStderr();
-  EXPECT_DOUBLE_EQ(env_double("GOTHIC_TEST_DBL_GARBAGE", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(env_double("GOTHIC_TEST_DBL_NAN", 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(env_double("GOTHIC_TEST_DBL_INF", 1.0), 1.0);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(count_occurrences(err, "ignoring"), 3u) << err;
 }
 
 } // namespace

@@ -676,12 +676,22 @@ TEST_F(BaselineDiff, UpdateBaselineArchivesTheCandidateTree) {
   // Archive into a baseline directory that does not exist yet.
   const std::string fresh = (root_ / "fresh-baseline").string();
   EXPECT_EQ(update_baseline(BaselineStore(fresh), BaselineStore(cand_)), 2u);
+  // A report the candidate no longer produces and a repeat it no longer
+  // runs must not survive the next promotion.
+  write_report(fresh, "BENCH_stale.json", report_json(0.3, 0.3, 0.3));
+  write_report(fresh, "BENCH_other.run2.json", report_json(0.01, 0.01, 0.01));
+  EXPECT_EQ(update_baseline(BaselineStore(fresh), BaselineStore(cand_)), 2u);
+  EXPECT_FALSE(std::filesystem::exists(root_ / "fresh-baseline" /
+                                       "BENCH_stale.json"));
+  EXPECT_FALSE(std::filesystem::exists(root_ / "fresh-baseline" /
+                                       "BENCH_other.run2.json"));
   const BaselineStore archived(fresh);
   ASSERT_EQ(archived.entries().size(), 2u);
   const DiffReport out =
       diff_baselines(archived, BaselineStore(cand_), DiffOptions{});
   EXPECT_TRUE(out.ok());
   EXPECT_EQ(out.compared.size(), 2u);
+  EXPECT_TRUE(out.notes.empty()) << out.notes.front();
 }
 
 TEST_F(BaselineDiff, MissingBaselineDirectoryIsAnEmptyStore) {

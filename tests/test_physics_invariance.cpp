@@ -289,8 +289,8 @@ TEST_P(ScenarioOracle, EnergyDriftBoundedOverShortIntegration) {
 INSTANTIATE_TEST_SUITE_P(
     Registry, ScenarioOracle,
     ::testing::ValuesIn(scenario::scenario_names()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string name = param_info.param;
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });

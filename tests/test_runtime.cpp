@@ -945,10 +945,6 @@ void ExpectStepDrainedFromRecords(nbody::ShardedSimulation& sim,
   EXPECT_EQ(r.ops[static_cast<std::size_t>(Kernel::WalkTree)],
             records[2].ops);
   EXPECT_GT(records[2].ops.fp32_fma, 0u);
-
-  // Cumulative accessors read the same sink.
-  EXPECT_GE(sim.timers().calls(Kernel::WalkTree), 2u); // bootstrap + step
-  EXPECT_GT(sim.kernel_ops(Kernel::WalkTree).fp32_fma, 0u);
 }
 
 TEST(SimulationRuntime, StepReportIsDrainedFromLaunchRecords) {

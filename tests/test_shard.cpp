@@ -1,6 +1,7 @@
 // ShardedSimulation: the K-shard pipeline must be bit-identical to the
 // single-device Simulation for any shard count and worker count (rebuilds
-// included), report per-shard busy time and LET traffic, stamp every
+// included), report shard busy time and LET traffic, bucket every launch
+// record by its kernel (letImport apart from makeTree), stamp every
 // shard's launches on one clock, and isolate one shard's launch fault
 // from the other shards' devices.
 #include "nbody/sharded_simulation.hpp"
@@ -13,8 +14,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gothic::nbody {
@@ -126,18 +129,65 @@ TEST(Shard, StatsReportBusyTimeAndLetTraffic) {
   ShardedSimulation sim(plummer(kN, 8), shard_config(), opt);
   sim.run(3);
   const ShardStepStats& st = sim.last_shard_stats();
-  ASSERT_EQ(st.busy_seconds.size(), 4u);
-  ASSERT_EQ(st.let_cells.size(), 4u);
-  ASSERT_EQ(st.let_bodies.size(), 4u);
   EXPECT_GT(st.busy_max, 0.0);
   EXPECT_GT(st.busy_mean, 0.0);
   EXPECT_GE(st.busy_max, st.busy_mean);
   EXPECT_GE(st.imbalance(), 1.0);
   // With K > 1 some remote mass is always essential (gravity is global).
   EXPECT_GT(st.let_cells_total, 0u);
-  std::uint64_t cells = 0;
-  for (std::uint64_t c : st.let_cells) cells += c;
-  EXPECT_EQ(cells, st.let_cells_total);
+}
+
+/// Summed seconds of shard `s`'s current records whose label is one of
+/// `labels`.
+double labelled_seconds(const ShardedSimulation& sim, int s,
+                        std::initializer_list<std::string_view> labels) {
+  double sum = 0.0;
+  for (const runtime::LaunchRecord& rec : sim.sink(s).step_records()) {
+    for (const std::string_view l : labels) {
+      if (rec.label == l) sum += rec.seconds;
+    }
+  }
+  return sum;
+}
+
+TEST(Shard, ReportBucketsLetImportApartFromTheRebuild) {
+  // K = 2 on a fixed cadence that rebuilds at steps 4 and 7: the MakeTree
+  // bucket is shard 0's build + permute alone (the rebuild the tuner
+  // records), and the letImport launches of both shards have their own.
+  ShardOptions opt;
+  opt.shards = 2;
+  opt.workers = 2;
+  ShardedSimulation sim(plummer(kN, 10), shard_config(), opt);
+  EXPECT_EQ(kernel_name(Kernel::LetImport), "letImport");
+  EXPECT_DOUBLE_EQ(sim.rebuild_policy().last_make_seconds(),
+                   labelled_seconds(sim, 0, {"makeTree", "makeTree(permute)"}));
+  int rebuilds = 0;
+  for (int i = 1; i <= 8; ++i) {
+    const StepReport r = sim.step();
+    const std::string what = "step " + std::to_string(i);
+    const double make = r.seconds[static_cast<std::size_t>(Kernel::MakeTree)];
+    EXPECT_DOUBLE_EQ(
+        make, labelled_seconds(sim, 0, {"makeTree", "makeTree(permute)"}))
+        << what;
+    EXPECT_EQ(labelled_seconds(sim, 1, {"makeTree", "makeTree(permute)"}),
+              0.0)
+        << what;
+    const double let = labelled_seconds(sim, 0, {"letImport"}) +
+                       labelled_seconds(sim, 1, {"letImport"});
+    EXPECT_GT(let, 0.0) << what;
+    EXPECT_DOUBLE_EQ(r.seconds[static_cast<std::size_t>(Kernel::LetImport)],
+                     let)
+        << what;
+    if (r.rebuilt) {
+      ++rebuilds;
+      EXPECT_GT(make, 0.0) << what;
+      EXPECT_DOUBLE_EQ(sim.rebuild_policy().last_make_seconds(), make)
+          << what;
+    } else {
+      EXPECT_EQ(make, 0.0) << what;
+    }
+  }
+  EXPECT_EQ(rebuilds, 2);
 }
 
 TEST(Shard, ListenerReceivesShardedStepMarks) {

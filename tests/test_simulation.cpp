@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 namespace gothic::nbody {
@@ -42,6 +43,23 @@ SimConfig tight_config() {
   cfg.dt_max = 1.0 / 64;
   cfg.max_level = 4;
   return cfg;
+}
+
+using KernelOps =
+    std::array<simt::OpCounts, static_cast<std::size_t>(Kernel::Count)>;
+
+/// Per-kernel op tallies of the next `steps` steps: their reports' sums.
+KernelOps step_ops(Simulation& sim, int steps) {
+  KernelOps ops{};
+  for (int s = 0; s < steps; ++s) {
+    const StepReport r = sim.step();
+    for (std::size_t k = 0; k < ops.size(); ++k) ops[k] += r.ops[k];
+  }
+  return ops;
+}
+
+const simt::OpCounts& of(const KernelOps& ops, Kernel k) {
+  return ops[static_cast<std::size_t>(k)];
 }
 
 TEST(Simulation, EnergyConservedOverManySteps) {
@@ -138,12 +156,17 @@ TEST(Simulation, VoltaModeAccumulatesSyncsAcrossKernels) {
   SimConfig cfg = tight_config();
   cfg.set_mode(simt::ExecMode::Volta);
   Simulation sim(plummer(1024, 7), cfg);
-  sim.run(4);
-  EXPECT_GT(sim.kernel_ops(Kernel::WalkTree).syncwarp, 0u);
-  EXPECT_GT(sim.kernel_ops(Kernel::CalcNode).syncwarp, 0u);
-  EXPECT_EQ(sim.kernel_ops(Kernel::PredictCorrect).syncwarp, 0u);
-  // makeTree synchronises via Cooperative-Groups tiles, not syncwarp.
-  EXPECT_GT(sim.kernel_ops(Kernel::MakeTree).tile_sync, 0u);
+  // makeTree synchronises via Cooperative-Groups tiles, not syncwarp. Four
+  // steps do not rebuild, so read the constructor's build from the sink.
+  simt::OpCounts make;
+  for (const runtime::LaunchRecord& rec : sim.sink().step_records()) {
+    if (rec.kernel == Kernel::MakeTree) make += rec.ops;
+  }
+  EXPECT_GT(make.tile_sync, 0u);
+  const KernelOps ops = step_ops(sim, 4);
+  EXPECT_GT(of(ops, Kernel::WalkTree).syncwarp, 0u);
+  EXPECT_GT(of(ops, Kernel::CalcNode).syncwarp, 0u);
+  EXPECT_EQ(of(ops, Kernel::PredictCorrect).syncwarp, 0u);
 }
 
 TEST(Simulation, PascalAndVoltaModesAgreeNumerically) {
@@ -172,11 +195,10 @@ TEST(Simulation, WalkTreeDominatesInstructionMix) {
   // Fig 3/4: the gravity calculation dominates; orbit integration and
   // tree work are subdominant in FP32 terms at fiducial accuracy.
   Simulation sim(plummer(4096, 9), tight_config());
-  sim.run(8);
-  const auto walk = sim.kernel_ops(Kernel::WalkTree).fp32_core_instructions();
-  const auto calc = sim.kernel_ops(Kernel::CalcNode).fp32_core_instructions();
-  const auto pred =
-      sim.kernel_ops(Kernel::PredictCorrect).fp32_core_instructions();
+  const KernelOps ops = step_ops(sim, 8);
+  const auto walk = of(ops, Kernel::WalkTree).fp32_core_instructions();
+  const auto calc = of(ops, Kernel::CalcNode).fp32_core_instructions();
+  const auto pred = of(ops, Kernel::PredictCorrect).fp32_core_instructions();
   EXPECT_GT(walk, calc);
   EXPECT_GT(walk, pred);
 }

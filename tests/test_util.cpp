@@ -115,24 +115,6 @@ TEST(Env, ParsesSuffixesAndFallsBack) {
   EXPECT_EQ(env_size("GOTHIC_TEST_ENV_X", 5), 5u);
   ::unsetenv("GOTHIC_TEST_ENV_X");
   EXPECT_EQ(env_size("GOTHIC_TEST_ENV_X", 9), 9u);
-  ::setenv("GOTHIC_TEST_ENV_D", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("GOTHIC_TEST_ENV_D", 0.0), 2.5);
-  ::unsetenv("GOTHIC_TEST_ENV_D");
-}
-
-TEST(KernelTimersTest, AccumulatesAndMerges) {
-  KernelTimers t;
-  t.add(Kernel::WalkTree, 0.5);
-  t.add(Kernel::WalkTree, 0.25);
-  t.add(Kernel::MakeTree, 1.0);
-  EXPECT_DOUBLE_EQ(t.seconds(Kernel::WalkTree), 0.75);
-  EXPECT_EQ(t.calls(Kernel::WalkTree), 2u);
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 1.75);
-  KernelTimers u;
-  u.add(Kernel::CalcNode, 0.1);
-  t += u;
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 1.85);
-  EXPECT_EQ(kernel_name(Kernel::PredictCorrect), "pred/corr");
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -6,21 +6,22 @@
 #
 # Every stage runs once: there is one launch scheduler (the stream
 # scheduler), and every serial reference is its in-issue-order schedule,
-# forced by the testkit. The tier-1 run is every test's run; the later
-# stages add only what ctest does not cover (benches, fuzz legs, tool
-# smokes).
+# forced by the testkit. The tier-1 run (GOTHIC_SIMD=1) is every test's
+# run; the later stages add only what ctest does not cover (benches, fuzz
+# legs, tool smokes) and the suite's one rerun on the other warp
+# substrate.
 #
-# The SIMD stage repeats tier-1 plus a fuzz smoke under GOTHIC_SIMD=1
-# (AVX2 lane kernels) and GOTHIC_SIMD=0 (scalar oracle) — the two warp
-# substrates must be bit-identical.
+# The SIMD stage runs tier-1 again under GOTHIC_SIMD=0 (scalar oracle)
+# and a fuzz smoke under GOTHIC_SIMD=1 (AVX2 lane kernels) and =0 — the
+# two warp substrates must be bit-identical.
 #
-# The observability smoke validates the Perfetto trace (zero dropped
-# records), the flight-recorder incident dump left by a fault-injected
-# fuzz run, and the bench JSON; the telemetry stage validates the
-# GOTHIC_TELEMETRY JSONL stream under each warp substrate; the bench_diff
-# gate compares the fresh BENCH reports against the archived trajectory
-# in bench-results/ (and self-tests with a synthetic slowdown) before
-# promoting them.
+# The observability smoke validates gothic_run's one per-kernel table,
+# the Perfetto trace (zero dropped records), the flight-recorder incident
+# dump left by a fault-injected fuzz run, and the bench JSON; the
+# telemetry stage validates the GOTHIC_TELEMETRY JSONL stream under each
+# warp substrate; the bench_diff gate compares the fresh BENCH reports
+# against the archived trajectory in bench-results/ (and self-tests with
+# a synthetic slowdown) before promoting them.
 #
 # The fuzz stage drives gothic_fuzz — seeded + exhaustively enumerated
 # interleavings of the step DAG checked bit-identical against the
@@ -71,19 +72,28 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 verify =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
-(cd build && ctest --output-on-failure -j)
+(cd build && GOTHIC_SIMD=1 ctest --output-on-failure -j)
 
 echo "== observability smoke (trace + flight + bench JSON) =="
-# A traced driver step must emit valid Perfetto JSON with zero dropped
-# launch records (a non-zero count means the timeline is silently
-# truncated), a figure bench must emit a parseable BENCH_*.json, fig09's
-# walk must be op- and force-identical on both warp substrates (its exit
-# status), and a fault-injected gothic_fuzz run must leave a valid
-# flight-recorder incident dump naming the faulted launch.
+# A traced gothic_run must print exactly one per-kernel table, counting
+# every walkTree launch (the bootstrap, two energy refreshes and one per
+# step), and emit valid Perfetto JSON with zero dropped launch records (a
+# non-zero count means the timeline is silently truncated); a figure
+# bench must emit a parseable BENCH_*.json, fig09's walk must be op- and
+# force-identical on both warp substrates (its exit status), and a
+# fault-injected gothic_fuzz run must leave a valid flight-recorder
+# incident dump naming the faulted launch.
 (cd build &&
-  GOTHIC_TRACE=smoke_trace.json \
-    ./tools/gothic_run --model=plummer --n=2048 --steps=2 --metrics \
-      >/dev/null &&
+  out=$(GOTHIC_TRACE=smoke_trace.json \
+    ./tools/gothic_run --model=plummer --n=2048 --steps=2) &&
+  python3 -c "
+import sys
+lines = sys.argv[1].splitlines()
+tables = [l for l in lines if l.startswith('## ')]
+assert tables == ['## per-kernel launch metrics'], tables
+walk = [l.split('|')[2] for l in lines if l.startswith('| walkTree ')]
+assert walk and int(walk[0]) == 2 + 3, 'walkTree launches %r' % walk" \
+    "$out" &&
   python3 -m json.tool smoke_trace.json >/dev/null &&
   python3 -c "
 import json
@@ -140,7 +150,7 @@ done
 (cd build &&
   rm -f smoke_telemetry.jsonl &&
   out=$(./tools/gothic_run --model=plummer --n=2048 --steps=2 --shards=2 \
-    --metrics --telemetry=smoke_telemetry.jsonl) &&
+    --telemetry=smoke_telemetry.jsonl) &&
   workers=$(sed -n 's/^arena gauges: \([0-9]*\) workers.*/\1/p' <<<"$out") &&
   python3 -c "
 import json, sys
@@ -176,12 +186,13 @@ echo "== SIMD substrate: scalar vs AVX2 lane kernels =="
 # GOTHIC_SIMD selects the warp substrate at runtime: 1 = the AVX2 lane
 # kernels (when compiled in and the CPU reports AVX2), 0 = the scalar
 # oracle. Results and op counts are bit-identical by contract (DESIGN.md,
-# "SIMD substrate"), so the whole tier-1 suite plus a fuzz smoke run
-# under both settings; on a host without AVX2 the =1 leg degrades to the
-# scalar path and the stage still passes.
+# "SIMD substrate"), so the whole tier-1 suite runs under both settings
+# (=1 is the tier-1 run above, =0 here) and a fuzz smoke under each; on a
+# host without AVX2 the =1 legs degrade to the scalar path and the stage
+# still passes.
+(cd build && GOTHIC_SIMD=0 ctest --output-on-failure -j)
 for simd in 1 0; do
   echo "-- GOTHIC_SIMD=$simd --"
-  (cd build && GOTHIC_SIMD=$simd ctest --output-on-failure -j)
   GOTHIC_SIMD=$simd ./build/tools/gothic_fuzz --schedules=16 --faults=4
 done
 echo "SIMD stage passed"

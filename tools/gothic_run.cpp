@@ -1,6 +1,8 @@
 // gothic_run — the production driver: build or load initial conditions,
 // evolve with the GOTHIC pipeline, checkpoint snapshots, and report
-// per-kernel timings plus conservation diagnostics.
+// conservation diagnostics plus one per-kernel table of every launch the
+// run made (bootstrap, force refreshes and steps), with latency
+// percentiles, op tallies and the step, shard and arena gauges.
 //
 //   gothic_run --model=m31 --n=65536 --steps=256 --dacc=0.002
 //              --snapshot-every=64 --out=run_
@@ -42,8 +44,6 @@
 //                                 GOTHIC_FLIGHT were set; default file
 //                                 flight.json) and dump the launch/step
 //                                 rings at the end of the run
-//   --metrics                     print per-kernel latency histograms
-//                                 (p50/p95/max) and arena gauges at exit
 //   --shards=<int>                run the step engine over K per-shard
 //                                 devices (default 1 = one shard on the
 //                                 shared device; results are
@@ -62,7 +62,6 @@
 #include "nbody/snapshot.hpp"
 #include "trace/session.hpp"
 #include "util/args.hpp"
-#include "util/table.hpp"
 
 #include <algorithm>
 #include <climits>
@@ -177,19 +176,21 @@ int drive(nbody::ShardedSimulation& sim, const Args& args, int steps,
       args.get("trace", trace::Session::env_trace_path());
   const std::string telemetry_path =
       args.get("telemetry", trace::TelemetryWriter::env_telemetry_path());
-  const bool metrics = args.get_flag("metrics");
   const bool flight_dump = args.has("flight-dump");
   for (const std::string& key : args.unused()) {
     std::cerr << "warning: unused option --" << key << "\n";
   }
 
-  // Observability is opt-in: with no --trace/--telemetry/--metrics the
-  // simulation runs with a null listener (no per-launch overhead).
-  std::unique_ptr<trace::Session> session;
-  if (metrics || !trace_path.empty() || !telemetry_path.empty()) {
-    session = std::make_unique<trace::Session>(trace_path, telemetry_path);
-    sim.set_instrumentation_listener(session.get());
+  // The session's registry is the run's per-kernel table; it writes a
+  // trace or telemetry file only when asked. The sinks still hold the
+  // constructor's bootstrap launches, which no listener has seen yet.
+  trace::Session session(trace_path, telemetry_path);
+  for (int s = 0; s < sim.shard_count(); ++s) {
+    for (const runtime::LaunchRecord& rec : sim.sink(s).step_records()) {
+      session.on_record(rec);
+    }
   }
+  sim.set_instrumentation_listener(&session);
 
   sim.refresh_forces();
   const nbody::Energies e0 = sim.energies();
@@ -215,41 +216,29 @@ int drive(nbody::ShardedSimulation& sim, const Args& args, int steps,
                          std::max(std::fabs(e0.total()), 1e-30))
             << "; rebuilds = " << sim.rebuild_count() << "\n";
 
-  Table t("wall-clock per kernel", {"kernel", "seconds", "calls"});
-  for (const Kernel k :
-       {Kernel::WalkTree, Kernel::CalcNode, Kernel::MakeTree,
-        Kernel::PredictCorrect}) {
-    t.add_row({std::string(kernel_name(k)),
-               Table::sci(sim.timers().seconds(k)),
-               Table::num(static_cast<long long>(sim.timers().calls(k)))});
-  }
-  t.print(std::cout);
-
   if (!csv.empty()) {
     nbody::write_csv(csv, sim.particles());
     std::cout << "final state written to " << csv << "\n";
   }
-  if (session) {
-    sim.set_instrumentation_listener(nullptr);
-    const bool ok = session->finish(sim.shard_device(0));
-    if (metrics) session->metrics().print(std::cout);
-    if (session->tracing()) {
-      // Non-zero drops mean the bounded trace buffer truncated the
-      // timeline — surfaced here so CI smoke can assert on it.
-      std::cout << "trace dropped records: " << session->dropped() << "\n";
-      if (ok) {
-        std::cout << "perfetto trace written to " << session->trace_path()
-                  << " (load at ui.perfetto.dev)\n";
-      } else {
-        std::cerr << "warning: could not write trace to "
-                  << session->trace_path() << "\n";
-      }
+  sim.set_instrumentation_listener(nullptr);
+  const bool ok = session.finish(sim.shard_device(0));
+  session.metrics().print(std::cout);
+  if (session.tracing()) {
+    // Non-zero drops mean the bounded trace buffer truncated the
+    // timeline — surfaced here so CI smoke can assert on it.
+    std::cout << "trace dropped records: " << session.dropped() << "\n";
+    if (ok) {
+      std::cout << "perfetto trace written to " << session.trace_path()
+                << " (load at ui.perfetto.dev)\n";
+    } else {
+      std::cerr << "warning: could not write trace to "
+                << session.trace_path() << "\n";
     }
-    if (trace::TelemetryWriter* tel = session->telemetry();
-        tel != nullptr && tel->ok()) {
-      std::cout << "telemetry stream written to " << tel->path() << " ("
-                << tel->lines() << " records)\n";
-    }
+  }
+  if (trace::TelemetryWriter* tel = session.telemetry();
+      tel != nullptr && tel->ok()) {
+    std::cout << "telemetry stream written to " << tel->path() << " ("
+              << tel->lines() << " records)\n";
   }
   if (trace::FlightRecorder* fr = sim.flight_recorder();
       fr != nullptr && flight_dump) {
