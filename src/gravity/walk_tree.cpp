@@ -10,7 +10,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <new>
 #include <stdexcept>
@@ -66,26 +65,45 @@ struct InteractionList {
     ++size;
   }
 
-  /// Bulk body append for the spill path: contiguous copies of `nb`
-  /// bodies (and zero quadrupoles), byte-identical to `nb` push() calls.
+#if GOTHIC_SIMD_AVX2
+  /// Bulk body append for the spill path: `nb` bodies (and zero
+  /// quadrupoles), byte-identical to `nb` push() calls. Inline 8-float
+  /// register copies with a masked tail, so a leaf of a few dozen bodies
+  /// costs no library call. Neither side is touched past its last element:
+  /// the source ends at the leaf's last body (the last leaf's at the end
+  /// of the position spans) and the caller keeps size + nb <= cap.
   void append_bodies(const real* px, const real* py, const real* pz,
                      const real* pm, index_t nb) {
-    const auto s = static_cast<std::size_t>(size);
-    const std::size_t bytes = nb * sizeof(real);
-    std::memcpy(sx.data() + s, px, bytes);
-    std::memcpy(sy.data() + s, py, bytes);
-    std::memcpy(sz.data() + s, pz, bytes);
-    std::memcpy(sm.data() + s, pm, bytes);
+    namespace v = simt::simd;
+    const int n = static_cast<int>(nb);
+    const int full = n & ~7;
+    const v::i32x8 tm = v::tail_mask8(n - full);
+    const auto copy = [&](real* dst, const real* src) {
+      for (int k = 0; k < full; k += 8) v::store8(dst + k, v::load8(src + k));
+      if (full < n) {
+        _mm256_maskstore_ps(dst + full, tm,
+                            _mm256_maskload_ps(src + full, tm));
+      }
+    };
+    const auto zero = [&](real* dst) {
+      for (int k = 0; k < full; k += 8) v::store8(dst + k, _mm256_setzero_ps());
+      if (full < n) _mm256_maskstore_ps(dst + full, tm, _mm256_setzero_ps());
+    };
+    copy(sx.data() + size, px);
+    copy(sy.data() + size, py);
+    copy(sz.data() + size, pz);
+    copy(sm.data() + size, pm);
     if (has_quad) {
-      std::memset(qxx.data() + s, 0, bytes);
-      std::memset(qxy.data() + s, 0, bytes);
-      std::memset(qxz.data() + s, 0, bytes);
-      std::memset(qyy.data() + s, 0, bytes);
-      std::memset(qyz.data() + s, 0, bytes);
-      std::memset(qzz.data() + s, 0, bytes);
+      zero(qxx.data() + size);
+      zero(qxy.data() + size);
+      zero(qxz.data() + size);
+      zero(qyy.data() + size);
+      zero(qyz.data() + size);
+      zero(qzz.data() + size);
     }
-    size += static_cast<int>(nb);
+    size += n;
   }
+#endif
 
   void push_quad(real px, real py, real pz, real pm, real xx, real xy,
                  real xz, real yy, real yz, real zz) {
@@ -532,17 +550,22 @@ int flush_list_lj_avx2(const GroupTask& t, const InteractionList& list,
 
 #if GOTHIC_SIMD_AVX2
 /// AVX2 lane kernel of the per-batch MAC sweep: eight frontier nodes per
-/// iteration — centre-of-mass/mass/bmax gathered by node index, distance,
-/// deff and the acceptance inequality evaluated in lane registers with the
-/// exact operation sequence of the scalar loop (correctly-rounded sqrt,
-/// same mul association, ordered-quiet compares so NaN rejects exactly
-/// like the scalar `!(deff > bsize)`). The Gadget MAC derives bsize from
-/// the per-node depth instead of bmax and stays on the scalar loop.
-/// The remainder block runs with a masked index load (dead lanes read
-/// index 0, gather the root and are masked off), so all bn nodes are
-/// handled here and the caller's scalar loop never runs; all op tallies
-/// are charged by the caller in bulk per batch and are path-independent.
-/// Returns the accepted lanes (bit k = nodes[k]).
+/// iteration — centre-of-mass/mass/bmax loaded by node index, distance,
+/// deff and the decision evaluated in lane registers with the exact
+/// operation sequence of the scalar loop (correctly-rounded sqrt, same mul
+/// association, ordered-quiet compares so NaN geometry never accepts and
+/// never culls, exactly like the scalar `!(deff > bsize)` and `>`). The
+/// frontier is built from contiguous child ranges, so eight nodes are
+/// often one run of consecutive siblings: those load with plain vector
+/// loads at the run's first node (the same values; every index is a node
+/// of the tree, so the load stays in bounds), others gather. The Gadget
+/// MAC derives bsize from the per-node depth instead of bmax and stays on
+/// the scalar loop. The remainder block runs with a masked index load
+/// (dead lanes read index 0, gather the root and are masked off), so all
+/// bn nodes are handled here and the caller's scalar loop never runs; all
+/// op tallies are charged by the caller in bulk per batch and are
+/// path-independent. Returns the accepted (gravity) or culled
+/// (Lennard-Jones) lanes, bit k = nodes[k].
 simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
                               float ctr_x, float ctr_y, float ctr_z,
                               float rgrp, float amin, const index_t* nodes,
@@ -558,7 +581,9 @@ simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
   const v::f32x8 gv = v::broadcast(cfg.g);
   const v::f32x8 dav = v::broadcast(cfg.mac.dacc * amin);
   const v::f32x8 thv = v::broadcast(cfg.mac.theta);
-  simt::lane_mask accepted = 0;
+  const v::f32x8 cutv = v::broadcast(cfg.lj.cutoff);
+  const bool lj = cfg.law == ForceLaw::LennardJones;
+  simt::lane_mask passed = 0;
   for (int b = 0; b < bn; b += 8) {
     const int n = std::min(8, bn - b);
     const v::i32x8 idx =
@@ -567,10 +592,18 @@ simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
                  : _mm256_maskload_epi32(
                        reinterpret_cast<const int*>(nodes + b),
                        v::tail_mask8(n));
-    const v::f32x8 comx = _mm256_i32gather_ps(tree.com_x.data(), idx, 4);
-    const v::f32x8 comy = _mm256_i32gather_ps(tree.com_y.data(), idx, 4);
-    const v::f32x8 comz = _mm256_i32gather_ps(tree.com_z.data(), idx, 4);
-    const v::f32x8 bsize = _mm256_i32gather_ps(tree.bmax.data(), idx, 4);
+    const index_t first = nodes[b];
+    const bool run =
+        n == 8 && _mm256_movemask_epi8(_mm256_cmpeq_epi32(
+                      idx, v::index_run8(static_cast<int>(first)))) == -1;
+    const auto load = [&](const std::vector<real>& a) {
+      return run ? v::load8(a.data() + first)
+                 : _mm256_i32gather_ps(a.data(), idx, 4);
+    };
+    const v::f32x8 comx = load(tree.com_x);
+    const v::f32x8 comy = load(tree.com_y);
+    const v::f32x8 comz = load(tree.com_z);
+    const v::f32x8 bsize = load(tree.bmax);
     const v::f32x8 dx = v::sub(comx, cxv);
     const v::f32x8 dy = v::sub(comy, cyv);
     const v::f32x8 dz = v::sub(comz, czv);
@@ -579,23 +612,27 @@ simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
     // max(first=0, second=d-rgrp) keeps the second operand on NaN and on
     // +-0 ties — exactly std::max(d - rgrp, 0.0f).
     const v::f32x8 deff = _mm256_max_ps(zero, v::sub(d, rgv));
-    const v::f32x8 conv = _mm256_cmp_ps(deff, bsize, _CMP_GT_OQ);
     v::f32x8 okv;
-    if (cfg.mac.type == MacType::OpeningAngle) {
+    if (lj) {
+      // Cutoff MAC: culled when deff > cutoff + bmax, the scalar loop's
+      // operand order.
+      okv = _mm256_cmp_ps(deff, v::add(cutv, bsize), _CMP_GT_OQ);
+    } else if (cfg.mac.type == MacType::OpeningAngle) {
       okv = _mm256_and_ps(
-          conv, _mm256_cmp_ps(bsize, v::mul(thv, deff), _CMP_LT_OQ));
+          _mm256_cmp_ps(deff, bsize, _CMP_GT_OQ),
+          _mm256_cmp_ps(bsize, v::mul(thv, deff), _CMP_LT_OQ));
     } else { // Acceleration (Gadget never reaches this kernel)
-      const v::f32x8 mass = _mm256_i32gather_ps(tree.mass.data(), idx, 4);
+      const v::f32x8 mass = load(tree.mass);
       const v::f32x8 d2 = v::mul(deff, deff);
       const v::f32x8 d4 = v::mul(d2, d2);
       const v::f32x8 lhs = v::mul(v::mul(v::mul(gv, mass), bsize), bsize);
-      okv = _mm256_and_ps(conv,
+      okv = _mm256_and_ps(_mm256_cmp_ps(deff, bsize, _CMP_GT_OQ),
                           _mm256_cmp_ps(lhs, v::mul(dav, d4), _CMP_LE_OQ));
     }
     const auto okbits = static_cast<simt::lane_mask>(_mm256_movemask_ps(okv));
-    accepted |= (okbits & ((1u << n) - 1u)) << b;
+    passed |= (okbits & ((1u << n) - 1u)) << b;
   }
-  return accepted;
+  return passed;
 }
 #endif // GOTHIC_SIMD_AVX2
 
@@ -750,7 +787,7 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
   const bool lj = cfg.law == ForceLaw::LennardJones;
   // The selector changes only while the device is idle, so one read
   // serves the whole group.
-  const bool simd = simt::simd_enabled();
+  [[maybe_unused]] const bool simd = simt::simd_enabled();
   Warp w(cfg.mode, counts);
   stats.groups += 1;
 
@@ -774,7 +811,7 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
       simt::lane_mask passed = 0;
       int mac_lane0 = 0;
 #if GOTHIC_SIMD_AVX2
-      if (simd && !lj && cfg.mac.type != MacType::Gadget) {
+      if (simd && (lj || cfg.mac.type != MacType::Gadget)) {
         passed = mac_eval_avx2(tree, cfg, ctr_x, ctr_y, ctr_z, rgrp, amin,
                                &ws.cur[batch], bn);
         mac_lane0 = bn;
@@ -790,8 +827,8 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
         // cutoff exactly in the flush, so a non-culled far node changes
         // nothing. NaN geometry (a poisoned shard view) compares false,
         // descends, and surfaces as NaN forces — never a silent cull.
-        // Like the Gadget MAC, this stays on the scalar loop under both
-        // substrates, so the decisions are substrate-identical trivially.
+        // mac_eval_avx2 runs the same compare; this loop is its
+        // GOTHIC_SIMD=0 oracle.
         for (int lane = mac_lane0; lane < bn; ++lane) {
           const index_t node = ws.cur[batch + lane];
           const float dx = tree.com_x[node] - ctr_x;
@@ -832,11 +869,12 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
       stats.mac_evals += static_cast<std::uint64_t>(bn);
 
       // Only the rejected lanes are sorted: leaves spill their bodies,
-      // internal nodes (child_count > 0) open.
+      // internal nodes (child_count > 0) open and add their children to
+      // the next frontier's size.
       const simt::lane_mask accepted = lj ? 0 : passed;
       simt::lane_mask spill_leaf = 0;
       simt::lane_mask opened = 0;
-      LaneArray<int> slots{}; // child counts, then their exclusive scan
+      std::size_t n_children = 0;
       for (simt::lane_mask r = simt::lanemask_lt(bn) & ~passed; r != 0;
            r &= r - 1) {
         const int lane = std::countr_zero(r);
@@ -845,7 +883,7 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
           spill_leaf |= simt::lane_bit(lane);
         } else {
           opened |= simt::lane_bit(lane);
-          slots[lane] = tree.child_count[node];
+          n_children += tree.child_count[node];
         }
       }
 
@@ -859,7 +897,6 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
         }
         for (simt::lane_mask a = acc_mask; a != 0; a &= a - 1) {
           const int lane = std::countr_zero(a);
-          (void)simt::compact_slot(w, acc_mask, lane);
           const index_t node = ws.cur[batch + lane];
           if (cfg.use_quadrupole) {
             list.push_quad(tree.com_x[node], tree.com_y[node],
@@ -872,6 +909,9 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
                       tree.mass[node]);
           }
         }
+        // One compaction slot per appending lane (simt::compact_slot's
+        // popc of the ballot below the lane), charged for the batch.
+        counts.int_ops += static_cast<std::uint64_t>(n_acc);
         counts.int_ops += static_cast<std::uint64_t>(n_acc) * 2;
         if (cfg.use_quadrupole) {
           counts.bytes_load += static_cast<std::uint64_t>(n_acc) *
@@ -894,14 +934,17 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
           }
           const index_t take = std::min<index_t>(
               remain, static_cast<index_t>(list.cap - list.size));
+          index_t k = 0;
+#if GOTHIC_SIMD_AVX2
           if (simd) {
             // Byte-identical bulk copy (zero quadrupoles included).
             list.append_bodies(t.x.data() + b, t.y.data() + b,
                                t.z.data() + b, t.m.data() + b, take);
-          } else {
-            for (index_t k = 0; k < take; ++k) {
-              list.push(t.x[b + k], t.y[b + k], t.z[b + k], t.m[b + k]);
-            }
+            k = take;
+          }
+#endif
+          for (; k < take; ++k) {
+            list.push(t.x[b + k], t.y[b + k], t.z[b + k], t.m[b + k]);
           }
           counts.bytes_load += static_cast<std::uint64_t>(
               static_cast<double>(take) * cost::kListEntryBytes *
@@ -913,29 +956,42 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
         }
       }
 
-      // Rejected internal nodes enqueue their children; the slot base is a
-      // warp exclusive scan of child counts (the device's frontier
-      // allocation).
-      LaneArray<int> total{};
-      simt::exclusive_scan_add(w, slots, kWarpSize, simt::kFullMask, &total);
-      if (total[0] > 0) {
-        const std::size_t base = ws.nxt.size();
-        ws.nxt.resize(base + static_cast<std::size_t>(total[0]));
+      // Rejected internal nodes enqueue their children. On the device the
+      // slot base is a warp exclusive scan of the child counts (the
+      // frontier allocation); here one running slot over the opened lanes
+      // in lane order writes the same entries, and the scan is charged.
+      simt::charge_exclusive_scan<int>(w, kWarpSize, simt::kFullMask,
+                                       /*with_total=*/true);
+      if (n_children > 0) {
+        std::size_t slot = ws.nxt.size();
+        ws.nxt.resize(slot + n_children);
         for (simt::lane_mask o = opened; o != 0; o &= o - 1) {
-          const int lane = std::countr_zero(o);
-          const index_t node = ws.cur[batch + lane];
+          const index_t node = ws.cur[batch + std::countr_zero(o)];
           const index_t first = tree.child_first[node];
-          for (int c = 0; c < tree.child_count[node]; ++c) {
-            ws.nxt[base + static_cast<std::size_t>(slots[lane] + c)] =
+          const int nc = tree.child_count[node]; // 1..8 octants
+          int c = 0;
+#if GOTHIC_SIMD_AVX2
+          if (simd) {
+            // The child run in one store masked to the child count.
+            namespace v = simt::simd;
+            _mm256_maskstore_epi32(reinterpret_cast<int*>(&ws.nxt[slot]),
+                                   v::tail_mask8(nc),
+                                   v::index_run8(static_cast<int>(first)));
+            c = nc;
+          }
+#endif
+          for (; c < nc; ++c) {
+            ws.nxt[slot + static_cast<std::size_t>(c)] =
                 first + static_cast<index_t>(c);
           }
+          slot += static_cast<std::size_t>(nc);
         }
         stats.nodes_opened += static_cast<std::uint64_t>(simt::popc(opened));
-        counts.int_ops += static_cast<std::uint64_t>(total[0]);
+        counts.int_ops += static_cast<std::uint64_t>(n_children);
         counts.bytes_store +=
-            static_cast<std::uint64_t>(total[0]) * sizeof(index_t);
+            static_cast<std::uint64_t>(n_children) * sizeof(index_t);
         counts.bytes_load +=
-            static_cast<std::uint64_t>(total[0]) * sizeof(index_t);
+            static_cast<std::uint64_t>(n_children) * sizeof(index_t);
       }
 
       // GOTHIC re-synchronises the warp before the shared list is reused

@@ -653,14 +653,17 @@ double Device::worker_busy_seconds_total() const {
 
 int Device::busy_worker_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Member i of every collective, whichever context issued it, runs on
+  // its context's slot i: worker id i is busy when any context's slot i
+  // is.
+  const auto busy = [](const Slots& slots, std::size_t i) {
+    return slots[i]->busy_ns.load(std::memory_order_relaxed) > 0;
+  };
   int n = 0;
-  for (const auto& w : slots_) {
-    if (w->busy_ns.load(std::memory_order_relaxed) > 0) ++n;
-  }
-  for (const auto& lane : lanes_) {
-    for (const auto& w : lane->slots) {
-      if (w->busy_ns.load(std::memory_order_relaxed) > 0) ++n;
-    }
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    bool any = busy(slots_, i);
+    for (const auto& lane : lanes_) any = any || busy(lane->slots, i);
+    if (any) ++n;
   }
   return n;
 }

@@ -335,8 +335,8 @@ public:
   [[nodiscard]] double worker_busy_seconds_max() const;
   /// Sum of collective-body seconds across every worker slot.
   [[nodiscard]] double worker_busy_seconds_total() const;
-  /// Worker slots (host and lanes) that have recorded any
-  /// collective-body busy time so far.
+  /// Pool workers that have recorded any collective-body busy time so
+  /// far in any context (host or lane); at most workers().
   [[nodiscard]] int busy_worker_count() const;
 
 private:

@@ -110,19 +110,31 @@ void inclusive_scan_add(Warp& w, LaneArray<T>& v, int width = kWarpSize,
   }
 }
 
+/// The tallies of a whole-warp (every lane active) exclusive integer
+/// scan, without moving data: the staged shfl_up scan, the total's
+/// broadcast shfl when `with_total`, and the per-lane subtraction that
+/// turns the inclusive sums exclusive. exclusive_scan_add's whole-warp
+/// pass charges itself through this; a kernel that derives the same
+/// offsets another way (walkTree's running child slot) charges the scan
+/// the device would run.
+template <typename T>
+void charge_exclusive_scan(Warp& w, int width, lane_mask mask,
+                           bool with_total) {
+  detail::count_scan_stages<T>(w, width, mask);
+  if (with_total) (void)w.shfl_counted(mask, "shfl");
+  detail::count_adds<T>(w, kFullMask);
+}
+
 /// Exclusive prefix sum; also returns (per lane) the segment total in
 /// `total` when non-null. Same whole-warp integer pass as
-/// inclusive_scan_add, charged as the staged scan plus the total's
-/// broadcast shfl and the per-lane subtraction.
+/// inclusive_scan_add, charged by charge_exclusive_scan.
 template <typename T>
 void exclusive_scan_add(Warp& w, LaneArray<T>& v, int width = kWarpSize,
                         lane_mask mask = kFullMask,
                         LaneArray<T>* total = nullptr) {
   if constexpr (std::is_integral_v<T>) {
     if (w.active() == kFullMask) {
-      detail::count_scan_stages<T>(w, width, mask);
-      if (total != nullptr) (void)w.shfl_counted(mask, "shfl");
-      detail::count_adds<T>(w, kFullMask);
+      charge_exclusive_scan<T>(w, width, mask, total != nullptr);
       detail::segmented_scan<T>(v, width, /*exclusive=*/true, total);
       return;
     }

@@ -121,13 +121,18 @@ inline i32x8 expand_mask8(lane_mask bits) {
   return _mm256_cmpeq_epi32(_mm256_and_si256(b, select), select);
 }
 
+/// The index run first, first+1, ..., first+7 (lane i holds first + i).
+inline i32x8 index_run8(int first) {
+  return _mm256_add_epi32(_mm256_set1_epi32(first),
+                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 /// Lane-enable mask for the first n (0 < n <= 8) lanes of one register —
 /// the remainder block of a kernel whose trip count is not a multiple of
 /// 8. Used with maskload/maskstore so the tail never touches memory past
 /// the live lanes.
 inline i32x8 tail_mask8(int n) {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n), index_run8(0));
 }
 
 /// result[i] = active(i) ? updated[i] : original[i].

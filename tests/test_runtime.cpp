@@ -156,6 +156,30 @@ TEST(Device, WorkerBusyGaugesAccumulate) {
   EXPECT_GE(dev.worker_busy_seconds_total(), before);
 }
 
+TEST(Device, BusyWorkerCountCountsWorkersNotContextSlots) {
+  // The host and each lane keep their own worker slots, so a collective on
+  // the host and one inside a launch on each of two streams record busy
+  // time in different slots of the same pool workers. The gauge counts
+  // workers: it never exceeds workers().
+  Device dev(2);
+  std::atomic<std::uint64_t> sink{0};
+  const auto work = [&sink] {
+    Device::current().parallel_for(0, 20000, [&sink](std::size_t i) {
+      sink.fetch_add(i, std::memory_order_relaxed);
+    });
+  };
+  work();
+  Stream a("a"), b("b");
+  LaunchDesc da, db;
+  da.stream = &a;
+  db.stream = &b;
+  (void)dev.launch(da, [&work](simt::OpCounts&) { work(); });
+  (void)dev.launch(db, [&work](simt::OpCounts&) { work(); });
+  dev.synchronize();
+  EXPECT_GT(dev.busy_worker_count(), 0);
+  EXPECT_LE(dev.busy_worker_count(), dev.workers());
+}
+
 TEST(Device, PropagatesBodyExceptions) {
   Device dev(4);
   EXPECT_THROW(dev.parallel_for(0, 100,

@@ -38,7 +38,11 @@ constexpr std::size_t kLargeRequest = 4096;
 std::atomic<std::uint64_t> g_large_allocations{0};
 }
 
-void* operator new(std::size_t size) {
+// The replaced operator new and delete stay out of line: inlined where
+// GCC sees both ends of one allocation, malloc() paired with operator
+// delete, or operator new with free(), reads as a mismatch
+// (-Wmismatched-new-delete), though both ends are these replacements.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (size >= kLargeRequest) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -63,10 +67,14 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return ::operator new(size, std::nothrow);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   ::operator delete(p);
 }

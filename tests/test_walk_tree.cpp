@@ -16,6 +16,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace gothic::gravity {
@@ -107,6 +108,44 @@ double median_force_error(const System& s, const ForceResult& r,
 }
 
 constexpr real kEps = real(0.03);
+
+/// Every OpCounts field, then the WalkStats counters groups, mac_evals,
+/// nodes_opened, pseudo_appended, body_appended, interactions, flushes.
+using Tallies = std::array<std::uint64_t, 20>;
+
+Tallies tallies_of(const simt::OpCounts& o, const WalkStats& st) {
+  return {o.int_ops,       o.fp32_fma,         o.fp32_mul,
+          o.fp32_add,      o.fp32_special,     o.bytes_load,
+          o.bytes_store,   o.syncwarp,         o.tile_sync,
+          o.block_sync,    o.global_barrier,   o.shfl,
+          o.ballot,        st.groups,          st.mac_evals,
+          st.nodes_opened, st.pseudo_appended, st.body_appended,
+          st.interactions, st.flushes};
+}
+
+/// Quiet-NaN node geometry, the way a shard view poisons what its walk
+/// may not read. The root's eight children (one run of consecutive
+/// siblings: the first eight lanes of every group's second frontier,
+/// which the AVX2 MAC sweep loads as one vector) lose com and bmax, and
+/// every seventh deeper node loses one of com_x, com_y, com_z, bmax in
+/// turn (lanes the sweep gathers). Both substrates must open or spill a
+/// poisoned node, never accept or cull it. Returns whether the run of
+/// eight was poisoned.
+bool poison_geometry(Octree& tree) {
+  const real qnan = std::numeric_limits<real>::quiet_NaN();
+  const bool run = tree.child_count[0] == 8;
+  if (run) {
+    for (index_t c = tree.child_first[0]; c < tree.child_first[0] + 8; ++c) {
+      tree.com_x[c] = tree.com_y[c] = tree.com_z[c] = tree.bmax[c] = qnan;
+    }
+  }
+  std::vector<real>* const fields[] = {&tree.com_x, &tree.com_y,
+                                       &tree.com_z, &tree.bmax};
+  for (index_t node = 9; node < tree.num_nodes(); node += 7) {
+    (*fields[(node / 7) % 4])[node] = qnan;
+  }
+  return run;
+}
 
 TEST(WalkTree, OpeningAngleMatchesDirectToMacAccuracy) {
   System s = plummer(4096, 1);
@@ -536,10 +575,11 @@ TEST(WalkTree, SimdAndScalarWalksAreBitIdenticalWithEqualCounts) {
   // so groups hit every lane-block shape of the AVX2 flush — n=5 is pure
   // scalar remainder, n=61 mixes full 8-lane blocks with remainders, the
   // larger ones exercise full 32-lane groups — with the quadrupole term
-  // both off and on.
+  // both off and on, on clean and on NaN-poisoned geometry.
   if (!simt::simd_available()) {
     GTEST_SKIP() << "AVX2 unavailable on this host";
   }
+  int poisoned_runs = 0;
   for (const std::size_t n : {std::size_t{5}, std::size_t{61},
                               std::size_t{1000}, std::size_t{4096}}) {
     System s = plummer(n, 9100 + n);
@@ -557,33 +597,47 @@ TEST(WalkTree, SimdAndScalarWalksAreBitIdenticalWithEqualCounts) {
     octree::CalcNodeConfig nc;
     nc.compute_quadrupole = true;
     calc_node(s.tree, s.x, s.y, s.z, s.m, nc);
-    for (const bool quad : {false, true}) {
-      WalkConfig cfg;
-      cfg.mac.type = MacType::OpeningAngle;
-      cfg.use_quadrupole = quad;
-      simt::OpCounts scalar_ops, simd_ops;
-      WalkStats scalar_stats, simd_stats;
-      ForceResult scalar_r, simd_r;
-      {
-        simt::ScopedSimd off(false);
-        scalar_r = run_walk(s, cfg, {}, &scalar_ops, &scalar_stats);
-      }
-      {
-        simt::ScopedSimd on(true);
-        simd_r = run_walk(s, cfg, {}, &simd_ops, &simd_stats);
-      }
-      ASSERT_EQ(scalar_ops, simd_ops) << "n=" << n << " quad=" << quad;
-      EXPECT_EQ(scalar_stats.interactions, simd_stats.interactions);
-      EXPECT_EQ(scalar_stats.mac_evals, simd_stats.mac_evals);
-      EXPECT_EQ(scalar_stats.flushes, simd_stats.flushes);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(scalar_r.ax[i], simd_r.ax[i]) << "n=" << n << " i=" << i;
-        ASSERT_EQ(scalar_r.ay[i], simd_r.ay[i]) << "n=" << n << " i=" << i;
-        ASSERT_EQ(scalar_r.az[i], simd_r.az[i]) << "n=" << n << " i=" << i;
-        ASSERT_EQ(scalar_r.pot[i], simd_r.pot[i]) << "n=" << n << " i=" << i;
+    std::uint64_t clean_evals[2] = {};
+    for (const bool poison : {false, true}) {
+      if (poison) poisoned_runs += poison_geometry(s.tree) ? 1 : 0;
+      for (const bool quad : {false, true}) {
+        WalkConfig cfg;
+        cfg.mac.type = MacType::OpeningAngle;
+        cfg.use_quadrupole = quad;
+        simt::OpCounts scalar_ops, simd_ops;
+        WalkStats scalar_stats, simd_stats;
+        ForceResult scalar_r, simd_r;
+        {
+          simt::ScopedSimd off(false);
+          scalar_r = run_walk(s, cfg, {}, &scalar_ops, &scalar_stats);
+        }
+        {
+          simt::ScopedSimd on(true);
+          simd_r = run_walk(s, cfg, {}, &simd_ops, &simd_stats);
+        }
+        const auto where = [&] {
+          return "n=" + std::to_string(n) + " quad=" + std::to_string(quad) +
+                 " poison=" + std::to_string(poison);
+        };
+        ASSERT_EQ(tallies_of(scalar_ops, scalar_stats),
+                  tallies_of(simd_ops, simd_stats))
+            << where();
+        if (!poison) {
+          clean_evals[quad] = scalar_stats.mac_evals;
+        } else if (n >= 1000) {
+          // Poisoned nodes the clean walk accepted are opened instead.
+          EXPECT_GT(scalar_stats.mac_evals, clean_evals[quad]) << where();
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(scalar_r.ax[i], simd_r.ax[i]) << where() << " i=" << i;
+          ASSERT_EQ(scalar_r.ay[i], simd_r.ay[i]) << where() << " i=" << i;
+          ASSERT_EQ(scalar_r.az[i], simd_r.az[i]) << where() << " i=" << i;
+          ASSERT_EQ(scalar_r.pot[i], simd_r.pot[i]) << where() << " i=" << i;
+        }
       }
     }
   }
+  EXPECT_GT(poisoned_runs, 0) << "no input poisoned a run of eight siblings";
 }
 
 TEST(WalkTree, GroupBoundingRadiusRoundsUpAtTheFloatBoundary) {
@@ -717,23 +771,42 @@ TEST(WalkTreeLJ, BodiesBeyondCutoffContributeExactlyZero) {
 }
 
 TEST(WalkTreeLJ, ScalarAndSimdSubstratesBitIdentical) {
+  // Clean geometry, then NaN-poisoned geometry: a poisoned node must be
+  // descended on both substrates, never culled.
   System s = uniform_cloud(768, 13);
   s.build();
   const WalkConfig cfg = lj_config();
-  ForceResult scalar, simd;
-  {
-    simt::ScopedSimd off(false);
-    scalar = run_walk(s, cfg);
-  }
-  {
-    simt::ScopedSimd on(true); // no-op on hosts without AVX2
-    simd = run_walk(s, cfg);
-  }
-  for (std::size_t i = 0; i < s.n(); ++i) {
-    ASSERT_EQ(scalar.ax[i], simd.ax[i]) << "particle " << i;
-    ASSERT_EQ(scalar.ay[i], simd.ay[i]) << "particle " << i;
-    ASSERT_EQ(scalar.az[i], simd.az[i]) << "particle " << i;
-    ASSERT_EQ(scalar.pot[i], simd.pot[i]) << "particle " << i;
+  std::uint64_t clean_evals = 0;
+  for (const bool poison : {false, true}) {
+    if (poison) {
+      ASSERT_TRUE(poison_geometry(s.tree));
+    }
+    simt::OpCounts scalar_ops, simd_ops;
+    WalkStats scalar_stats, simd_stats;
+    ForceResult scalar, simd;
+    {
+      simt::ScopedSimd off(false);
+      scalar = run_walk(s, cfg, {}, &scalar_ops, &scalar_stats);
+    }
+    {
+      simt::ScopedSimd on(true); // no-op on hosts without AVX2
+      simd = run_walk(s, cfg, {}, &simd_ops, &simd_stats);
+    }
+    ASSERT_EQ(tallies_of(scalar_ops, scalar_stats),
+              tallies_of(simd_ops, simd_stats))
+        << "poison=" << poison;
+    if (!poison) {
+      clean_evals = scalar_stats.mac_evals;
+    } else {
+      // Poisoned nodes the clean walk culled are descended instead.
+      EXPECT_GT(scalar_stats.mac_evals, clean_evals);
+    }
+    for (std::size_t i = 0; i < s.n(); ++i) {
+      ASSERT_EQ(scalar.ax[i], simd.ax[i]) << "poison=" << poison << " " << i;
+      ASSERT_EQ(scalar.ay[i], simd.ay[i]) << "poison=" << poison << " " << i;
+      ASSERT_EQ(scalar.az[i], simd.az[i]) << "poison=" << poison << " " << i;
+      ASSERT_EQ(scalar.pot[i], simd.pot[i]) << "poison=" << poison << " " << i;
+    }
   }
 }
 
@@ -779,20 +852,6 @@ System box_and_clump() {
   }
   s.build();
   return s;
-}
-
-/// Every OpCounts field, then the WalkStats counters groups, mac_evals,
-/// nodes_opened, pseudo_appended, body_appended, interactions, flushes.
-using Tallies = std::array<std::uint64_t, 20>;
-
-Tallies tallies_of(const simt::OpCounts& o, const WalkStats& st) {
-  return {o.int_ops,       o.fp32_fma,         o.fp32_mul,
-          o.fp32_add,      o.fp32_special,     o.bytes_load,
-          o.bytes_store,   o.syncwarp,         o.tile_sync,
-          o.block_sync,    o.global_barrier,   o.shfl,
-          o.ballot,        st.groups,          st.mac_evals,
-          st.nodes_opened, st.pseudo_appended, st.body_appended,
-          st.interactions, st.flushes};
 }
 
 TEST(WalkTree, TalliesEqualThePinnedParentValues) {

@@ -47,9 +47,11 @@
 # project) against this tree into build/e2e, runs its unit tests, and
 # smokes the two-shard workload with its K=2 bit-identity check.
 #
-# The ASan stage builds test_trace and test_testkit in build-asan/ with
-# GOTHIC_SANITIZE=address plus UBSan and runs both: their counting
-# allocators replace every form of the global operator new/delete.
+# The ASan stage builds test_trace, test_testkit and test_walk_tree in
+# build-asan/ with GOTHIC_SANITIZE=address plus UBSan and runs them: the
+# first two's counting allocators replace every form of the global
+# operator new/delete, and the walk's vector loads and stores (the spill
+# copy, the MAC sweep's sibling-run loads) must stay inside their spans.
 #
 # The TSan stage rebuilds test_barrier, test_runtime, test_octree,
 # test_walk_groups, test_walk_tree, test_service, test_shard, test_testkit
@@ -70,14 +72,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1 verify =="
-cmake -B build -S . >/dev/null
+# Warnings are errors here, so a new one fails the check.
+cmake -B build -S . -DGOTHIC_WERROR=ON >/dev/null
 cmake --build build -j
 (cd build && GOTHIC_SIMD=1 ctest --output-on-failure -j)
 
 echo "== observability smoke (trace + flight + bench JSON) =="
 # A traced gothic_run must print exactly one per-kernel table, counting
 # every walkTree launch (the bootstrap, two energy refreshes and one per
-# step), and emit valid Perfetto JSON with zero dropped launch records (a
+# step), with a busy-worker gauge no larger than the arena's worker
+# count, and emit valid Perfetto JSON with zero dropped launch records (a
 # non-zero count means the timeline is silently truncated); a figure
 # bench must emit a parseable BENCH_*.json, fig09's walk must be op- and
 # force-identical on both warp substrates (its exit status), and a
@@ -92,7 +96,12 @@ lines = sys.argv[1].splitlines()
 tables = [l for l in lines if l.startswith('## ')]
 assert tables == ['## per-kernel launch metrics'], tables
 walk = [l.split('|')[2] for l in lines if l.startswith('| walkTree ')]
-assert walk and int(walk[0]) == 2 + 3, 'walkTree launches %r' % walk" \
+assert walk and int(walk[0]) == 2 + 3, 'walkTree launches %r' % walk
+arena = [int(l.split()[2]) for l in lines if l.startswith('arena gauges:')]
+busy = [int(l.split()[3]) for l in lines
+        if l.startswith('worker busy time:')]
+assert arena and busy and busy[0] <= arena[0], \
+    'busy workers %r exceed arena workers %r' % (busy, arena)" \
     "$out" &&
   python3 -m json.tool smoke_trace.json >/dev/null &&
   python3 -c "
@@ -385,17 +394,21 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-echo "== ASan+UBSan: test_trace + test_testkit =="
-# Both test binaries replace the global operator new/delete (every form,
-# the nothrow ones included) to count allocations; AddressSanitizer
-# checks that each allocation is released by its matching form.
+echo "== ASan+UBSan: test_trace + test_testkit + test_walk_tree =="
+# test_trace and test_testkit replace the global operator new/delete
+# (every form, the nothrow ones included) to count allocations;
+# AddressSanitizer checks that each allocation is released by its
+# matching form. test_walk_tree drives the walk's plain vector loads and
+# stores (the spill copy, the MAC sweep's sibling-run loads), so one that
+# reads or writes past a span's end fails here.
 cmake -B build-asan -S . -DGOTHIC_SANITIZE=address \
       -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined" \
       -DGOTHIC_BUILD_BENCH=OFF >/dev/null
-cmake --build build-asan -j --target test_trace test_testkit
+cmake --build build-asan -j --target test_trace test_testkit test_walk_tree
 (cd build-asan &&
   ./tests/test_trace &&
-  ./tests/test_testkit)
+  ./tests/test_testkit &&
+  ./tests/test_walk_tree)
 
 echo "== TSan: barrier + runtime + octree + walk + service + shard + testkit + fuzz =="
 cmake -B build-tsan -S . -DGOTHIC_SANITIZE=thread \
