@@ -10,6 +10,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <new>
 #include <stdexcept>
@@ -28,14 +29,16 @@ using simt::Warp;
 /// vectorises over entries). Lives in the owning worker's arena — one
 /// carve-out per worker, reused across every group and every launch, the
 /// way GOTHIC sizes its shared-memory lists once at start-up (§2.1).
+/// sx..sm carry kWarpSize entries of slack past `cap`, where the AVX2 MAC
+/// sweep stages a batch's accepted pseudo-particles (mac_eval_avx2).
 struct InteractionList {
   InteractionList(runtime::Arena& arena, int capacity, bool with_quad)
       : cap(capacity), has_quad(with_quad) {
     const auto n = static_cast<std::size_t>(capacity);
-    sx = arena.alloc_span<real>(n);
-    sy = arena.alloc_span<real>(n);
-    sz = arena.alloc_span<real>(n);
-    sm = arena.alloc_span<real>(n);
+    sx = arena.alloc_span<real>(n + kWarpSize);
+    sy = arena.alloc_span<real>(n + kWarpSize);
+    sz = arena.alloc_span<real>(n + kWarpSize);
+    sm = arena.alloc_span<real>(n + kWarpSize);
     if (with_quad) {
       qxx = arena.alloc_span<real>(n);
       qxy = arena.alloc_span<real>(n);
@@ -63,6 +66,15 @@ struct InteractionList {
       qyy[size] = qyz[size] = qzz[size] = real(0);
     }
     ++size;
+  }
+
+  /// Moves `n` entries staged at [from, from + n) to the front after a
+  /// flush emptied the list; at small capacities the two runs overlap.
+  void move_staged_to_front(int from, int n) {
+    const auto bytes = static_cast<std::size_t>(n) * sizeof(real);
+    for (const std::span<real> a : {sx, sy, sz, sm}) {
+      std::memmove(a.data(), a.data() + from, bytes);
+    }
   }
 
 #if GOTHIC_SIMD_AVX2
@@ -354,12 +366,13 @@ static_assert(std::is_same_v<real, float>,
 /// AVX2 lane kernel of flush_list: eight group bodies per register, one
 /// broadcast source per inner iteration — the SoA lane mapping of
 /// DESIGN.md "SIMD substrate". Executes *exactly* the scalar per-pair
-/// operation sequence below (explicit mul/add, IEEE div+sqrt for rinv,
-/// -ffp-contract=off build), so each lane's accumulator is bit-identical
-/// to the scalar loop's. The remainder block (gn not a multiple of 8) runs
-/// masked — loads and stores touch only the live lanes, dead lanes compute
-/// on zeros and are discarded — so every lane is covered and the caller's
-/// scalar loop never runs when this kernel does. Returns gn.
+/// operation sequence below (the same hand-placed FMAs, simd::rinv for
+/// simt::rinv, -ffp-contract=off build), so each lane's accumulator is
+/// bit-identical to the scalar loop's. The remainder block (gn not a
+/// multiple of 8) runs masked — loads and stores touch only the live
+/// lanes, dead lanes compute on zeros and are discarded — so every lane is
+/// covered and the caller's scalar loop never runs when this kernel does.
+/// Returns gn.
 int flush_list_avx2(const GroupTask& t, const InteractionList& list, int gn,
                     std::size_t g0, LaneArray<float>& acc_x,
                     LaneArray<float>& acc_y, LaneArray<float>& acc_z,
@@ -369,7 +382,6 @@ int flush_list_avx2(const GroupTask& t, const InteractionList& list, int gn,
   const int ls = list.size;
   const bool quad = t.cfg->use_quadrupole;
   const v::f32x8 eps2v = v::broadcast(eps2);
-  const v::f32x8 one = v::broadcast(1.0f);
   const auto kernel = [&](v::f32x8 xi, v::f32x8 yi, v::f32x8 zi,
                           v::f32x8& sx, v::f32x8& sy, v::f32x8& sz,
                           v::f32x8& sp) {
@@ -377,16 +389,15 @@ int flush_list_avx2(const GroupTask& t, const InteractionList& list, int gn,
       const v::f32x8 dx = v::sub(v::broadcast(list.sx[j]), xi);
       const v::f32x8 dy = v::sub(v::broadcast(list.sy[j]), yi);
       const v::f32x8 dz = v::sub(v::broadcast(list.sz[j]), zi);
-      const v::f32x8 r2 = v::add(
-          v::add(v::add(eps2v, v::mul(dx, dx)), v::mul(dy, dy)),
-          v::mul(dz, dz));
-      const v::f32x8 rinv = _mm256_div_ps(one, _mm256_sqrt_ps(r2));
+      const v::f32x8 r2 =
+          v::fma(dz, dz, v::fma(dy, dy, v::fma(dx, dx, eps2v)));
+      const v::f32x8 rinv = v::rinv(r2);
       const v::f32x8 rinv2 = v::mul(rinv, rinv);
       const v::f32x8 mr = v::mul(v::broadcast(list.sm[j]), rinv);
       const v::f32x8 s = v::mul(mr, rinv2);
-      sx = v::add(sx, v::mul(s, dx));
-      sy = v::add(sy, v::mul(s, dy));
-      sz = v::add(sz, v::mul(s, dz));
+      sx = v::fma(s, dx, sx);
+      sy = v::fma(s, dy, sy);
+      sz = v::fma(s, dz, sz);
       sp = v::sub(sp, mr);
       if (quad) {
         const v::f32x8 qvx =
@@ -564,12 +575,17 @@ int flush_list_lj_avx2(const GroupTask& t, const InteractionList& list,
 /// (dead lanes read index 0, gather the root and are masked off), so all
 /// bn nodes are handled here and the caller's scalar loop never runs; all
 /// op tallies are charged by the caller in bulk per batch and are
-/// path-independent. Returns the accepted (gravity) or culled
-/// (Lennard-Jones) lanes, bit k = nodes[k].
+/// path-independent. With a `stage` list (gravity without quadrupoles)
+/// the sweep also does the accept push: each block left-packs its
+/// accepted lanes' com and mass from the registers it holds and stores
+/// them at stage->size onward, into the list's slack past cap, in lane
+/// order; the caller commits the run (or flushes first and moves it to
+/// the front) and leaves stage->size untouched until then. Returns the
+/// accepted (gravity) or culled (Lennard-Jones) lanes, bit k = nodes[k].
 simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
                               float ctr_x, float ctr_y, float ctr_z,
                               float rgrp, float amin, const index_t* nodes,
-                              int bn) {
+                              int bn, InteractionList* stage) {
   namespace v = simt::simd;
   const v::f32x8 cxv = v::broadcast(ctr_x);
   const v::f32x8 cyv = v::broadcast(ctr_y);
@@ -584,6 +600,7 @@ simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
   const v::f32x8 cutv = v::broadcast(cfg.lj.cutoff);
   const bool lj = cfg.law == ForceLaw::LennardJones;
   simt::lane_mask passed = 0;
+  int staged = 0;
   for (int b = 0; b < bn; b += 8) {
     const int n = std::min(8, bn - b);
     const v::i32x8 idx =
@@ -604,6 +621,7 @@ simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
     const v::f32x8 comy = load(tree.com_y);
     const v::f32x8 comz = load(tree.com_z);
     const v::f32x8 bsize = load(tree.bmax);
+    v::f32x8 mass = zero; // loaded by the MACs that read it
     const v::f32x8 dx = v::sub(comx, cxv);
     const v::f32x8 dy = v::sub(comy, cyv);
     const v::f32x8 dz = v::sub(comz, czv);
@@ -622,15 +640,27 @@ simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
           _mm256_cmp_ps(deff, bsize, _CMP_GT_OQ),
           _mm256_cmp_ps(bsize, v::mul(thv, deff), _CMP_LT_OQ));
     } else { // Acceleration (Gadget never reaches this kernel)
-      const v::f32x8 mass = load(tree.mass);
+      mass = load(tree.mass);
       const v::f32x8 d2 = v::mul(deff, deff);
       const v::f32x8 d4 = v::mul(d2, d2);
       const v::f32x8 lhs = v::mul(v::mul(v::mul(gv, mass), bsize), bsize);
       okv = _mm256_and_ps(_mm256_cmp_ps(deff, bsize, _CMP_GT_OQ),
                           _mm256_cmp_ps(lhs, v::mul(dav, d4), _CMP_LE_OQ));
     }
-    const auto okbits = static_cast<simt::lane_mask>(_mm256_movemask_ps(okv));
-    passed |= (okbits & ((1u << n) - 1u)) << b;
+    const auto okbits =
+        static_cast<simt::lane_mask>(_mm256_movemask_ps(okv)) &
+        ((1u << n) - 1u);
+    passed |= okbits << b;
+    if (stage != nullptr && okbits != 0) {
+      if (cfg.mac.type == MacType::OpeningAngle) mass = load(tree.mass);
+      const v::i32x8 pack = v::left_pack_index(okbits);
+      const int at = stage->size + staged;
+      v::store8(stage->sx.data() + at, _mm256_permutevar8x32_ps(comx, pack));
+      v::store8(stage->sy.data() + at, _mm256_permutevar8x32_ps(comy, pack));
+      v::store8(stage->sz.data() + at, _mm256_permutevar8x32_ps(comz, pack));
+      v::store8(stage->sm.data() + at, _mm256_permutevar8x32_ps(mass, pack));
+      staged += std::popcount(okbits);
+    }
   }
   return passed;
 }
@@ -731,14 +761,17 @@ void flush_list(const GroupTask& t, InteractionList& list, int gn,
       const float dx = list.sx[j] - xi;
       const float dy = list.sy[j] - yi;
       const float dz = list.sz[j] - zi;
-      const float r2 = eps2 + dx * dx + dy * dy + dz * dz;
-      const float rinv = 1.0f / std::sqrt(r2);
+      // The paper's pair: r2 and the accumulators as FMAs, rinv as the
+      // hardware estimate plus one Newton step (simt::rinv).
+      const float r2 =
+          std::fmaf(dz, dz, std::fmaf(dy, dy, std::fmaf(dx, dx, eps2)));
+      const float rinv = simt::rinv(r2);
       const float rinv2 = rinv * rinv;
       const float mr = list.sm[j] * rinv;
       const float s = mr * rinv2;
-      sx += s * dx;
-      sy += s * dy;
-      sz += s * dz;
+      sx = std::fmaf(s, dx, sx);
+      sy = std::fmaf(s, dy, sy);
+      sz = std::fmaf(s, dz, sz);
       sp -= mr;
       if (quad) {
         // a += 2.5 (d.Qd) d / d^7 - Qd / d^5;  pot -= (d.Qd) / (2 d^5).
@@ -807,13 +840,16 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
           std::min<std::size_t>(kWarpSize, ws.cur.size() - batch));
 
       // The MAC sweep leaves one bit per lane: accepted (gravity) or
-      // culled (Lennard-Jones) nodes.
+      // culled (Lennard-Jones) nodes. The AVX2 sweep of gravity without
+      // quadrupoles has already staged the accepted pseudo-particles.
       simt::lane_mask passed = 0;
       int mac_lane0 = 0;
+      bool staged = false;
 #if GOTHIC_SIMD_AVX2
       if (simd && (lj || cfg.mac.type != MacType::Gadget)) {
+        staged = !lj && !cfg.use_quadrupole;
         passed = mac_eval_avx2(tree, cfg, ctr_x, ctr_y, ctr_z, rgrp, amin,
-                               &ws.cur[batch], bn);
+                               &ws.cur[batch], bn, staged ? &list : nullptr);
         mac_lane0 = bn;
       }
 #endif
@@ -887,26 +923,36 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
         }
       }
 
-      // Accepted nodes append their pseudo-particles (warp-compacted).
+      // Accepted nodes append their pseudo-particles (warp-compacted). A
+      // staged run lies at [list.size, list.size + n_acc): committing it
+      // is a size bump, after a flush a move to the front, so the list's
+      // order and flush boundaries are the scalar push's.
       const simt::lane_mask acc_mask = w.ballot(accepted);
       const int n_acc = simt::popc(acc_mask);
       if (n_acc > 0) {
         if (list.size + n_acc > list.cap) {
+          const int staged_at = list.size;
           flush_list(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts,
                      stats);
+          if (staged) list.move_staged_to_front(staged_at, n_acc);
         }
-        for (simt::lane_mask a = acc_mask; a != 0; a &= a - 1) {
-          const int lane = std::countr_zero(a);
-          const index_t node = ws.cur[batch + lane];
-          if (cfg.use_quadrupole) {
-            list.push_quad(tree.com_x[node], tree.com_y[node],
-                           tree.com_z[node], tree.mass[node],
-                           tree.quad_xx[node], tree.quad_xy[node],
-                           tree.quad_xz[node], tree.quad_yy[node],
-                           tree.quad_yz[node], tree.quad_zz[node]);
-          } else {
-            list.push(tree.com_x[node], tree.com_y[node], tree.com_z[node],
-                      tree.mass[node]);
+        if (staged) {
+          list.size += n_acc;
+        } else {
+          // The scalar push: the staged run's oracle, and the path of the
+          // Gadget MAC and of quadrupole entries.
+          for (simt::lane_mask a = acc_mask; a != 0; a &= a - 1) {
+            const index_t node = ws.cur[batch + std::countr_zero(a)];
+            if (cfg.use_quadrupole) {
+              list.push_quad(tree.com_x[node], tree.com_y[node],
+                             tree.com_z[node], tree.mass[node],
+                             tree.quad_xx[node], tree.quad_xy[node],
+                             tree.quad_xz[node], tree.quad_yy[node],
+                             tree.quad_yz[node], tree.quad_zz[node]);
+            } else {
+              list.push(tree.com_x[node], tree.com_y[node],
+                        tree.com_z[node], tree.mass[node]);
+            }
           }
         }
         // One compaction slot per appending lane (simt::compact_slot's

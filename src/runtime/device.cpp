@@ -633,10 +633,13 @@ std::uint64_t Device::launch_count() const {
 
 double Device::worker_busy_seconds_max() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Worker id i's time is the sum over every context's slot i (see
+  // busy_worker_count), so the max is taken over workers, not slots.
   double m = 0.0;
-  for (const auto& w : slots_) m = std::max(m, w->busy_seconds());
-  for (const auto& lane : lanes_) {
-    for (const auto& w : lane->slots) m = std::max(m, w->busy_seconds());
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    double worker = slots_[i]->busy_seconds();
+    for (const auto& lane : lanes_) worker += lane->slots[i]->busy_seconds();
+    m = std::max(m, worker);
   }
   return m;
 }

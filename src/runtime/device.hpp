@@ -331,7 +331,8 @@ public:
   // per-worker counters, safe to read while collectives run). The spread
   // between the busiest worker and the mean is the device-lifetime load
   // imbalance trace::MetricsRegistry turns into a ratio.
-  /// Busiest single worker's cumulative collective-body seconds.
+  /// Busiest single worker's cumulative collective-body seconds, summed
+  /// over its host and lane slots.
   [[nodiscard]] double worker_busy_seconds_max() const;
   /// Sum of collective-body seconds across every worker slot.
   [[nodiscard]] double worker_busy_seconds_total() const;

@@ -7,9 +7,11 @@
 namespace gothic::simt {
 namespace {
 
-bool cpu_has_avx2() {
+// The lane kernels issue vfmadd as well as AVX2 ops (simd::rinv, the
+// gravity pair loop), so both must be present.
+bool cpu_has_avx2_fma() {
 #if GOTHIC_SIMD_AVX2
-  return __builtin_cpu_supports("avx2");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
@@ -37,7 +39,7 @@ bool resolve_simd_selector() {
 bool simd_compiled() { return GOTHIC_SIMD_AVX2 != 0; }
 
 bool simd_available() {
-  static const bool ok = simd_compiled() && cpu_has_avx2();
+  static const bool ok = simd_compiled() && cpu_has_avx2_fma();
   return ok;
 }
 

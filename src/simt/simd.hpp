@@ -11,25 +11,28 @@
 // replaces. Every helper here performs the same IEEE-754 single-precision
 // operations, in the same per-lane order, as the scalar code:
 //
-//  * 1/sqrt is computed as div(1, sqrt(x)) — both correctly rounded — and
-//    never via the approximate `rsqrtps`/`vrsqrtps` (whose result is
-//    implementation-defined to ~12 bits and would break the Pascal/Volta
-//    bit-identity oracle the whole test suite leans on).
-//  * no FMA contraction: kernels are specified as explicit mul/add
-//    sequences and the build pins -ffp-contract=off, so the scalar oracle
-//    compiles to exactly the written sequence and the vector path mirrors
-//    it operation for operation.
+//  * FMAs are placed by hand, on both substrates at once: the scalar
+//    oracle writes std::fmaf where the vector path issues vfmadd, and the
+//    build pins -ffp-contract=off so the compiler fuses nothing by itself.
+//  * the gravity pair's 1/sqrt is rinv(): the hardware estimate
+//    (rsqrtss / vrsqrtps) plus one Newton step, the rsqrtf-on-the-SFU
+//    arithmetic the paper tallies. The estimate comes from the CPU
+//    vendor's table, identical for the scalar and the packed instruction
+//    on one CPU, so results reproduce on one CPU model but not across
+//    vendors, and the build needs x86-64 (rsqrtss is the scalar
+//    estimate). Everything else (calcNode, the MACs, the direct sum, the
+//    Lennard-Jones flush) keeps correctly rounded sqrt and division.
 //  * min/max/add operand order matches the scalar expressions (x86 min/max
 //    and NaN-propagation pick an operand; the order is part of the
 //    contract, exercised by the NaN-poisoned shard views).
 //
-// Selection is two-staged: GOTHIC_SIMD_AVX2 (compile-time, from -mavx2)
-// gates code generation, and simd_enabled() (runtime: CPU support +
-// GOTHIC_SIMD env, default on) selects the path per call site. GOTHIC_SIMD=0
-// is the escape hatch that keeps the scalar loop as the oracle; op tallies
-// (simt::OpCounts) are charged identically on both paths so the perf-model
-// benches stay honest about the *modelled* device regardless of which host
-// path executed.
+// Selection is two-staged: GOTHIC_SIMD_AVX2 (compile-time, from -mavx2
+// -mfma) gates code generation, and simd_enabled() (runtime: CPU support
+// for AVX2 and FMA + GOTHIC_SIMD env, default on) selects the path per
+// call site. GOTHIC_SIMD=0 is the escape hatch that keeps the scalar loop
+// as the oracle; op tallies (simt::OpCounts) are charged identically on
+// both paths so the perf-model benches stay honest about the *modelled*
+// device regardless of which host path executed.
 #pragma once
 
 #include "simt/lane_mask.hpp"
@@ -37,8 +40,15 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 
-#if defined(__AVX2__)
+#if !defined(__SSE__)
+#error "simt::rinv needs the SSE rsqrtss estimate: build for x86-64"
+#endif
+#include <xmmintrin.h>
+
+#if defined(__AVX2__) && defined(__FMA__)
 #define GOTHIC_SIMD_AVX2 1
 #include <immintrin.h>
 #else
@@ -51,8 +61,8 @@ namespace gothic::simt {
 [[nodiscard]] bool simd_compiled();
 
 /// True when the kernels are compiled in *and* the executing CPU reports
-/// AVX2 (checked once via cpuid, so an AVX2 build started on an older
-/// host degrades to the scalar loop instead of faulting).
+/// AVX2 and FMA (checked once via cpuid, so an AVX2 build started on an
+/// older host degrades to the scalar loop instead of faulting).
 [[nodiscard]] bool simd_available();
 
 namespace detail {
@@ -88,6 +98,17 @@ private:
   bool prev_;
 };
 
+/// 1/sqrt(x) as the gravity pair computes it on both substrates: the
+/// hardware estimate y0 (|relative error| <= 1.5 * 2^-12 on x86) refined
+/// by one Newton step, y0 * fma(-0.5 * x, y0 * y0, 1.5). The FMA takes
+/// the -0.5 * x product, not an FNMA of 0.5 * x, so simd::rinv sees the
+/// same operands; the result is within 2^-21 of 1/sqrt(x) for normal x
+/// and equals simd::rinv bit for bit on one CPU.
+inline float rinv(float x) {
+  const float y0 = _mm_cvtss_f32(_mm_rsqrt_ss(_mm_set_ss(x)));
+  return y0 * std::fmaf(-0.5f * x, y0 * y0, 1.5f);
+}
+
 #if GOTHIC_SIMD_AVX2
 
 namespace simd {
@@ -105,12 +126,36 @@ inline f32x8 broadcast(float v) { return _mm256_set1_ps(v); }
 inline f32x8 add(f32x8 a, f32x8 b) { return _mm256_add_ps(a, b); }
 inline f32x8 sub(f32x8 a, f32x8 b) { return _mm256_sub_ps(a, b); }
 inline f32x8 mul(f32x8 a, f32x8 b) { return _mm256_mul_ps(a, b); }
+/// a * b + c with one rounding: the scalar std::fmaf(a, b, c).
+inline f32x8 fma(f32x8 a, f32x8 b, f32x8 c) { return _mm256_fmadd_ps(a, b, c); }
 
-/// IEEE-exact 1/sqrt(x): correctly-rounded sqrt then correctly-rounded
-/// divide — bit-identical to the scalar `1.0f / std::sqrt(x)`. Never
-/// rsqrtps (approximate).
-inline f32x8 rinv_exact(f32x8 x) {
-  return _mm256_div_ps(_mm256_set1_ps(1.0f), _mm256_sqrt_ps(x));
+/// Eight lanes of simt::rinv, the same operations in the same order.
+inline f32x8 rinv(f32x8 x) {
+  const f32x8 y0 = _mm256_rsqrt_ps(x);
+  return mul(y0, fma(mul(_mm256_set1_ps(-0.5f), x), mul(y0, y0),
+                     _mm256_set1_ps(1.5f)));
+}
+
+/// Left-pack permutation per 8-bit lane mask: nibble k of entry m is the
+/// lane of the k-th set bit of m (unused nibbles 0).
+inline constexpr std::array<std::uint32_t, 256> kLeftPack = [] {
+  std::array<std::uint32_t, 256> t{};
+  for (unsigned m = 0; m < 256; ++m) {
+    int k = 0;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      if ((m >> lane) & 1u) t[m] |= lane << (4 * k++);
+    }
+  }
+  return t;
+}();
+
+/// The _mm256_permutevar8x32_ps index that moves the lanes set in `bits`
+/// (low 8 bits) to the front, in lane order.
+inline i32x8 left_pack_index(lane_mask bits) {
+  const i32x8 nibbles = _mm256_srlv_epi32(
+      _mm256_set1_epi32(static_cast<int>(kLeftPack[bits & 0xffu])),
+      _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28));
+  return _mm256_and_si256(nibbles, _mm256_set1_epi32(7));
 }
 
 /// Expand the low 8 bits of a lane mask into an 8x32-bit blend mask

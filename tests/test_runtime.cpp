@@ -180,6 +180,30 @@ TEST(Device, BusyWorkerCountCountsWorkersNotContextSlots) {
   EXPECT_LE(dev.busy_worker_count(), dev.workers());
 }
 
+TEST(Device, BusiestWorkerSumsItsTimeOverEveryContext) {
+  // One worker whose busy time is split between the host's slot and a
+  // lane's slot: the busiest worker is that worker, so its time is the
+  // device total, not the larger of the two slots' shares.
+  Device dev(1);
+  std::atomic<std::uint64_t> sink{0};
+  const auto work = [&sink](Device& on) {
+    on.parallel_for(0, 20000, [&sink](std::size_t i) {
+      sink.fetch_add(i, std::memory_order_relaxed);
+    });
+  };
+  work(dev);
+  const double host_only = dev.worker_busy_seconds_total();
+  ASSERT_GT(host_only, 0.0);
+  Stream s("lane");
+  LaunchDesc d;
+  d.stream = &s;
+  (void)dev.launch(d, [&work](simt::OpCounts&) { work(Device::current()); });
+  dev.synchronize();
+  ASSERT_GT(dev.worker_busy_seconds_total(), host_only);
+  EXPECT_EQ(dev.busy_worker_count(), 1);
+  EXPECT_EQ(dev.worker_busy_seconds_max(), dev.worker_busy_seconds_total());
+}
+
 TEST(Device, PropagatesBodyExceptions) {
   Device dev(4);
   EXPECT_THROW(dev.parallel_for(0, 100,

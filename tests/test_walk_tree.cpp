@@ -640,6 +640,70 @@ TEST(WalkTree, SimdAndScalarWalksAreBitIdenticalWithEqualCounts) {
   EXPECT_GT(poisoned_runs, 0) << "no input poisoned a run of eight siblings";
 }
 
+TEST(WalkTree, StagedAcceptsAreBitIdenticalAcrossFlushesAndCapacities) {
+  // The AVX2 MAC sweep stages accepted pseudo-particles past the list's
+  // end and, when they do not fit, the flush runs first and the staged
+  // run moves to the front. Both MACs that stage (opening angle, and
+  // acceleration with a non-empty aold) must match the scalar push bit
+  // for bit. Capacities 32 and 40 make staged runs straddle flushes and,
+  // when fewer entries were listed than were staged, overlap the front.
+  if (!simt::simd_available()) {
+    GTEST_SKIP() << "AVX2 unavailable on this host";
+  }
+  for (const std::size_t n : {std::size_t{61}, std::size_t{4096}}) {
+    System s = plummer(n, 9300 + n);
+    s.build();
+    WalkConfig probe;
+    probe.eps = kEps;
+    const ForceResult first = run_walk(s, probe);
+    std::vector<real> aold(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      aold[i] = std::sqrt(first.ax[i] * first.ax[i] +
+                          first.ay[i] * first.ay[i] +
+                          first.az[i] * first.az[i]);
+    }
+    for (const bool poison : {false, true}) {
+      if (poison) (void)poison_geometry(s.tree);
+      for (const MacType mac : {MacType::OpeningAngle, MacType::Acceleration}) {
+        for (const int cap : {32, 40, 128}) {
+          WalkConfig cfg;
+          cfg.eps = kEps;
+          cfg.mac.type = mac;
+          cfg.list_capacity = cap;
+          simt::OpCounts scalar_ops, simd_ops;
+          WalkStats scalar_stats, simd_stats;
+          ForceResult scalar_r, simd_r;
+          {
+            simt::ScopedSimd off(false);
+            scalar_r = run_walk(s, cfg, aold, &scalar_ops, &scalar_stats);
+          }
+          {
+            simt::ScopedSimd on(true);
+            simd_r = run_walk(s, cfg, aold, &simd_ops, &simd_stats);
+          }
+          const auto where = [&] {
+            return "n=" + std::to_string(n) +
+                   " mac=" + std::to_string(static_cast<int>(mac)) +
+                   " cap=" + std::to_string(cap) +
+                   " poison=" + std::to_string(poison);
+          };
+          ASSERT_EQ(tallies_of(scalar_ops, scalar_stats),
+                    tallies_of(simd_ops, simd_stats))
+              << where();
+          ASSERT_GT(scalar_stats.pseudo_appended, 0u) << where();
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(scalar_r.ax[i], simd_r.ax[i]) << where() << " i=" << i;
+            ASSERT_EQ(scalar_r.ay[i], simd_r.ay[i]) << where() << " i=" << i;
+            ASSERT_EQ(scalar_r.az[i], simd_r.az[i]) << where() << " i=" << i;
+            ASSERT_EQ(scalar_r.pot[i], simd_r.pot[i])
+                << where() << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(WalkTree, GroupBoundingRadiusRoundsUpAtTheFloatBoundary) {
   // The double→float cast of the group radius rounds to nearest, so about
   // half of all runs used to report a radius *below* the true double

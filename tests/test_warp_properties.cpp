@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -332,6 +334,57 @@ TEST(WarpProperties, SimdAndScalarReductionsAreBitIdenticalOnRandomMasks) {
       }
     }
   }
+}
+
+TEST(Rinv, WithinTwoToTheMinus21OfOneOverSqrtAndEqualOnBothSubstrates) {
+  // simt::rinv is the gravity pair's 1/sqrt: the rsqrt estimate plus one
+  // Newton step. x86 documents the estimate to 1.5 * 2^-12 relative
+  // error, so one step lands within 2^-21 whatever the vendor's table.
+  // Samples: r2 log-spaced over [2^-40, 2^40], the m31 scenario's eps^2,
+  // and every float in [1, 4) (every mantissa at both exponent parities,
+  // which is what the estimate's table is indexed by), checked eight at a
+  // time so simd::rinv sees the same samples.
+  [[maybe_unused]] const bool simd = simd_available();
+  double worst = 0.0;
+  std::size_t mismatches = 0;
+  float first_mismatch = 0.0f;
+  std::array<float, 8> block{};
+  std::size_t fill = 0;
+  const auto sample = [&](float r2) {
+    block[fill++] = r2;
+    if (fill < 8) return;
+    fill = 0;
+    std::array<float, 8> scalar{};
+    for (std::size_t k = 0; k < 8; ++k) {
+      scalar[k] = rinv(block[k]);
+      const double exact = 1.0 / std::sqrt(static_cast<double>(block[k]));
+      worst = std::max(worst, std::fabs(scalar[k] - exact) / exact);
+    }
+#if GOTHIC_SIMD_AVX2
+    if (!simd) return;
+    std::array<float, 8> lanes{};
+    simd::store8(lanes.data(), simd::rinv(simd::load8(block.data())));
+    for (std::size_t k = 0; k < 8; ++k) {
+      if (std::bit_cast<std::uint32_t>(scalar[k]) !=
+              std::bit_cast<std::uint32_t>(lanes[k]) &&
+          mismatches++ == 0) {
+        first_mismatch = block[k];
+      }
+    }
+#endif
+  };
+  constexpr int kLogSamples = 1 << 20;
+  for (int i = 0; i <= kLogSamples; ++i) {
+    sample(static_cast<float>(
+        std::exp2(-40.0 + 80.0 * i / static_cast<double>(kLogSamples))));
+  }
+  const float m31_eps = 0.0156f;
+  sample(m31_eps * m31_eps);
+  for (float x = 1.0f; x < 4.0f; x = std::nextafter(x, 5.0f)) sample(x);
+  while (fill != 0) sample(1.0f);
+
+  EXPECT_LE(worst, std::ldexp(1.0, -21));
+  EXPECT_EQ(mismatches, 0u) << "first at r2 = " << first_mismatch;
 }
 
 TEST(WarpProperties, SimdSelectorReportsAndRestoresState) {

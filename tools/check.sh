@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus AddressSanitizer and ThreadSanitizer passes.
 #
-#   tools/check.sh            # full: verify + ASan/UBSan + TSan
+#   tools/check.sh            # full: verify + scalar-only + ASan/UBSan + TSan
 #   tools/check.sh --fast     # verify only
 #
 # Every stage runs once: there is one launch scheduler (the stream
@@ -46,6 +46,13 @@
 # The e2e stage builds the end-to-end benchmark (bench/e2e, its own CMake
 # project) against this tree into build/e2e, runs its unit tests, and
 # smokes the two-shard workload with its K=2 bit-identity check.
+#
+# The scalar-only stage configures the tree without the AVX2 lane kernels
+# and without the benches (-DGOTHIC_SIMD=OFF -DGOTHIC_BUILD_BENCH=OFF,
+# warnings as errors) into build-scalar/, builds the default target and
+# runs test_walk_tree and test_warp_properties (the rinv accuracy test):
+# the scalar oracle then compiles without -mavx2 -mfma, so std::fmaf is a
+# library call and rsqrtss comes from the SSE header alone.
 #
 # The ASan stage builds test_trace, test_testkit and test_walk_tree in
 # build-asan/ with GOTHIC_SANITIZE=address plus UBSan and runs them: the
@@ -393,6 +400,15 @@ echo "bench_diff gate passed"
 if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
+
+echo "== scalar-only build: GOTHIC_SIMD=OFF, no benches =="
+cmake -B build-scalar -S . -DGOTHIC_SIMD=OFF -DGOTHIC_BUILD_BENCH=OFF \
+      -DGOTHIC_WERROR=ON >/dev/null
+cmake --build build-scalar -j
+(cd build-scalar &&
+  ./tests/test_walk_tree &&
+  ./tests/test_warp_properties)
+echo "scalar-only stage passed"
 
 echo "== ASan+UBSan: test_trace + test_testkit + test_walk_tree =="
 # test_trace and test_testkit replace the global operator new/delete
