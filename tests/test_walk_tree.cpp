@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -985,6 +986,104 @@ TEST(WalkTree, TalliesEqualThePinnedParentValues) {
             << (simd ? " simd" : " scalar");
       }
     }
+  }
+}
+
+/// FNV-1a over 32-bit words.
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint32_t word) {
+    h ^= word;
+    h *= 0x100000001b3ull;
+  }
+};
+
+/// The bit patterns of every acceleration and potential, hashed in order.
+std::uint64_t force_checksum(const ForceResult& r) {
+  Fnv64 f;
+  for (const std::vector<real>* v : {&r.ax, &r.ay, &r.az, &r.pot}) {
+    for (const real a : *v) f.add(std::bit_cast<std::uint32_t>(a));
+  }
+  return f.h;
+}
+
+/// The CPU's rsqrtss estimate over every float in [1, 4): one binade of
+/// each exponent parity, which is the whole table the estimate reads.
+std::uint64_t rsqrt_table_digest() {
+  Fnv64 f;
+  for (std::uint32_t bits = 0x3f800000u; bits < 0x40800000u; ++bits) {
+    const float y =
+        _mm_cvtss_f32(_mm_rsqrt_ss(_mm_set_ss(std::bit_cast<float>(bits))));
+    f.add(std::bit_cast<std::uint32_t>(y));
+  }
+  return f.h;
+}
+
+TEST(WalkTree, ForcesEqualThePinnedParentChecksums) {
+  // The tallies above pin what the walk counted; these pin what it
+  // computed: one hash of the bits of ax, ay, az and pot per case, recorded
+  // from the walk whose lane kernels were still written twice (a scalar
+  // loop and an AVX2 copy), so the one-source kernels must reproduce it on
+  // both substrates. Gravity's pair runs the rsqrt estimate, whose table is
+  // the CPU vendor's (DESIGN.md, "Bit-identity contract"): its cases run
+  // only where the estimate matches the recording CPU's. Lennard-Jones
+  // uses IEEE division and always runs.
+  constexpr std::uint64_t kRsqrtDigest = 0xb5f59e23cb722325ull;
+  const std::uint64_t digest = rsqrt_table_digest();
+  const bool same_table = digest == kRsqrtDigest;
+
+  System s = box_and_clump();
+  System sq = s;
+  octree::CalcNodeConfig nc;
+  nc.compute_quadrupole = true;
+  calc_node(sq.tree, sq.x, sq.y, sq.z, sq.m, nc);
+  WalkConfig theta;
+  theta.eps = kEps;
+  theta.mac.type = MacType::OpeningAngle;
+  theta.mac.theta = real(0.7);
+  const ForceResult first = run_walk(s, theta);
+  std::vector<real> aold(s.n());
+  for (std::size_t i = 0; i < s.n(); ++i) {
+    aold[i] = std::sqrt(first.ax[i] * first.ax[i] +
+                        first.ay[i] * first.ay[i] +
+                        first.az[i] * first.az[i]);
+  }
+  WalkConfig acc = theta;
+  acc.mac.type = MacType::Acceleration;
+  WalkConfig gadget = theta;
+  gadget.mac.type = MacType::Gadget;
+  WalkConfig quad = acc;
+  quad.use_quadrupole = true;
+  const WalkConfig lj = lj_config();
+
+  struct Case {
+    const char* name;
+    System* sys;
+    const WalkConfig* cfg;
+    bool gravity;
+    std::uint64_t checksum;
+  };
+  const Case cases[] = {
+      {"acceleration", &s, &acc, true, 0xd996a8a6c8aec224ull},
+      {"opening-angle", &s, &theta, true, 0xb121572b4388ca92ull},
+      {"gadget", &s, &gadget, true, 0x1d019a7d369ca9dcull},
+      {"acceleration+quadrupole", &sq, &quad, true,
+       0xa4daf77a154c1b72ull},
+      {"lennard-jones", &s, &lj, false, 0xe9756c9ef8aa6c01ull},
+  };
+  for (const Case& c : cases) {
+    if (c.gravity && !same_table) continue;
+    for (const bool simd : {false, true}) {
+      simt::ScopedSimd substrate(simd);
+      const ForceResult r = run_walk(*c.sys, *c.cfg, aold);
+      EXPECT_EQ(force_checksum(r), c.checksum)
+          << c.name << (simd ? " simd" : " scalar") << std::hex
+          << " checksum 0x" << force_checksum(r);
+    }
+  }
+  if (!same_table) {
+    GTEST_SKIP() << "gravity cases skipped: rsqrt table digest 0x" << std::hex
+                 << digest << ", pinned on a CPU with 0x" << kRsqrtDigest;
   }
 }
 
