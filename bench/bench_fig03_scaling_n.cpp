@@ -74,7 +74,7 @@ int main() {
             << " (paper 31457280); V100 32GB -> "
             << perfmodel::max_particles(perfmodel::tesla_v100_32gb())
             << ".\n";
-  session.finish(runtime::Device::current());
+  session.finish({&runtime::Device::current()});
   if (session.tracing()) {
     std::cout << "perfetto trace: " << session.trace_path() << "\n";
   }

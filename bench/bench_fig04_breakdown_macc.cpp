@@ -57,7 +57,7 @@ int main() {
             << Table::fix(calc_max / calc_min, 2)
             << "x (paper: flat; walkTree and the rebuild interval carry all "
                "the dacc dependence).\n";
-  session.finish(runtime::Device::current());
+  session.finish({&runtime::Device::current()});
   if (session.tracing()) {
     std::cout << "perfetto trace: " << session.trace_path() << "\n";
   }

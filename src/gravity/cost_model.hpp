@@ -14,8 +14,8 @@
 // (loop counter, bounds test, address). This mix gives the fp:int ratio of
 // roughly 4:1 in the interaction-dominated regime seen in Fig 6. The host
 // executes this tallied 6 FMA / 3 mul / 4 add per pair on both substrates
-// (walk_tree.cpp's flush_list); its simt::rinv, the rsqrt estimate plus
-// one Newton step (2 mul + 1 FMA more), stands in for the SFU op.
+// (walk_tree.cpp's flush_gravity); its rinv, the rsqrt estimate plus one
+// Newton step (2 mul + 1 FMA more), stands in for the SFU op.
 //
 // The MAC evaluation (Eq. 2, rearranged to G m_J b_J^2 <= dacc |a| d^4 to
 // avoid the division) executes per (group, node) pair:

@@ -47,15 +47,13 @@ bool conservative_accept(const octree::Octree& tree, const WalkConfig& cfg,
   if (lb < 0.0) lb = 0.0;
   float deff = std::nextafterf(static_cast<float>(lb), 0.0f);
   if (cfg.law == ForceLaw::LennardJones) {
-    // Cutoff-MAC pruning direction: if even the lower-bound distance culls
-    // (deff > cutoff + bmax), every destination group's own walk — whose
-    // deff can only be larger — culls too, so the subtree is never read.
-    return deff > cfg.lj.cutoff + tree.bmax[node];
+    // Cutoff-MAC pruning direction: if even the lower-bound distance culls,
+    // every destination group's own walk — whose deff can only be larger —
+    // culls too, so the subtree is never read.
+    return cutoff_cull(deff, cfg.lj.cutoff, tree.bmax[node]);
   }
-  const float bsize =
-      cfg.mac.type == MacType::Gadget
-          ? tree.box.edge / static_cast<float>(1u << tree.depth[node])
-          : tree.bmax[node];
+  const float bsize = cfg.mac.type == MacType::Gadget ? cell_edge(tree, node)
+                                                      : tree.bmax[node];
   return mac_accept(cfg.mac, deff, tree.mass[node], bsize, dst.amin_min,
                     cfg.g);
 }

@@ -11,10 +11,15 @@
 // the group minimum — both conservative. The opening-angle (Barnes-Hut)
 // and GADGET side-length variants are provided for the accuracy/cost
 // comparison the paper cites ([18], [14]).
+//
+// Each test is written once over a lane pack (simt/simd.hpp): the walk's
+// MAC sweep evaluates a block of frontier nodes per call, and the LET's
+// pruning test is the 1-wide call.
 #pragma once
 
+#include "octree/tree.hpp"
+#include "simt/simd.hpp"
 #include "util/types.hpp"
-
 
 namespace gothic::gravity {
 
@@ -37,25 +42,41 @@ struct MacParams {
 /// zero), `mass`/`bsize` the node's m_J and b_J (or cell edge for Gadget),
 /// `amin` the group's minimum |a^old|, `g` the gravitational constant.
 /// A node whose sphere can reach into the group (deff <= bsize) is never
-/// accepted: the multipole expansion would not converge.
-[[nodiscard]] inline bool mac_accept(const MacParams& p, real deff, real mass,
-                                     real bsize, real amin, real g) {
-  if (!(deff > bsize)) return false;
-  switch (p.type) {
-    case MacType::Acceleration: {
-      const real d2 = deff * deff;
-      const real d4 = d2 * d2;
-      return g * mass * bsize * bsize <= p.dacc * amin * d4;
-    }
-    case MacType::OpeningAngle:
-      return bsize < p.theta * deff;
-    case MacType::Gadget: {
-      const real d2 = deff * deff;
-      const real d4 = d2 * d2;
-      return g * mass * bsize * bsize <= p.dacc * amin * d4;
-    }
+/// accepted: the multipole expansion would not converge. Ordered-quiet
+/// compares: NaN geometry is never accepted.
+template <class P = simt::simd::F32x1>
+[[nodiscard]] typename P::M mac_accept(const MacParams& p,
+                                       typename P::F deff,
+                                       typename P::F mass,
+                                       typename P::F bsize, real amin,
+                                       real g) {
+  const typename P::M apart = P::gt(deff, bsize);
+  if (p.type == MacType::OpeningAngle) {
+    return P::both(apart, P::lt(bsize, p.theta * deff));
   }
-  return false;
+  // Acceleration and Gadget: g m b^2 <= dacc amin d^4.
+  const typename P::F d2 = deff * deff;
+  const typename P::F d4 = d2 * d2;
+  return P::both(apart,
+                 P::le(g * mass * bsize * bsize, p.dacc * amin * d4));
+}
+
+/// The Gadget MAC's box size b_J: the node's cell edge, edge / 2^depth.
+template <class P = simt::simd::F32x1>
+[[nodiscard]] typename P::F cell_edge(const octree::Octree& tree,
+                                      const typename P::Nodes& nodes) {
+  return tree.box.edge / P::load_nodes_exp2(tree.depth.data(), nodes);
+}
+
+/// The Lennard-Jones cutoff MAC: a node is culled when every body below
+/// it provably lies beyond the cutoff of every group body. deff
+/// lower-bounds the group-to-com distance and bmax bounds the subtree's
+/// spread about its com, so deff > cutoff + bmax implies every pair
+/// distance exceeds the cutoff. NaN geometry is never culled.
+template <class P = simt::simd::F32x1>
+[[nodiscard]] typename P::M cutoff_cull(typename P::F deff, real cutoff,
+                                        typename P::F bmax) {
+  return P::gt(deff, cutoff + bmax);
 }
 
 } // namespace gothic::gravity

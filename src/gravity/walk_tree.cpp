@@ -29,8 +29,8 @@ using simt::Warp;
 /// vectorises over entries). Lives in the owning worker's arena — one
 /// carve-out per worker, reused across every group and every launch, the
 /// way GOTHIC sizes its shared-memory lists once at start-up (§2.1).
-/// sx..sm carry kWarpSize entries of slack past `cap`, where the AVX2 MAC
-/// sweep stages a batch's accepted pseudo-particles (mac_eval_avx2).
+/// sx..sm carry kWarpSize entries of slack past `cap`, where the MAC sweep
+/// stages a batch's accepted pseudo-particles (mac_sweep).
 struct InteractionList {
   InteractionList(runtime::Arena& arena, int capacity, bool with_quad)
       : cap(capacity), has_quad(with_quad) {
@@ -56,18 +56,6 @@ struct InteractionList {
   // bodies); carved out only when the walk evaluates them.
   std::span<real> qxx, qxy, qxz, qyy, qyz, qzz;
 
-  void push(real px, real py, real pz, real pm) {
-    sx[size] = px;
-    sy[size] = py;
-    sz[size] = pz;
-    sm[size] = pm;
-    if (has_quad) {
-      qxx[size] = qxy[size] = qxz[size] = real(0);
-      qyy[size] = qyz[size] = qzz[size] = real(0);
-    }
-    ++size;
-  }
-
   /// Moves `n` entries staged at [from, from + n) to the front after a
   /// flush emptied the list; at small capacities the two runs overlap.
   void move_staged_to_front(int from, int n) {
@@ -77,45 +65,28 @@ struct InteractionList {
     }
   }
 
-#if GOTHIC_SIMD_AVX2
-  /// Bulk body append for the spill path: `nb` bodies (and zero
-  /// quadrupoles), byte-identical to `nb` push() calls. Inline 8-float
-  /// register copies with a masked tail, so a leaf of a few dozen bodies
-  /// costs no library call. Neither side is touched past its last element:
-  /// the source ends at the leaf's last body (the last leaf's at the end
-  /// of the position spans) and the caller keeps size + nb <= cap.
+  /// Appends `n` spilled bodies (and zero quadrupoles), P's width at a
+  /// time, so a leaf of a few dozen bodies costs no library call. Neither
+  /// side is touched past its last element: the source ends at the leaf's
+  /// last body (the last leaf's at the end of the position spans) and the
+  /// caller keeps size + n <= cap.
+  template <class P>
   void append_bodies(const real* px, const real* py, const real* pz,
-                     const real* pm, index_t nb) {
-    namespace v = simt::simd;
-    const int n = static_cast<int>(nb);
-    const int full = n & ~7;
-    const v::i32x8 tm = v::tail_mask8(n - full);
-    const auto copy = [&](real* dst, const real* src) {
-      for (int k = 0; k < full; k += 8) v::store8(dst + k, v::load8(src + k));
-      if (full < n) {
-        _mm256_maskstore_ps(dst + full, tm,
-                            _mm256_maskload_ps(src + full, tm));
+                     const real* pm, int n) {
+    simt::simd::for_each_block<P>(n, [&](int k, auto live) {
+      const int at = size + k;
+      P::store(sx.data() + at, live, P::load(px + k, live));
+      P::store(sy.data() + at, live, P::load(py + k, live));
+      P::store(sz.data() + at, live, P::load(pz + k, live));
+      P::store(sm.data() + at, live, P::load(pm + k, live));
+      if (has_quad) {
+        for (const std::span<real> q : {qxx, qxy, qxz, qyy, qyz, qzz}) {
+          P::store(q.data() + at, live, P::broadcast(0.0f));
+        }
       }
-    };
-    const auto zero = [&](real* dst) {
-      for (int k = 0; k < full; k += 8) v::store8(dst + k, _mm256_setzero_ps());
-      if (full < n) _mm256_maskstore_ps(dst + full, tm, _mm256_setzero_ps());
-    };
-    copy(sx.data() + size, px);
-    copy(sy.data() + size, py);
-    copy(sz.data() + size, pz);
-    copy(sm.data() + size, pm);
-    if (has_quad) {
-      zero(qxx.data() + size);
-      zero(qxy.data() + size);
-      zero(qxz.data() + size);
-      zero(qyy.data() + size);
-      zero(qyz.data() + size);
-      zero(qzz.data() + size);
-    }
+    });
     size += n;
   }
-#endif
 
   void push_quad(real px, real py, real pz, real pm, real xx, real xy,
                  real xz, real yy, real yz, real zz) {
@@ -356,480 +327,229 @@ void walk_groups(const Octree& tree, std::span<const real> x,
 
 namespace {
 
-// The pairwise kernel accumulates in float on both paths; the SIMD lane
-// registers are __m256 (8 floats), so `real` widening would silently fork
-// the two paths' numerics.
+// The pairwise kernels accumulate in float on both packs; the 8-wide
+// pack's lanes hold 8 floats, so `real` widening would silently fork the
+// two packs' numerics.
 static_assert(std::is_same_v<real, float>,
-              "flush_list lane kernels assume real == float");
+              "the walk's lane kernels assume real == float");
 
-#if GOTHIC_SIMD_AVX2
-/// AVX2 lane kernel of flush_list: eight group bodies per register, one
-/// broadcast source per inner iteration — the SoA lane mapping of
-/// DESIGN.md "SIMD substrate". Executes *exactly* the scalar per-pair
-/// operation sequence below (the same hand-placed FMAs, simd::rinv for
-/// simt::rinv, -ffp-contract=off build), so each lane's accumulator is
-/// bit-identical to the scalar loop's. The remainder block (gn not a
-/// multiple of 8) runs masked — loads and stores touch only the live
-/// lanes, dead lanes compute on zeros and are discarded — so every lane is
-/// covered and the caller's scalar loop never runs when this kernel does.
-/// Returns gn.
-int flush_list_avx2(const GroupTask& t, const InteractionList& list, int gn,
-                    std::size_t g0, LaneArray<float>& acc_x,
-                    LaneArray<float>& acc_y, LaneArray<float>& acc_z,
-                    LaneArray<float>& acc_p) {
-  namespace v = simt::simd;
-  const float eps2 = t.cfg->eps * t.cfg->eps;
+/// The group's accumulators: one register file per component.
+struct Accumulators {
+  LaneArray<float> x{}, y{}, z{}, p{};
+};
+
+/// Gravity of all listed sources on the group's bodies, P::kWidth bodies
+/// per block with one broadcast source per inner iteration — the SoA lane
+/// mapping of DESIGN.md "SIMD substrate". The paper's pair: r2 and the
+/// accumulators as FMAs, rinv as the hardware estimate plus one Newton
+/// step (P::rinv).
+template <class P>
+void flush_gravity(const GroupTask& t, const InteractionList& list, int gn,
+                   std::size_t g0, Accumulators& acc) {
+  using F = typename P::F;
+  const F eps2 = P::broadcast(t.cfg->eps * t.cfg->eps);
   const int ls = list.size;
   const bool quad = t.cfg->use_quadrupole;
-  const v::f32x8 eps2v = v::broadcast(eps2);
-  const auto kernel = [&](v::f32x8 xi, v::f32x8 yi, v::f32x8 zi,
-                          v::f32x8& sx, v::f32x8& sy, v::f32x8& sz,
-                          v::f32x8& sp) {
+  simt::simd::for_each_block<P>(gn, [&](int lane, auto live) {
+    const F xi = P::load(t.x.data() + g0 + lane, live);
+    const F yi = P::load(t.y.data() + g0 + lane, live);
+    const F zi = P::load(t.z.data() + g0 + lane, live);
+    F sx = P::broadcast(0.0f), sy = sx, sz = sx, sp = sx;
     for (int j = 0; j < ls; ++j) {
-      const v::f32x8 dx = v::sub(v::broadcast(list.sx[j]), xi);
-      const v::f32x8 dy = v::sub(v::broadcast(list.sy[j]), yi);
-      const v::f32x8 dz = v::sub(v::broadcast(list.sz[j]), zi);
-      const v::f32x8 r2 =
-          v::fma(dz, dz, v::fma(dy, dy, v::fma(dx, dx, eps2v)));
-      const v::f32x8 rinv = v::rinv(r2);
-      const v::f32x8 rinv2 = v::mul(rinv, rinv);
-      const v::f32x8 mr = v::mul(v::broadcast(list.sm[j]), rinv);
-      const v::f32x8 s = v::mul(mr, rinv2);
-      sx = v::fma(s, dx, sx);
-      sy = v::fma(s, dy, sy);
-      sz = v::fma(s, dz, sz);
-      sp = v::sub(sp, mr);
-      if (quad) {
-        const v::f32x8 qvx =
-            v::add(v::add(v::mul(v::broadcast(list.qxx[j]), dx),
-                          v::mul(v::broadcast(list.qxy[j]), dy)),
-                   v::mul(v::broadcast(list.qxz[j]), dz));
-        const v::f32x8 qvy =
-            v::add(v::add(v::mul(v::broadcast(list.qxy[j]), dx),
-                          v::mul(v::broadcast(list.qyy[j]), dy)),
-                   v::mul(v::broadcast(list.qyz[j]), dz));
-        const v::f32x8 qvz =
-            v::add(v::add(v::mul(v::broadcast(list.qxz[j]), dx),
-                          v::mul(v::broadcast(list.qyz[j]), dy)),
-                   v::mul(v::broadcast(list.qzz[j]), dz));
-        const v::f32x8 dq = v::add(
-            v::add(v::mul(dx, qvx), v::mul(dy, qvy)), v::mul(dz, qvz));
-        const v::f32x8 rinv5 = v::mul(v::mul(rinv2, rinv2), rinv);
-        const v::f32x8 rinv7 = v::mul(rinv5, rinv2);
-        const v::f32x8 coef =
-            v::mul(v::mul(v::broadcast(2.5f), dq), rinv7);
-        sx = v::add(sx, v::sub(v::mul(coef, dx), v::mul(qvx, rinv5)));
-        sy = v::add(sy, v::sub(v::mul(coef, dy), v::mul(qvy, rinv5)));
-        sz = v::add(sz, v::sub(v::mul(coef, dz), v::mul(qvz, rinv5)));
-        sp = v::sub(sp, v::mul(v::mul(v::broadcast(0.5f), dq), rinv5));
-      }
-    }
-  };
-  const int full = gn & ~7;
-  for (int lane = 0; lane < full; lane += 8) {
-    const v::f32x8 xi = v::load8(t.x.data() + g0 + lane);
-    const v::f32x8 yi = v::load8(t.y.data() + g0 + lane);
-    const v::f32x8 zi = v::load8(t.z.data() + g0 + lane);
-    v::f32x8 sx = _mm256_setzero_ps();
-    v::f32x8 sy = _mm256_setzero_ps();
-    v::f32x8 sz = _mm256_setzero_ps();
-    v::f32x8 sp = _mm256_setzero_ps();
-    kernel(xi, yi, zi, sx, sy, sz, sp);
-    v::store8(acc_x.data() + lane, v::add(v::load8(acc_x.data() + lane), sx));
-    v::store8(acc_y.data() + lane, v::add(v::load8(acc_y.data() + lane), sy));
-    v::store8(acc_z.data() + lane, v::add(v::load8(acc_z.data() + lane), sz));
-    v::store8(acc_p.data() + lane, v::add(v::load8(acc_p.data() + lane), sp));
-  }
-  if (const int rn = gn - full; rn > 0) {
-    // Masked remainder: live lanes see exactly the scalar operation
-    // sequence; dead lanes load as zero, compute garbage and are never
-    // stored. acc_* are 32-wide LaneArrays and full <= 24 here, so the
-    // unmasked accumulator loads stay in bounds.
-    const v::i32x8 tm = v::tail_mask8(rn);
-    const v::f32x8 xi = _mm256_maskload_ps(t.x.data() + g0 + full, tm);
-    const v::f32x8 yi = _mm256_maskload_ps(t.y.data() + g0 + full, tm);
-    const v::f32x8 zi = _mm256_maskload_ps(t.z.data() + g0 + full, tm);
-    v::f32x8 sx = _mm256_setzero_ps();
-    v::f32x8 sy = _mm256_setzero_ps();
-    v::f32x8 sz = _mm256_setzero_ps();
-    v::f32x8 sp = _mm256_setzero_ps();
-    kernel(xi, yi, zi, sx, sy, sz, sp);
-    _mm256_maskstore_ps(acc_x.data() + full, tm,
-                        v::add(v::load8(acc_x.data() + full), sx));
-    _mm256_maskstore_ps(acc_y.data() + full, tm,
-                        v::add(v::load8(acc_y.data() + full), sy));
-    _mm256_maskstore_ps(acc_z.data() + full, tm,
-                        v::add(v::load8(acc_z.data() + full), sz));
-    _mm256_maskstore_ps(acc_p.data() + full, tm,
-                        v::add(v::load8(acc_p.data() + full), sp));
-  }
-  return gn;
-}
-/// AVX2 lane kernel of flush_list_lj: the Lennard-Jones mirror of
-/// flush_list_avx2, executing *exactly* the scalar per-pair sequence below
-/// (same mul association, IEEE division for 1/r2, -ffp-contract=off).
-/// Out-of-range and self pairs are masked with _mm256_and_ps, whose
-/// all-zero lanes produce the same +0.0f the scalar ternary's literal
-/// does — including when the unmasked product is inf/NaN (r2 == 0) — so
-/// the masked select-then-add matches the scalar loop bit for bit.
-/// Returns gn.
-int flush_list_lj_avx2(const GroupTask& t, const InteractionList& list,
-                       int gn, std::size_t g0, LaneArray<float>& acc_x,
-                       LaneArray<float>& acc_y, LaneArray<float>& acc_z,
-                       LaneArray<float>& acc_p) {
-  namespace v = simt::simd;
-  const float sig2 = t.cfg->lj.sigma * t.cfg->lj.sigma;
-  const float rc2 = t.cfg->lj.cutoff * t.cfg->lj.cutoff;
-  const float ecoef = 24.0f * t.cfg->lj.epsilon;
-  const float e4 = 4.0f * t.cfg->lj.epsilon;
-  const int ls = list.size;
-  const v::f32x8 sig2v = v::broadcast(sig2);
-  const v::f32x8 rc2v = v::broadcast(rc2);
-  const v::f32x8 ecoefv = v::broadcast(ecoef);
-  const v::f32x8 e4v = v::broadcast(e4);
-  const v::f32x8 one = v::broadcast(1.0f);
-  const v::f32x8 zero = _mm256_setzero_ps();
-  const auto kernel = [&](v::f32x8 xi, v::f32x8 yi, v::f32x8 zi,
-                          v::f32x8& sx, v::f32x8& sy, v::f32x8& sz,
-                          v::f32x8& sp) {
-    for (int j = 0; j < ls; ++j) {
-      const v::f32x8 smj = v::broadcast(list.sm[j]);
-      const v::f32x8 dx = v::sub(v::broadcast(list.sx[j]), xi);
-      const v::f32x8 dy = v::sub(v::broadcast(list.sy[j]), yi);
-      const v::f32x8 dz = v::sub(v::broadcast(list.sz[j]), zi);
-      const v::f32x8 r2 = v::add(
-          v::add(v::mul(dx, dx), v::mul(dy, dy)), v::mul(dz, dz));
-      // in-range mask: r2 > 0 drops self pairs (the group's own spilled
-      // bodies), r2 <= rc2 is the exact per-pair cutoff. Ordered-quiet
-      // compares reject NaN like the scalar &&.
-      const v::f32x8 in =
-          _mm256_and_ps(_mm256_cmp_ps(r2, zero, _CMP_GT_OQ),
-                        _mm256_cmp_ps(r2, rc2v, _CMP_LE_OQ));
-      const v::f32x8 inv = _mm256_div_ps(one, r2);
-      const v::f32x8 s2 = v::mul(sig2v, inv);
-      const v::f32x8 s6 = v::mul(v::mul(s2, s2), s2);
-      const v::f32x8 s12 = v::mul(s6, s6);
-      const v::f32x8 coef = v::mul(
-          v::mul(ecoefv, smj),
-          v::mul(v::sub(s6, v::add(s12, s12)), inv));
-      const v::f32x8 vpair = v::mul(v::mul(e4v, smj), v::sub(s12, s6));
-      sx = v::add(sx, _mm256_and_ps(in, v::mul(coef, dx)));
-      sy = v::add(sy, _mm256_and_ps(in, v::mul(coef, dy)));
-      sz = v::add(sz, _mm256_and_ps(in, v::mul(coef, dz)));
-      sp = v::add(sp, _mm256_and_ps(in, vpair));
-    }
-  };
-  const int full = gn & ~7;
-  for (int lane = 0; lane < full; lane += 8) {
-    const v::f32x8 xi = v::load8(t.x.data() + g0 + lane);
-    const v::f32x8 yi = v::load8(t.y.data() + g0 + lane);
-    const v::f32x8 zi = v::load8(t.z.data() + g0 + lane);
-    v::f32x8 sx = _mm256_setzero_ps();
-    v::f32x8 sy = _mm256_setzero_ps();
-    v::f32x8 sz = _mm256_setzero_ps();
-    v::f32x8 sp = _mm256_setzero_ps();
-    kernel(xi, yi, zi, sx, sy, sz, sp);
-    v::store8(acc_x.data() + lane, v::add(v::load8(acc_x.data() + lane), sx));
-    v::store8(acc_y.data() + lane, v::add(v::load8(acc_y.data() + lane), sy));
-    v::store8(acc_z.data() + lane, v::add(v::load8(acc_z.data() + lane), sz));
-    v::store8(acc_p.data() + lane, v::add(v::load8(acc_p.data() + lane), sp));
-  }
-  if (const int rn = gn - full; rn > 0) {
-    // Masked remainder, as in flush_list_avx2: dead lanes load zeros
-    // (r2 = 0 there masks their garbage out anyway) and are never stored.
-    const v::i32x8 tm = v::tail_mask8(rn);
-    const v::f32x8 xi = _mm256_maskload_ps(t.x.data() + g0 + full, tm);
-    const v::f32x8 yi = _mm256_maskload_ps(t.y.data() + g0 + full, tm);
-    const v::f32x8 zi = _mm256_maskload_ps(t.z.data() + g0 + full, tm);
-    v::f32x8 sx = _mm256_setzero_ps();
-    v::f32x8 sy = _mm256_setzero_ps();
-    v::f32x8 sz = _mm256_setzero_ps();
-    v::f32x8 sp = _mm256_setzero_ps();
-    kernel(xi, yi, zi, sx, sy, sz, sp);
-    _mm256_maskstore_ps(acc_x.data() + full, tm,
-                        v::add(v::load8(acc_x.data() + full), sx));
-    _mm256_maskstore_ps(acc_y.data() + full, tm,
-                        v::add(v::load8(acc_y.data() + full), sy));
-    _mm256_maskstore_ps(acc_z.data() + full, tm,
-                        v::add(v::load8(acc_z.data() + full), sz));
-    _mm256_maskstore_ps(acc_p.data() + full, tm,
-                        v::add(v::load8(acc_p.data() + full), sp));
-  }
-  return gn;
-}
-#endif // GOTHIC_SIMD_AVX2
-
-#if GOTHIC_SIMD_AVX2
-/// AVX2 lane kernel of the per-batch MAC sweep: eight frontier nodes per
-/// iteration — centre-of-mass/mass/bmax loaded by node index, distance,
-/// deff and the decision evaluated in lane registers with the exact
-/// operation sequence of the scalar loop (correctly-rounded sqrt, same mul
-/// association, ordered-quiet compares so NaN geometry never accepts and
-/// never culls, exactly like the scalar `!(deff > bsize)` and `>`). The
-/// frontier is built from contiguous child ranges, so eight nodes are
-/// often one run of consecutive siblings: those load with plain vector
-/// loads at the run's first node (the same values; every index is a node
-/// of the tree, so the load stays in bounds), others gather. The Gadget
-/// MAC derives bsize from the per-node depth instead of bmax and stays on
-/// the scalar loop. The remainder block runs with a masked index load
-/// (dead lanes read index 0, gather the root and are masked off), so all
-/// bn nodes are handled here and the caller's scalar loop never runs; all
-/// op tallies are charged by the caller in bulk per batch and are
-/// path-independent. With a `stage` list (gravity without quadrupoles)
-/// the sweep also does the accept push: each block left-packs its
-/// accepted lanes' com and mass from the registers it holds and stores
-/// them at stage->size onward, into the list's slack past cap, in lane
-/// order; the caller commits the run (or flushes first and moves it to
-/// the front) and leaves stage->size untouched until then. Returns the
-/// accepted (gravity) or culled (Lennard-Jones) lanes, bit k = nodes[k].
-simt::lane_mask mac_eval_avx2(const Octree& tree, const WalkConfig& cfg,
-                              float ctr_x, float ctr_y, float ctr_z,
-                              float rgrp, float amin, const index_t* nodes,
-                              int bn, InteractionList* stage) {
-  namespace v = simt::simd;
-  const v::f32x8 cxv = v::broadcast(ctr_x);
-  const v::f32x8 cyv = v::broadcast(ctr_y);
-  const v::f32x8 czv = v::broadcast(ctr_z);
-  const v::f32x8 rgv = v::broadcast(rgrp);
-  const v::f32x8 zero = _mm256_setzero_ps();
-  // Scalar pre-products mirror the scalar mac_accept's association:
-  // p.dacc * amin * d4 groups as (p.dacc * amin) * d4.
-  const v::f32x8 gv = v::broadcast(cfg.g);
-  const v::f32x8 dav = v::broadcast(cfg.mac.dacc * amin);
-  const v::f32x8 thv = v::broadcast(cfg.mac.theta);
-  const v::f32x8 cutv = v::broadcast(cfg.lj.cutoff);
-  const bool lj = cfg.law == ForceLaw::LennardJones;
-  simt::lane_mask passed = 0;
-  int staged = 0;
-  for (int b = 0; b < bn; b += 8) {
-    const int n = std::min(8, bn - b);
-    const v::i32x8 idx =
-        (n == 8) ? _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i*>(nodes + b))
-                 : _mm256_maskload_epi32(
-                       reinterpret_cast<const int*>(nodes + b),
-                       v::tail_mask8(n));
-    const index_t first = nodes[b];
-    const bool run =
-        n == 8 && _mm256_movemask_epi8(_mm256_cmpeq_epi32(
-                      idx, v::index_run8(static_cast<int>(first)))) == -1;
-    const auto load = [&](const std::vector<real>& a) {
-      return run ? v::load8(a.data() + first)
-                 : _mm256_i32gather_ps(a.data(), idx, 4);
-    };
-    const v::f32x8 comx = load(tree.com_x);
-    const v::f32x8 comy = load(tree.com_y);
-    const v::f32x8 comz = load(tree.com_z);
-    const v::f32x8 bsize = load(tree.bmax);
-    v::f32x8 mass = zero; // loaded by the MACs that read it
-    const v::f32x8 dx = v::sub(comx, cxv);
-    const v::f32x8 dy = v::sub(comy, cyv);
-    const v::f32x8 dz = v::sub(comz, czv);
-    const v::f32x8 d = _mm256_sqrt_ps(
-        v::add(v::add(v::mul(dx, dx), v::mul(dy, dy)), v::mul(dz, dz)));
-    // max(first=0, second=d-rgrp) keeps the second operand on NaN and on
-    // +-0 ties — exactly std::max(d - rgrp, 0.0f).
-    const v::f32x8 deff = _mm256_max_ps(zero, v::sub(d, rgv));
-    v::f32x8 okv;
-    if (lj) {
-      // Cutoff MAC: culled when deff > cutoff + bmax, the scalar loop's
-      // operand order.
-      okv = _mm256_cmp_ps(deff, v::add(cutv, bsize), _CMP_GT_OQ);
-    } else if (cfg.mac.type == MacType::OpeningAngle) {
-      okv = _mm256_and_ps(
-          _mm256_cmp_ps(deff, bsize, _CMP_GT_OQ),
-          _mm256_cmp_ps(bsize, v::mul(thv, deff), _CMP_LT_OQ));
-    } else { // Acceleration (Gadget never reaches this kernel)
-      mass = load(tree.mass);
-      const v::f32x8 d2 = v::mul(deff, deff);
-      const v::f32x8 d4 = v::mul(d2, d2);
-      const v::f32x8 lhs = v::mul(v::mul(v::mul(gv, mass), bsize), bsize);
-      okv = _mm256_and_ps(_mm256_cmp_ps(deff, bsize, _CMP_GT_OQ),
-                          _mm256_cmp_ps(lhs, v::mul(dav, d4), _CMP_LE_OQ));
-    }
-    const auto okbits =
-        static_cast<simt::lane_mask>(_mm256_movemask_ps(okv)) &
-        ((1u << n) - 1u);
-    passed |= okbits << b;
-    if (stage != nullptr && okbits != 0) {
-      if (cfg.mac.type == MacType::OpeningAngle) mass = load(tree.mass);
-      const v::i32x8 pack = v::left_pack_index(okbits);
-      const int at = stage->size + staged;
-      v::store8(stage->sx.data() + at, _mm256_permutevar8x32_ps(comx, pack));
-      v::store8(stage->sy.data() + at, _mm256_permutevar8x32_ps(comy, pack));
-      v::store8(stage->sz.data() + at, _mm256_permutevar8x32_ps(comz, pack));
-      v::store8(stage->sm.data() + at, _mm256_permutevar8x32_ps(mass, pack));
-      staged += std::popcount(okbits);
-    }
-  }
-  return passed;
-}
-#endif // GOTHIC_SIMD_AVX2
-
-/// Flush (ForceLaw::LennardJones): truncated 12-6 forces of all listed
-/// bodies on the group's bodies. The list holds only spilled leaf bodies
-/// (the cutoff MAC never appends pseudo-particles), and every pair is
-/// re-tested against the cutoff here, so the tree result equals the
-/// direct sum up to summation order. Self pairs (r2 == 0) mask to zero —
-/// that is also what keeps the group's own spilled bodies harmless.
-void flush_list_lj(const GroupTask& t, InteractionList& list, int gn,
-                   std::size_t g0, LaneArray<float>& acc_x,
-                   LaneArray<float>& acc_y, LaneArray<float>& acc_z,
-                   LaneArray<float>& acc_p, simt::OpCounts& counts,
-                   WalkStats& stats) {
-  const float sig2 = t.cfg->lj.sigma * t.cfg->lj.sigma;
-  const float rc2 = t.cfg->lj.cutoff * t.cfg->lj.cutoff;
-  const float ecoef = 24.0f * t.cfg->lj.epsilon;
-  const float e4 = 4.0f * t.cfg->lj.epsilon;
-  const int ls = list.size;
-  int lane0 = 0;
-#if GOTHIC_SIMD_AVX2
-  if (simt::simd_enabled()) {
-    lane0 = flush_list_lj_avx2(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p);
-  }
-#endif
-  for (int lane = lane0; lane < gn; ++lane) {
-    const float xi = t.x[g0 + lane];
-    const float yi = t.y[g0 + lane];
-    const float zi = t.z[g0 + lane];
-    float sx = 0, sy = 0, sz = 0, sp = 0;
-    for (int j = 0; j < ls; ++j) {
-      const float dx = list.sx[j] - xi;
-      const float dy = list.sy[j] - yi;
-      const float dz = list.sz[j] - zi;
-      const float r2 = dx * dx + dy * dy + dz * dz;
-      const bool in = r2 > 0.0f && r2 <= rc2;
-      const float inv = 1.0f / r2;
-      const float s2 = sig2 * inv;
-      const float s6 = (s2 * s2) * s2;
-      const float s12 = s6 * s6;
-      // a_i += m_j 24 eps (s6 - 2 s12) / r2 * d  (d points from i to j, so
-      // a positive coefficient is attractive); pot_i += m_j 4 eps (s12-s6).
-      const float coef = (ecoef * list.sm[j]) * ((s6 - (s12 + s12)) * inv);
-      const float vpair = (e4 * list.sm[j]) * (s12 - s6);
-      sx += in ? coef * dx : 0.0f;
-      sy += in ? coef * dy : 0.0f;
-      sz += in ? coef * dz : 0.0f;
-      sp += in ? vpair : 0.0f;
-    }
-    acc_x[lane] += sx;
-    acc_y[lane] += sy;
-    acc_z[lane] += sz;
-    acc_p[lane] += sp;
-  }
-  const auto pairs = static_cast<std::uint64_t>(gn) * ls;
-  counts.fp32_add += pairs * cost::kLjPairAdd;
-  counts.fp32_fma += pairs * cost::kLjPairFma;
-  counts.fp32_mul += pairs * cost::kLjPairMul;
-  counts.fp32_special += pairs * cost::kLjPairSpecial;
-  counts.int_ops += pairs * cost::kLjPairInt;
-  stats.interactions += pairs;
-  stats.flushes += 1;
-  list.size = 0;
-}
-
-/// Flush: gravity of all listed sources on the group's bodies.
-void flush_list(const GroupTask& t, InteractionList& list, int gn,
-                std::size_t g0, LaneArray<float>& acc_x,
-                LaneArray<float>& acc_y, LaneArray<float>& acc_z,
-                LaneArray<float>& acc_p, simt::OpCounts& counts,
-                WalkStats& stats) {
-  if (list.size == 0) return;
-  if (t.cfg->law == ForceLaw::LennardJones) {
-    flush_list_lj(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts,
-                  stats);
-    return;
-  }
-  // Accumulators and lane stores are float end to end (explicitly, not via
-  // `real`): eps2, the per-pair temporaries and the acc_* updates below
-  // narrow nowhere, so the scalar and SIMD paths cannot diverge on a store.
-  const float eps2 = t.cfg->eps * t.cfg->eps;
-  const int ls = list.size;
-  const bool quad = t.cfg->use_quadrupole;
-  int lane0 = 0;
-#if GOTHIC_SIMD_AVX2
-  if (simt::simd_enabled()) {
-    lane0 = flush_list_avx2(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p);
-  }
-#endif
-  for (int lane = lane0; lane < gn; ++lane) {
-    const float xi = t.x[g0 + lane];
-    const float yi = t.y[g0 + lane];
-    const float zi = t.z[g0 + lane];
-    float sx = 0, sy = 0, sz = 0, sp = 0;
-    for (int j = 0; j < ls; ++j) {
-      const float dx = list.sx[j] - xi;
-      const float dy = list.sy[j] - yi;
-      const float dz = list.sz[j] - zi;
-      // The paper's pair: r2 and the accumulators as FMAs, rinv as the
-      // hardware estimate plus one Newton step (simt::rinv).
-      const float r2 =
-          std::fmaf(dz, dz, std::fmaf(dy, dy, std::fmaf(dx, dx, eps2)));
-      const float rinv = simt::rinv(r2);
-      const float rinv2 = rinv * rinv;
-      const float mr = list.sm[j] * rinv;
-      const float s = mr * rinv2;
-      sx = std::fmaf(s, dx, sx);
-      sy = std::fmaf(s, dy, sy);
-      sz = std::fmaf(s, dz, sz);
-      sp -= mr;
+      const F dx = list.sx[j] - xi;
+      const F dy = list.sy[j] - yi;
+      const F dz = list.sz[j] - zi;
+      const F r2 = P::fma(dz, dz, P::fma(dy, dy, P::fma(dx, dx, eps2)));
+      const F rinv = P::rinv(r2);
+      const F rinv2 = rinv * rinv;
+      const F mr = list.sm[j] * rinv;
+      const F s = mr * rinv2;
+      sx = P::fma(s, dx, sx);
+      sy = P::fma(s, dy, sy);
+      sz = P::fma(s, dz, sz);
+      sp = sp - mr;
       if (quad) {
         // a += 2.5 (d.Qd) d / d^7 - Qd / d^5;  pot -= (d.Qd) / (2 d^5).
-        const float qvx =
-            list.qxx[j] * dx + list.qxy[j] * dy + list.qxz[j] * dz;
-        const float qvy =
-            list.qxy[j] * dx + list.qyy[j] * dy + list.qyz[j] * dz;
-        const float qvz =
-            list.qxz[j] * dx + list.qyz[j] * dy + list.qzz[j] * dz;
-        const float dq = dx * qvx + dy * qvy + dz * qvz;
-        const float rinv5 = rinv2 * rinv2 * rinv;
-        const float rinv7 = rinv5 * rinv2;
-        const float coef = 2.5f * dq * rinv7;
-        sx += coef * dx - qvx * rinv5;
-        sy += coef * dy - qvy * rinv5;
-        sz += coef * dz - qvz * rinv5;
-        sp -= 0.5f * dq * rinv5;
+        const F qvx = list.qxx[j] * dx + list.qxy[j] * dy + list.qxz[j] * dz;
+        const F qvy = list.qxy[j] * dx + list.qyy[j] * dy + list.qyz[j] * dz;
+        const F qvz = list.qxz[j] * dx + list.qyz[j] * dy + list.qzz[j] * dz;
+        const F dq = dx * qvx + dy * qvy + dz * qvz;
+        const F rinv5 = rinv2 * rinv2 * rinv;
+        const F rinv7 = rinv5 * rinv2;
+        const F coef = 2.5f * dq * rinv7;
+        sx = sx + (coef * dx - qvx * rinv5);
+        sy = sy + (coef * dy - qvy * rinv5);
+        sz = sz + (coef * dz - qvz * rinv5);
+        sp = sp - 0.5f * dq * rinv5;
       }
     }
-    acc_x[lane] += sx;
-    acc_y[lane] += sy;
-    acc_z[lane] += sz;
-    acc_p[lane] += sp;
-  }
-  const auto pairs = static_cast<std::uint64_t>(gn) * ls;
-  counts.fp32_add += pairs * cost::kPairAdd;
-  counts.fp32_fma += pairs * cost::kPairFma;
-  counts.fp32_mul += pairs * cost::kPairMul;
-  counts.fp32_special += pairs * cost::kPairSpecial;
-  counts.int_ops += pairs * cost::kPairInt;
-  if (quad) {
-    counts.fp32_fma += pairs * cost::kQuadFma;
-    counts.fp32_mul += pairs * cost::kQuadMul;
+    P::store(acc.x.data() + lane, live, P::load(acc.x.data() + lane, live) + sx);
+    P::store(acc.y.data() + lane, live, P::load(acc.y.data() + lane, live) + sy);
+    P::store(acc.z.data() + lane, live, P::load(acc.z.data() + lane, live) + sz);
+    P::store(acc.p.data() + lane, live, P::load(acc.p.data() + lane, live) + sp);
+  });
+}
+
+/// Truncated 12-6 forces of all listed bodies on the group's bodies. The
+/// list holds only spilled leaf bodies (the cutoff MAC never appends
+/// pseudo-particles), and every pair is re-tested against the cutoff
+/// here, so the tree result equals the direct sum up to summation order.
+/// Out-of-range and self pairs (r2 == 0: the group's own spilled bodies)
+/// add +0.0, also where the unmasked product is inf or NaN.
+template <class P>
+void flush_lj(const GroupTask& t, const InteractionList& list, int gn,
+              std::size_t g0, Accumulators& acc) {
+  using F = typename P::F;
+  const float sig2 = t.cfg->lj.sigma * t.cfg->lj.sigma;
+  const F zero = P::broadcast(0.0f);
+  const F rc2 = P::broadcast(t.cfg->lj.cutoff * t.cfg->lj.cutoff);
+  const float ecoef = 24.0f * t.cfg->lj.epsilon;
+  const float e4 = 4.0f * t.cfg->lj.epsilon;
+  const int ls = list.size;
+  simt::simd::for_each_block<P>(gn, [&](int lane, auto live) {
+    const F xi = P::load(t.x.data() + g0 + lane, live);
+    const F yi = P::load(t.y.data() + g0 + lane, live);
+    const F zi = P::load(t.z.data() + g0 + lane, live);
+    F sx = zero, sy = zero, sz = zero, sp = zero;
+    for (int j = 0; j < ls; ++j) {
+      const F dx = list.sx[j] - xi;
+      const F dy = list.sy[j] - yi;
+      const F dz = list.sz[j] - zi;
+      const F r2 = dx * dx + dy * dy + dz * dz;
+      const auto in = P::both(P::gt(r2, zero), P::le(r2, rc2));
+      const F inv = 1.0f / r2;
+      const F s2 = sig2 * inv;
+      const F s6 = s2 * s2 * s2;
+      const F s12 = s6 * s6;
+      // a_i += m_j 24 eps (s6 - 2 s12) / r2 * d  (d points from i to j, so
+      // a positive coefficient is attractive); pot_i += m_j 4 eps (s12-s6).
+      const F coef = (ecoef * list.sm[j]) * ((s6 - (s12 + s12)) * inv);
+      const F vpair = (e4 * list.sm[j]) * (s12 - s6);
+      sx = sx + P::select_or_zero(in, coef * dx);
+      sy = sy + P::select_or_zero(in, coef * dy);
+      sz = sz + P::select_or_zero(in, coef * dz);
+      sp = sp + P::select_or_zero(in, vpair);
+    }
+    P::store(acc.x.data() + lane, live, P::load(acc.x.data() + lane, live) + sx);
+    P::store(acc.y.data() + lane, live, P::load(acc.y.data() + lane, live) + sy);
+    P::store(acc.z.data() + lane, live, P::load(acc.z.data() + lane, live) + sz);
+    P::store(acc.p.data() + lane, live, P::load(acc.p.data() + lane, live) + sp);
+  });
+}
+
+/// Flush: the listed sources act on the group's bodies, then the list
+/// empties.
+template <class P>
+void flush_list(const GroupTask& t, InteractionList& list, int gn,
+                std::size_t g0, Accumulators& acc, simt::OpCounts& counts,
+                WalkStats& stats) {
+  if (list.size == 0) return;
+  const auto pairs = static_cast<std::uint64_t>(gn) * list.size;
+  if (t.cfg->law == ForceLaw::LennardJones) {
+    flush_lj<P>(t, list, gn, g0, acc);
+    counts.fp32_add += pairs * cost::kLjPairAdd;
+    counts.fp32_fma += pairs * cost::kLjPairFma;
+    counts.fp32_mul += pairs * cost::kLjPairMul;
+    counts.fp32_special += pairs * cost::kLjPairSpecial;
+    counts.int_ops += pairs * cost::kLjPairInt;
+  } else {
+    flush_gravity<P>(t, list, gn, g0, acc);
+    counts.fp32_add += pairs * cost::kPairAdd;
+    counts.fp32_fma += pairs * cost::kPairFma;
+    counts.fp32_mul += pairs * cost::kPairMul;
+    counts.fp32_special += pairs * cost::kPairSpecial;
+    counts.int_ops += pairs * cost::kPairInt;
+    if (t.cfg->use_quadrupole) {
+      counts.fp32_fma += pairs * cost::kQuadFma;
+      counts.fp32_mul += pairs * cost::kQuadMul;
+    }
   }
   stats.interactions += pairs;
   stats.flushes += 1;
   list.size = 0;
+}
+
+/// The per-batch MAC sweep, P::kWidth frontier nodes per block: com, mass
+/// and bmax loaded by node index, then distance, deff and the decision
+/// (mac.hpp) in lanes — correctly rounded sqrt, ordered-quiet compares, so
+/// NaN geometry never accepts and never culls. Under Lennard-Jones it runs
+/// the cutoff MAC, otherwise the configured gravity MAC. With a `stage`
+/// list (gravity without quadrupoles) the sweep also does the accept
+/// push: each block left-packs its accepted lanes' com and mass and stores
+/// them at stage->size onward, into the list's slack past cap, in lane
+/// order; the caller commits the run (or flushes first and moves it to
+/// the front) and leaves stage->size untouched until then. The caller
+/// charges every op tally in bulk per batch. Returns the accepted
+/// (gravity) or culled (Lennard-Jones) lanes, bit k = nodes[k].
+template <class P>
+simt::lane_mask mac_sweep(const Octree& tree, const WalkConfig& cfg,
+                          const GroupSummary& grp, const index_t* nodes,
+                          int bn, InteractionList* stage) {
+  using F = typename P::F;
+  const F cx = P::broadcast(grp.ctr_x);
+  const F cy = P::broadcast(grp.ctr_y);
+  const F cz = P::broadcast(grp.ctr_z);
+  const F rgrp = P::broadcast(grp.rgrp);
+  const bool lj = cfg.law == ForceLaw::LennardJones;
+  const bool gadget = cfg.mac.type == MacType::Gadget;
+  simt::lane_mask passed = 0;
+  int staged = 0;
+  simt::simd::for_each_block<P>(bn, [&](int b, auto live) {
+    const auto idx = P::nodes(nodes + b, live);
+    const F comx = P::load_nodes(tree.com_x.data(), idx);
+    const F comy = P::load_nodes(tree.com_y.data(), idx);
+    const F comz = P::load_nodes(tree.com_z.data(), idx);
+    const F bmax = P::load_nodes(tree.bmax.data(), idx);
+    const F dx = comx - cx;
+    const F dy = comy - cy;
+    const F dz = comz - cz;
+    const F deff = P::max0(P::sqrt(dx * dx + dy * dy + dz * dz) - rgrp);
+    simt::lane_mask ok;
+    F mass = P::broadcast(0.0f);
+    if (lj) {
+      ok = P::bits(cutoff_cull<P>(deff, cfg.lj.cutoff, bmax));
+    } else {
+      mass = P::load_nodes(tree.mass.data(), idx);
+      const F bsize = gadget ? cell_edge<P>(tree, idx) : bmax;
+      ok = P::bits(mac_accept<P>(cfg.mac, deff, mass, bsize, grp.amin, cfg.g));
+    }
+    ok &= simt::lanemask_lt(live);
+    passed |= ok << b;
+    if (stage != nullptr && ok != 0) {
+      const int at = stage->size + staged;
+      P::left_pack_store(stage->sx.data() + at, comx, ok);
+      P::left_pack_store(stage->sy.data() + at, comy, ok);
+      P::left_pack_store(stage->sz.data() + at, comz, ok);
+      P::left_pack_store(stage->sm.data() + at, mass, ok);
+      staged += simt::popc(ok);
+    }
+  });
+  return passed;
 }
 
 /// Traverse the tree for one group of up to 32 consecutive bodies.
+template <class P>
 void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
                 InteractionList& list, simt::OpCounts& counts,
                 WalkStats& stats) {
   const Octree& tree = *t.tree;
   const WalkConfig& cfg = *t.cfg;
   const bool lj = cfg.law == ForceLaw::LennardJones;
-  // The selector changes only while the device is idle, so one read
-  // serves the whole group.
-  [[maybe_unused]] const bool simd = simt::simd_enabled();
+  // Gravity without quadrupoles stages its accepted pseudo-particles in
+  // the MAC sweep; quadrupole entries take the push loop below.
+  const bool staged = !lj && !cfg.use_quadrupole;
   Warp w(cfg.mode, counts);
   stats.groups += 1;
 
   // --- group bounding sphere and minimum old acceleration -----------------
-  const auto [ctr_x, ctr_y, ctr_z, rgrp, amin] =
+  const GroupSummary grp =
       summarize_group(w, t.x, t.y, t.z, t.aold, g0, gn);
 
   // --- breadth-first traversal with the shared interaction list ----------
-  LaneArray<float> acc_x{}, acc_y{}, acc_z{}, acc_p{};
+  Accumulators acc;
+  const auto flush = [&] {
+    flush_list<P>(t, list, gn, g0, acc, counts, stats);
+  };
   ws.cur.clear();
   ws.nxt.clear();
   ws.cur.push_back(0); // root
@@ -840,59 +560,12 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
           std::min<std::size_t>(kWarpSize, ws.cur.size() - batch));
 
       // The MAC sweep leaves one bit per lane: accepted (gravity) or
-      // culled (Lennard-Jones) nodes. The AVX2 sweep of gravity without
-      // quadrupoles has already staged the accepted pseudo-particles.
-      simt::lane_mask passed = 0;
-      int mac_lane0 = 0;
-      bool staged = false;
-#if GOTHIC_SIMD_AVX2
-      if (simd && (lj || cfg.mac.type != MacType::Gadget)) {
-        staged = !lj && !cfg.use_quadrupole;
-        passed = mac_eval_avx2(tree, cfg, ctr_x, ctr_y, ctr_z, rgrp, amin,
-                               &ws.cur[batch], bn, staged ? &list : nullptr);
-        mac_lane0 = bn;
-      }
-#endif
-      if (lj) {
-        // Cutoff MAC (no pseudo-particles): a node is culled — dropped
-        // entirely — when every body below it provably lies beyond the
-        // cutoff of every group body: deff lower-bounds the group-to-com
-        // distance and bmax bounds the subtree's spread about its com, so
-        // deff > cutoff + bmax implies every pair distance > cutoff.
-        // Culling is only an optimisation: reached pairs re-test the
-        // cutoff exactly in the flush, so a non-culled far node changes
-        // nothing. NaN geometry (a poisoned shard view) compares false,
-        // descends, and surfaces as NaN forces — never a silent cull.
-        // mac_eval_avx2 runs the same compare; this loop is its
-        // GOTHIC_SIMD=0 oracle.
-        for (int lane = mac_lane0; lane < bn; ++lane) {
-          const index_t node = ws.cur[batch + lane];
-          const float dx = tree.com_x[node] - ctr_x;
-          const float dy = tree.com_y[node] - ctr_y;
-          const float dz = tree.com_z[node] - ctr_z;
-          const float d = std::sqrt(dx * dx + dy * dy + dz * dz);
-          const float deff = std::max(d - rgrp, 0.0f);
-          const bool culled = deff > cfg.lj.cutoff + tree.bmax[node];
-          passed |= simt::lane_mask{culled} << lane;
-        }
-      } else {
-        for (int lane = mac_lane0; lane < bn; ++lane) {
-          const index_t node = ws.cur[batch + lane];
-          const float dx = tree.com_x[node] - ctr_x;
-          const float dy = tree.com_y[node] - ctr_y;
-          const float dz = tree.com_z[node] - ctr_z;
-          const float d = std::sqrt(dx * dx + dy * dy + dz * dz);
-          const float deff = std::max(d - rgrp, 0.0f);
-          // The Gadget MAC opens by cell edge length; the others use bmax.
-          const float bsize =
-              cfg.mac.type == MacType::Gadget
-                  ? tree.box.edge / static_cast<float>(1u << tree.depth[node])
-                  : tree.bmax[node];
-          const bool ok = mac_accept(cfg.mac, deff, tree.mass[node], bsize,
-                                     amin, cfg.g);
-          passed |= simt::lane_mask{ok} << lane;
-        }
-      }
+      // culled (Lennard-Jones) nodes, the accepted pseudo-particles staged.
+      // Culling is only an optimisation: reached pairs re-test the cutoff
+      // exactly in the flush, so a non-culled far node changes nothing.
+      const simt::lane_mask passed =
+          mac_sweep<P>(tree, cfg, grp, &ws.cur[batch], bn,
+                       staged ? &list : nullptr);
       counts.bytes_load += static_cast<std::uint64_t>(
           static_cast<double>(bn) * cost::kNodeBytes *
           cost::kNodeDramFraction);
@@ -926,33 +599,25 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
       // Accepted nodes append their pseudo-particles (warp-compacted). A
       // staged run lies at [list.size, list.size + n_acc): committing it
       // is a size bump, after a flush a move to the front, so the list's
-      // order and flush boundaries are the scalar push's.
+      // order and flush boundaries are a per-node push's.
       const simt::lane_mask acc_mask = w.ballot(accepted);
       const int n_acc = simt::popc(acc_mask);
       if (n_acc > 0) {
         if (list.size + n_acc > list.cap) {
           const int staged_at = list.size;
-          flush_list(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts,
-                     stats);
+          flush();
           if (staged) list.move_staged_to_front(staged_at, n_acc);
         }
         if (staged) {
           list.size += n_acc;
         } else {
-          // The scalar push: the staged run's oracle, and the path of the
-          // Gadget MAC and of quadrupole entries.
           for (simt::lane_mask a = acc_mask; a != 0; a &= a - 1) {
             const index_t node = ws.cur[batch + std::countr_zero(a)];
-            if (cfg.use_quadrupole) {
-              list.push_quad(tree.com_x[node], tree.com_y[node],
-                             tree.com_z[node], tree.mass[node],
-                             tree.quad_xx[node], tree.quad_xy[node],
-                             tree.quad_xz[node], tree.quad_yy[node],
-                             tree.quad_yz[node], tree.quad_zz[node]);
-            } else {
-              list.push(tree.com_x[node], tree.com_y[node],
-                        tree.com_z[node], tree.mass[node]);
-            }
+            list.push_quad(tree.com_x[node], tree.com_y[node],
+                           tree.com_z[node], tree.mass[node],
+                           tree.quad_xx[node], tree.quad_xy[node],
+                           tree.quad_xz[node], tree.quad_yy[node],
+                           tree.quad_yz[node], tree.quad_zz[node]);
           }
         }
         // One compaction slot per appending lane (simt::compact_slot's
@@ -974,24 +639,12 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
         index_t b = tree.body_first[node];
         index_t remain = tree.body_count[node];
         while (remain > 0) {
-          if (list.size == list.cap) {
-            flush_list(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts,
-                       stats);
-          }
+          if (list.size == list.cap) flush();
           const index_t take = std::min<index_t>(
               remain, static_cast<index_t>(list.cap - list.size));
-          index_t k = 0;
-#if GOTHIC_SIMD_AVX2
-          if (simd) {
-            // Byte-identical bulk copy (zero quadrupoles included).
-            list.append_bodies(t.x.data() + b, t.y.data() + b,
-                               t.z.data() + b, t.m.data() + b, take);
-            k = take;
-          }
-#endif
-          for (; k < take; ++k) {
-            list.push(t.x[b + k], t.y[b + k], t.z[b + k], t.m[b + k]);
-          }
+          list.append_bodies<P>(t.x.data() + b, t.y.data() + b,
+                                t.z.data() + b, t.m.data() + b,
+                                static_cast<int>(take));
           counts.bytes_load += static_cast<std::uint64_t>(
               static_cast<double>(take) * cost::kListEntryBytes *
               cost::kBodyDramFraction);
@@ -1015,21 +668,10 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
           const index_t node = ws.cur[batch + std::countr_zero(o)];
           const index_t first = tree.child_first[node];
           const int nc = tree.child_count[node]; // 1..8 octants
-          int c = 0;
-#if GOTHIC_SIMD_AVX2
-          if (simd) {
-            // The child run in one store masked to the child count.
-            namespace v = simt::simd;
-            _mm256_maskstore_epi32(reinterpret_cast<int*>(&ws.nxt[slot]),
-                                   v::tail_mask8(nc),
-                                   v::index_run8(static_cast<int>(first)));
-            c = nc;
-          }
-#endif
-          for (; c < nc; ++c) {
-            ws.nxt[slot + static_cast<std::size_t>(c)] =
-                first + static_cast<index_t>(c);
-          }
+          index_t* const run = &ws.nxt[slot];
+          simt::simd::for_each_block<P>(nc, [&](int c, auto live) {
+            P::store_run(run + c, live, first + static_cast<index_t>(c));
+          });
           slot += static_cast<std::size_t>(nc);
         }
         stats.nodes_opened += static_cast<std::uint64_t>(simt::popc(opened));
@@ -1048,22 +690,22 @@ void walk_group(const GroupTask& t, std::size_t g0, int gn, Workspace& ws,
     ws.nxt.clear();
   }
 
-  flush_list(t, list, gn, g0, acc_x, acc_y, acc_z, acc_p, counts, stats);
+  flush();
 
   // --- store results -------------------------------------------------------
   const real g = cfg.g;
   for (int lane = 0; lane < gn; ++lane) {
-    t.ax[g0 + lane] = g * acc_x[lane];
-    t.ay[g0 + lane] = g * acc_y[lane];
-    t.az[g0 + lane] = g * acc_z[lane];
+    t.ax[g0 + lane] = g * acc.x[lane];
+    t.ay[g0 + lane] = g * acc.y[lane];
+    t.az[g0 + lane] = g * acc.z[lane];
     if (!t.pot.empty()) {
       // Gravity: remove the self-interaction potential introduced by the
       // group's own leaf spill (force contribution is exactly zero).
       // Lennard-Jones masks self pairs to zero in the flush, so there is
       // nothing to correct.
       t.pot[g0 + lane] =
-          lj ? g * acc_p[lane]
-             : g * (acc_p[lane] + t.m[g0 + lane] / cfg.eps);
+          lj ? g * acc.p[lane]
+             : g * (acc.p[lane] + t.m[g0 + lane] / cfg.eps);
     }
   }
   counts.fp32_mul += static_cast<std::uint64_t>(gn) * 3;
@@ -1209,7 +851,9 @@ void walk_tree(const Octree& tree, std::span<const real> x,
         : ws(arena), list(arena, cap, quad) {}
   };
   WorkerState* states[runtime::Device::kMaxWorkers] = {};
-  auto run_range = [&](runtime::Worker& w, std::size_t lo, std::size_t hi) {
+  // The lane pack is chosen once for the whole walk.
+  auto run_range = [&](auto pack, runtime::Worker& w, std::size_t lo,
+                       std::size_t hi) {
     WorkerState*& st = states[w.id];
     if (st == nullptr) {
       w.arena.reset();
@@ -1221,8 +865,9 @@ void walk_tree(const Octree& tree, std::span<const real> x,
     for (std::size_t gi = lo; gi < hi; ++gi) {
       if (!group_active.empty() && group_active[gi] == 0) continue;
       const std::uint64_t before = st->local.interactions + st->local.mac_evals;
-      walk_group(task, groups[gi].first, static_cast<int>(groups[gi].count),
-                 st->ws, st->list, st->counts, st->local);
+      walk_group<decltype(pack)>(task, groups[gi].first,
+                                 static_cast<int>(groups[gi].count), st->ws,
+                                 st->list, st->counts, st->local);
       if (!group_cost.empty()) {
         // Race-free: group gi is run by exactly one worker and owns its
         // slot. Inactive groups keep their previous cost, so a group
@@ -1242,8 +887,13 @@ void walk_tree(const Octree& tree, std::span<const real> x,
     active -= static_cast<std::size_t>(
         std::count(group_active.begin(), group_active.end(), 0));
   }
-  dev.parallel_dynamic(0, groups.size(), dev.dynamic_chunk_size(active),
-                       run_range);
+  simt::simd::dispatch([&](auto pack) {
+    dev.parallel_dynamic(
+        0, groups.size(), dev.dynamic_chunk_size(active),
+        [&](runtime::Worker& w, std::size_t lo, std::size_t hi) {
+          run_range(pack, w, lo, hi);
+        });
+  });
 
   simt::OpCounts total_ops;
   WalkStats total_stats;

@@ -174,6 +174,12 @@ runtime::Device& ShardedSimulation::shard_device(int s) {
   return shards_[static_cast<std::size_t>(s)]->device();
 }
 
+std::vector<const runtime::Device*> ShardedSimulation::devices() const {
+  std::vector<const runtime::Device*> out;
+  for (const auto& shard : shards_) out.push_back(&shard->device());
+  return out;
+}
+
 const runtime::InstrumentationSink& ShardedSimulation::sink(int s) const {
   if (s < 0 || s >= shard_count()) {
     throw std::out_of_range("ShardedSimulation: shard index out of range");

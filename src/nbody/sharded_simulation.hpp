@@ -191,6 +191,9 @@ public:
   /// Shard s's device — for tests installing schedule/fault controllers
   /// and for gauges. A Simulation's one shard answers Device::current().
   [[nodiscard]] runtime::Device& shard_device(int s);
+  /// Every shard's device in shard order: the devices a run's gauges sum
+  /// over (trace::Session::finish).
+  [[nodiscard]] std::vector<const runtime::Device*> devices() const;
 
   /// Shard s's instrumentation sink: its records span the most recent
   /// step() or refresh_forces(). Before the first of those it holds the

@@ -236,7 +236,9 @@ void SessionManager::observe(trace::MetricsRegistry& m) const {
   sample.session_busy_seconds_total = st.busy_seconds_total;
   sample.quota_high_water_bytes = st.charged_high_water;
   m.record_service(sample);
-  for (const auto& d : devices_) m.observe_device(*d);
+  std::vector<const runtime::Device*> pool;
+  for (const auto& d : devices_) pool.push_back(d.get());
+  m.observe_devices(pool);
 }
 
 // --- the driver loop -------------------------------------------------------
@@ -347,7 +349,7 @@ void SessionManager::construct(Session& s) {
 void SessionManager::finish_observability(Session& s) {
   if (s.observer == nullptr) return;
   s.sim->set_instrumentation_listener(nullptr);
-  (void)s.observer->finish(s.sim->shard_device(0));
+  (void)s.observer->finish(s.sim->devices());
 }
 
 SessionManager::Outcome SessionManager::advance(Session& s,

@@ -5,19 +5,6 @@
 #include <atomic>
 
 namespace gothic::simt {
-namespace {
-
-// The lane kernels issue vfmadd as well as AVX2 ops (simd::rinv, the
-// gravity pair loop), so both must be present.
-bool cpu_has_avx2_fma() {
-#if GOTHIC_SIMD_AVX2
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-} // namespace
 
 namespace detail {
 
@@ -35,13 +22,6 @@ bool resolve_simd_selector() {
 }
 
 } // namespace detail
-
-bool simd_compiled() { return GOTHIC_SIMD_AVX2 != 0; }
-
-bool simd_available() {
-  static const bool ok = simd_compiled() && cpu_has_avx2_fma();
-  return ok;
-}
 
 bool set_simd_enabled(bool on) {
   const bool prev = simd_enabled();

@@ -82,15 +82,27 @@ void MetricsRegistry::record_step(const runtime::StepMark& mark) {
   }
 }
 
-void MetricsRegistry::observe_device(const runtime::Device& dev) {
-  arena_capacity_ = std::max(arena_capacity_, dev.arena_capacity());
-  arena_heap_allocations_ =
-      std::max(arena_heap_allocations_, dev.arena_heap_allocations());
-  workers_ = std::max(workers_, dev.workers());
-  busy_max_seconds_ = std::max(busy_max_seconds_, dev.worker_busy_seconds_max());
-  busy_total_seconds_ =
-      std::max(busy_total_seconds_, dev.worker_busy_seconds_total());
-  busy_workers_ = std::max(busy_workers_, dev.busy_worker_count());
+void MetricsRegistry::observe_devices(
+    std::span<const runtime::Device* const> devices) {
+  std::size_t capacity = 0;
+  std::uint64_t heap = 0;
+  double busy_max = 0.0;
+  double busy_total = 0.0;
+  int busy_workers = 0;
+  for (const runtime::Device* dev : devices) {
+    capacity += dev->arena_capacity();
+    heap += dev->arena_heap_allocations();
+    workers_ = std::max(workers_, dev->workers());
+    busy_max = std::max(busy_max, dev->worker_busy_seconds_max());
+    busy_total += dev->worker_busy_seconds_total();
+    busy_workers += dev->busy_worker_count();
+  }
+  arena_capacity_ = std::max(arena_capacity_, capacity);
+  arena_heap_allocations_ = std::max(arena_heap_allocations_, heap);
+  devices_ = std::max(devices_, static_cast<int>(devices.size()));
+  busy_max_seconds_ = std::max(busy_max_seconds_, busy_max);
+  busy_total_seconds_ = std::max(busy_total_seconds_, busy_total);
+  busy_workers_ = std::max(busy_workers_, busy_workers);
 }
 
 void MetricsRegistry::record_service(const ServiceSample& s) {
@@ -155,9 +167,10 @@ void MetricsRegistry::print(std::ostream& os) const {
        << " cells, " << let_bodies_total_ << " bodies\n";
   }
   if (workers_ > 0) {
-    os << "arena gauges: " << workers_ << " workers, high-water capacity "
-       << arena_capacity_ << " B, heap allocations "
-       << arena_heap_allocations_ << "\n";
+    os << "arena gauges: " << workers_ << " workers on each of "
+       << devices_ << (devices_ == 1 ? " device" : " devices")
+       << ", high-water capacity " << arena_capacity_
+       << " B, heap allocations " << arena_heap_allocations_ << "\n";
   }
   if (busy_workers_ > 0) {
     os << "worker busy time: " << busy_workers_ << " busy workers, total "

@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 
 namespace gothic::runtime {
 class Device;
@@ -99,8 +100,11 @@ public:
   void record_launch(const runtime::LaunchRecord& rec);
   /// Fold one step summary in.
   void record_step(const runtime::StepMark& mark);
-  /// Sample the device's arena gauges; high-water values are kept.
-  void observe_device(const runtime::Device& dev);
+  /// Sample the gauges of every device a run used: arena capacity, heap
+  /// allocations, busy seconds and busy workers sum over the devices, the
+  /// busiest worker is the busiest on any of them, and workers() is the
+  /// per-device worker count. High-water values across samples are kept.
+  void observe_devices(std::span<const runtime::Device* const> devices);
   /// Sample a session pool; high-water values are kept per field. The
   /// print() footer gains a service line once at least one sample landed.
   void record_service(const ServiceSample& s);
@@ -161,7 +165,7 @@ public:
     return let_bodies_total_;
   }
 
-  // Arena gauges (high-water across observe_device() samples).
+  // Arena gauges (high-water across observe_devices() samples).
   [[nodiscard]] std::size_t arena_capacity_bytes() const {
     return arena_capacity_;
   }
@@ -169,8 +173,9 @@ public:
     return arena_heap_allocations_;
   }
   [[nodiscard]] int workers() const { return workers_; }
+  [[nodiscard]] int devices() const { return devices_; }
 
-  // Per-worker busy-time gauges (high-water across observe_device()
+  // Per-worker busy-time gauges (high-water across observe_devices()
   // samples of Device's cumulative busy counters).
   [[nodiscard]] double worker_busy_seconds_max() const {
     return busy_max_seconds_;
@@ -210,6 +215,7 @@ private:
   std::size_t arena_capacity_ = 0;
   std::uint64_t arena_heap_allocations_ = 0;
   int workers_ = 0;
+  int devices_ = 0;
   double busy_max_seconds_ = 0.0;
   double busy_total_seconds_ = 0.0;
   int busy_workers_ = 0;

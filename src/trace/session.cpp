@@ -43,8 +43,8 @@ void Session::on_step(const runtime::StepMark& mark) {
   if (telemetry_) telemetry_->write_step(mark, metrics_);
 }
 
-bool Session::finish(const runtime::Device& dev) {
-  metrics_.observe_device(dev);
+bool Session::finish(const std::vector<const runtime::Device*>& devices) {
+  metrics_.observe_devices(devices);
   if (!writer_) return true;
   return writer_->write_file(path_);
 }

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace gothic::trace {
 
@@ -57,9 +58,10 @@ public:
   void on_record(const runtime::LaunchRecord& rec) override;
   void on_step(const runtime::StepMark& mark) override;
 
-  /// Sample the device's arena gauges into the registry and flush the
-  /// trace file when tracing. Returns false only on trace I/O failure.
-  bool finish(const runtime::Device& dev);
+  /// Sample the gauges of every device the run used into the registry
+  /// (MetricsRegistry::observe_devices) and flush the trace file when
+  /// tracing. Returns false only on trace I/O failure.
+  bool finish(const std::vector<const runtime::Device*>& devices);
 
 private:
   std::string path_;

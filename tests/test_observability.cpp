@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -550,7 +551,7 @@ TEST(Telemetry, SessionStreamsOneLinePerSimulationStep) {
     sim.set_instrumentation_listener(&session);
     for (int i = 0; i < steps; ++i) (void)sim.step();
     sim.set_instrumentation_listener(nullptr);
-    EXPECT_TRUE(session.finish(runtime::Device::current()));
+    EXPECT_TRUE(session.finish({&runtime::Device::current()}));
     EXPECT_EQ(session.telemetry()->lines(),
               static_cast<std::uint64_t>(steps) + 1);
     EXPECT_EQ(session.dropped(), 0u); // not tracing: nothing to drop
@@ -607,6 +608,48 @@ TEST(ShardObservability, TwoShardRunFillsShardFieldsThroughTheRegistry) {
   // K=2: gravity is global, so some remote mass is always essential.
   EXPECT_GT(m.let_cells_total(), 0u);
   EXPECT_GT(m.let_bodies_total(), 0u);
+}
+
+TEST(ShardObservability, FooterGaugesSumEveryShardDevice) {
+  // The footer reports every device of the run, not shard 0's: arena
+  // capacity, heap allocations, busy seconds and busy workers sum over
+  // both devices, the busiest worker is the busier device's, and workers
+  // stays the per-device count the telemetry stage compares against.
+  trace::Session session(/*trace_path=*/"", /*telemetry_path=*/"");
+  nbody::ShardOptions opt;
+  opt.shards = 2;
+  opt.workers = 2;
+  nbody::ShardedSimulation sim(plummer(1536, 22), small_config(), opt);
+  sim.set_instrumentation_listener(&session);
+  sim.run(3);
+  sim.set_instrumentation_listener(nullptr);
+  const runtime::Device& d0 = sim.shard_device(0);
+  const runtime::Device& d1 = sim.shard_device(1);
+  // Both devices held arenas and did work, so shard 0 alone falls short.
+  ASSERT_GT(d1.arena_capacity(), 0u);
+  ASSERT_GT(d1.busy_worker_count(), 0);
+  ASSERT_TRUE(session.finish(sim.devices()));
+
+  const trace::MetricsRegistry& m = session.metrics();
+  EXPECT_EQ(m.devices(), 2);
+  EXPECT_EQ(m.workers(), 2);
+  const std::size_t capacity = d0.arena_capacity() + d1.arena_capacity();
+  EXPECT_EQ(m.arena_capacity_bytes(), capacity);
+  EXPECT_EQ(m.arena_heap_allocations(),
+            d0.arena_heap_allocations() + d1.arena_heap_allocations());
+  EXPECT_EQ(m.worker_busy_seconds_total(),
+            d0.worker_busy_seconds_total() + d1.worker_busy_seconds_total());
+  EXPECT_EQ(m.worker_busy_seconds_max(),
+            std::max(d0.worker_busy_seconds_max(),
+                     d1.worker_busy_seconds_max()));
+  EXPECT_EQ(m.busy_workers(), d0.busy_worker_count() + d1.busy_worker_count());
+  std::ostringstream os;
+  m.print(os);
+  EXPECT_NE(os.str().find("arena gauges: 2 workers on each of 2 devices, "
+                          "high-water capacity " +
+                          std::to_string(capacity) + " B"),
+            std::string::npos)
+      << os.str();
 }
 
 // --- listener contract: replayed after the join, on the caller's thread ------

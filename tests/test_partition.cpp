@@ -397,7 +397,7 @@ TEST(Let, ExportStaysSufficientAcrossSimdPathsAtTheRadiusBoundary) {
   // setting and walk under the other — bounds computed by one path must
   // stay sufficient for a destination running the other.
   if (!simt::simd_available()) {
-    GTEST_SKIP() << "AVX2 unavailable on this host";
+    GTEST_SKIP() << "no 8-wide pack in this build";
   }
   System s = plummer(2048, 31);
   s.build();

@@ -515,7 +515,7 @@ TracedRun traced_run(const std::string& path, int steps) {
   sim.set_instrumentation_listener(&session);
   for (int i = 0; i < steps; ++i) (void)sim.step();
   sim.set_instrumentation_listener(nullptr);
-  EXPECT_TRUE(session.finish(runtime::Device::current()));
+  EXPECT_TRUE(session.finish({&runtime::Device::current()}));
   TracedRun out;
   out.records = session.writer()->record_count();
   out.steps = session.writer()->step_count();
@@ -579,7 +579,7 @@ TEST(Session, FlowEventEndpointsMatchRecordDeps) {
   sim.set_instrumentation_listener(&session);
   for (int i = 0; i < 4; ++i) (void)sim.step();
   sim.set_instrumentation_listener(nullptr);
-  ASSERT_TRUE(session.finish(runtime::Device::current()));
+  ASSERT_TRUE(session.finish({&runtime::Device::current()}));
 
   // Expected arrows: every resolvable cross-stream dep edge in the
   // buffered records, keyed "src->dst".
@@ -626,7 +626,7 @@ TEST(Session, MetricsOnlyWhenPathEmpty) {
   EXPECT_EQ(session.writer(), nullptr);
   session.on_record(synthetic_record(Kernel::WalkTree, 1, 0.0, 1e-3));
   EXPECT_EQ(session.metrics().launches(), 1u);
-  EXPECT_TRUE(session.finish(runtime::Device::current()));
+  EXPECT_TRUE(session.finish({&runtime::Device::current()}));
   EXPECT_GT(session.metrics().workers(), 0);
 }
 

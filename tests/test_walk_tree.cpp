@@ -127,9 +127,9 @@ Tallies tallies_of(const simt::OpCounts& o, const WalkStats& st) {
 /// Quiet-NaN node geometry, the way a shard view poisons what its walk
 /// may not read. The root's eight children (one run of consecutive
 /// siblings: the first eight lanes of every group's second frontier,
-/// which the AVX2 MAC sweep loads as one vector) lose com and bmax, and
+/// which the 8-wide MAC sweep loads as one vector) lose com and bmax, and
 /// every seventh deeper node loses one of com_x, com_y, com_z, bmax in
-/// turn (lanes the sweep gathers). Both substrates must open or spill a
+/// turn (lanes the sweep gathers). Both packs must open or spill a
 /// poisoned node, never accept or cull it. Returns whether the run of
 /// eight was poisoned.
 bool poison_geometry(Octree& tree) {
@@ -572,13 +572,16 @@ TEST(WalkTree, ThrowsWithoutCalcNode) {
 
 TEST(WalkTree, SimdAndScalarWalksAreBitIdenticalWithEqualCounts) {
   // GOTHIC_SIMD=1 vs =0 must be invisible: accelerations, potentials, op
-  // tallies and traversal stats all bit/count-identical. Sizes are chosen
-  // so groups hit every lane-block shape of the AVX2 flush — n=5 is pure
-  // scalar remainder, n=61 mixes full 8-lane blocks with remainders, the
-  // larger ones exercise full 32-lane groups — with the quadrupole term
-  // both off and on, on clean and on NaN-poisoned geometry.
+  // tallies and traversal stats all bit/count-identical. The kernels are
+  // one source, so this checks what only the 8-wide pack does (masked
+  // remainders, sibling-run loads, left-packed staging) against the 1-wide
+  // pack. Sizes are chosen so groups hit every block shape of the 8-wide
+  // flush — n=5 is a lone remainder, n=61 mixes whole 8-lane blocks with
+  // remainders, the larger ones exercise full 32-lane groups — with the
+  // quadrupole term both off and on, on clean and on NaN-poisoned
+  // geometry.
   if (!simt::simd_available()) {
-    GTEST_SKIP() << "AVX2 unavailable on this host";
+    GTEST_SKIP() << "no 8-wide pack in this build";
   }
   int poisoned_runs = 0;
   for (const std::size_t n : {std::size_t{5}, std::size_t{61},
@@ -642,14 +645,15 @@ TEST(WalkTree, SimdAndScalarWalksAreBitIdenticalWithEqualCounts) {
 }
 
 TEST(WalkTree, StagedAcceptsAreBitIdenticalAcrossFlushesAndCapacities) {
-  // The AVX2 MAC sweep stages accepted pseudo-particles past the list's
-  // end and, when they do not fit, the flush runs first and the staged
-  // run moves to the front. Both MACs that stage (opening angle, and
-  // acceleration with a non-empty aold) must match the scalar push bit
-  // for bit. Capacities 32 and 40 make staged runs straddle flushes and,
-  // when fewer entries were listed than were staged, overlap the front.
+  // The MAC sweep stages accepted pseudo-particles past the list's end
+  // and, when they do not fit, the flush runs first and the staged run
+  // moves to the front. The 8-wide pack's left-packed staging must match
+  // the 1-wide pack's lane-by-lane staging bit for bit for both MACs that
+  // stage (opening angle, and acceleration with a non-empty aold).
+  // Capacities 32 and 40 make staged runs straddle flushes and, when fewer
+  // entries were listed than were staged, overlap the front.
   if (!simt::simd_available()) {
-    GTEST_SKIP() << "AVX2 unavailable on this host";
+    GTEST_SKIP() << "no 8-wide pack in this build";
   }
   for (const std::size_t n : {std::size_t{61}, std::size_t{4096}}) {
     System s = plummer(n, 9300 + n);
@@ -750,8 +754,8 @@ TEST(WalkTree, GroupBoundingRadiusRoundsUpAtTheFloatBoundary) {
 // --- Lennard-Jones over the same tree walk --------------------------------
 // The force-law seam (ForceLaw::LennardJones): culling with the cutoff MAC
 // must stay conservative, the flush kernel must reproduce the direct pair
-// sum exactly up to summation order, and the AVX2 substrate must remain
-// bit-identical to the scalar one (the same contract gravity has).
+// sum exactly up to summation order, and the 8-wide pack must remain
+// bit-identical to the 1-wide one (the same contract gravity has).
 
 System uniform_cloud(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -854,7 +858,7 @@ TEST(WalkTreeLJ, ScalarAndSimdSubstratesBitIdentical) {
       scalar = run_walk(s, cfg, {}, &scalar_ops, &scalar_stats);
     }
     {
-      simt::ScopedSimd on(true); // no-op on hosts without AVX2
+      simt::ScopedSimd on(true); // no-op in builds without the 8-wide pack
       simd = run_walk(s, cfg, {}, &simd_ops, &simd_stats);
     }
     ASSERT_EQ(tallies_of(scalar_ops, scalar_stats),
@@ -891,11 +895,11 @@ TEST(WalkTreeLJ, RejectsQuadrupoleAndNonPositiveParameters) {
 
 // --- Pinned tallies ---------------------------------------------------------
 // Figs 6-10 and the §4.2 model are built from the walk's OpCounts and
-// WalkStats. The SIMD and scalar substrates share the per-batch lane-mask
-// bookkeeping, so the substrate-parity tests above cannot see a tally drift
-// in it; these constants can. They were recorded from the walk whose
-// bookkeeping still ran on per-lane bool/int arrays, and every substrate
-// and mode must keep reproducing them.
+// WalkStats. Both packs share the per-batch lane-mask bookkeeping, so the
+// substrate-parity tests above cannot see a tally drift in it; these
+// constants can. They were recorded from the walk whose bookkeeping still
+// ran on per-lane bool/int arrays, and every substrate and mode must keep
+// reproducing them.
 
 /// A uniform box plus a dense clump, equal masses: the box's groups accept
 /// distant cells, the clump's groups spill leaves and open deep cells.

@@ -290,7 +290,7 @@ TEST(WarpProperties, SimdAndScalarReductionsAreBitIdenticalOnRandomMasks) {
   // pure implementation detail: same registers bit for bit — including
   // untouched inactive lanes and IEEE special values — and same op
   // tallies, for every width and random active mask.
-  if (!simd_available()) GTEST_SKIP() << "AVX2 unavailable on this host";
+  if (!simd_available()) GTEST_SKIP() << "no 8-wide pack in this build";
   Xoshiro256 rng(505);
   for (int width : kWidths) {
     for (int trial = 0; trial < 32; ++trial) {
@@ -337,14 +337,13 @@ TEST(WarpProperties, SimdAndScalarReductionsAreBitIdenticalOnRandomMasks) {
 }
 
 TEST(Rinv, WithinTwoToTheMinus21OfOneOverSqrtAndEqualOnBothSubstrates) {
-  // simt::rinv is the gravity pair's 1/sqrt: the rsqrt estimate plus one
-  // Newton step. x86 documents the estimate to 1.5 * 2^-12 relative
+  // The packs' rinv is the gravity pair's 1/sqrt: the rsqrt estimate plus
+  // one Newton step. x86 documents the estimate to 1.5 * 2^-12 relative
   // error, so one step lands within 2^-21 whatever the vendor's table.
   // Samples: r2 log-spaced over [2^-40, 2^40], the m31 scenario's eps^2,
   // and every float in [1, 4) (every mantissa at both exponent parities,
   // which is what the estimate's table is indexed by), checked eight at a
-  // time so simd::rinv sees the same samples.
-  [[maybe_unused]] const bool simd = simd_available();
+  // time so the 8-wide pack sees the same samples.
   double worst = 0.0;
   std::size_t mismatches = 0;
   float first_mismatch = 0.0f;
@@ -356,14 +355,15 @@ TEST(Rinv, WithinTwoToTheMinus21OfOneOverSqrtAndEqualOnBothSubstrates) {
     fill = 0;
     std::array<float, 8> scalar{};
     for (std::size_t k = 0; k < 8; ++k) {
-      scalar[k] = rinv(block[k]);
+      scalar[k] = simd::F32x1::rinv(block[k]);
       const double exact = 1.0 / std::sqrt(static_cast<double>(block[k]));
       worst = std::max(worst, std::fabs(scalar[k] - exact) / exact);
     }
 #if GOTHIC_SIMD_AVX2
-    if (!simd) return;
+    using P = simd::F32x8;
     std::array<float, 8> lanes{};
-    simd::store8(lanes.data(), simd::rinv(simd::load8(block.data())));
+    P::store(lanes.data(), simd::Whole<8>{},
+             P::rinv(P::load(block.data(), simd::Whole<8>{})));
     for (std::size_t k = 0; k < 8; ++k) {
       if (std::bit_cast<std::uint32_t>(scalar[k]) !=
               std::bit_cast<std::uint32_t>(lanes[k]) &&
@@ -401,9 +401,6 @@ TEST(WarpProperties, SimdSelectorReportsAndRestoresState) {
     EXPECT_FALSE(simd_enabled());
   }
   EXPECT_EQ(simd_enabled(), initial);
-  if (!simd_compiled()) {
-    EXPECT_FALSE(simd_available());
-  }
 }
 
 } // namespace

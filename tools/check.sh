@@ -11,9 +11,14 @@
 # legs, tool smokes) and the suite's one rerun on the other warp
 # substrate.
 #
-# The SIMD stage runs tier-1 again under GOTHIC_SIMD=0 (scalar oracle)
-# and a fuzz smoke under GOTHIC_SIMD=1 (AVX2 lane kernels) and =0 — the
-# two warp substrates must be bit-identical.
+# The lane-code check fails when a file under src/gravity/ names an x86
+# intrinsic or vector type: the walk's lane kernels are written once over
+# the packs of simt/simd.hpp, and such a name is a second, pack-specific
+# copy.
+#
+# The SIMD stage runs tier-1 again under GOTHIC_SIMD=0 (the 1-wide pack)
+# and a fuzz smoke under GOTHIC_SIMD=1 (the 8-wide AVX2 pack) and =0 —
+# the two warp substrates must be bit-identical.
 #
 # The observability smoke validates gothic_run's one per-kernel table,
 # the Perfetto trace (zero dropped records), the flight-recorder incident
@@ -47,12 +52,14 @@
 # project) against this tree into build/e2e, runs its unit tests, and
 # smokes the two-shard workload with its K=2 bit-identity check.
 #
-# The scalar-only stage configures the tree without the AVX2 lane kernels
-# and without the benches (-DGOTHIC_SIMD=OFF -DGOTHIC_BUILD_BENCH=OFF,
+# The scalar-only stage configures the tree without the 8-wide pack and
+# without the benches (-DGOTHIC_SIMD=OFF -DGOTHIC_BUILD_BENCH=OFF,
 # warnings as errors) into build-scalar/, builds the default target and
-# runs test_walk_tree and test_warp_properties (the rinv accuracy test):
-# the scalar oracle then compiles without -mavx2 -mfma, so std::fmaf is a
-# library call and rsqrtss comes from the SSE header alone.
+# runs test_walk_tree, test_warp_properties (the rinv accuracy test),
+# test_shard (the LET's 1-wide mac_accept) and test_quadrupole (the
+# quadrupole push): the 1-wide pack then compiles without -mavx2 -mfma,
+# so std::fmaf is a library call and rsqrtss comes from the SSE header
+# alone.
 #
 # The ASan stage builds test_trace, test_testkit and test_walk_tree in
 # build-asan/ with GOTHIC_SANITIZE=address plus UBSan and runs them: the
@@ -77,6 +84,13 @@
 # cross-device waits under a real data-race detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== lane code in one place: no x86 intrinsics under src/gravity =="
+if grep -rnE '_mm|__m256' src/gravity/; then
+  echo "src/gravity/ names x86 intrinsics or vector types;" \
+    "lane code belongs in simt/simd.hpp" >&2
+  exit 1
+fi
 
 echo "== tier-1 verify =="
 # Warnings are errors here, so a new one fails the check.
@@ -198,14 +212,12 @@ mkdir -p bench-fresh
   mv BENCH_balance.json ../bench-fresh/BENCH_balance.json)
 echo "bench smoke passed"
 
-echo "== SIMD substrate: scalar vs AVX2 lane kernels =="
-# GOTHIC_SIMD selects the warp substrate at runtime: 1 = the AVX2 lane
-# kernels (when compiled in and the CPU reports AVX2), 0 = the scalar
-# oracle. Results and op counts are bit-identical by contract (DESIGN.md,
-# "SIMD substrate"), so the whole tier-1 suite runs under both settings
-# (=1 is the tier-1 run above, =0 here) and a fuzz smoke under each; on a
-# host without AVX2 the =1 legs degrade to the scalar path and the stage
-# still passes.
+echo "== SIMD substrate: the 1-wide vs the 8-wide pack =="
+# GOTHIC_SIMD selects the lane pack at runtime: 1 = the 8-wide AVX2 pack
+# (an AVX2 build, which needs an AVX2 and FMA host), 0 = the 1-wide pack.
+# Results and op counts are bit-identical by contract (DESIGN.md, "SIMD
+# substrate"), so the whole tier-1 suite runs under both settings (=1 is
+# the tier-1 run above, =0 here) and a fuzz smoke under each.
 (cd build && GOTHIC_SIMD=0 ctest --output-on-failure -j)
 for simd in 1 0; do
   echo "-- GOTHIC_SIMD=$simd --"
@@ -407,7 +419,9 @@ cmake -B build-scalar -S . -DGOTHIC_SIMD=OFF -DGOTHIC_BUILD_BENCH=OFF \
 cmake --build build-scalar -j
 (cd build-scalar &&
   ./tests/test_walk_tree &&
-  ./tests/test_warp_properties)
+  ./tests/test_warp_properties &&
+  ./tests/test_shard &&
+  ./tests/test_quadrupole)
 echo "scalar-only stage passed"
 
 echo "== ASan+UBSan: test_trace + test_testkit + test_walk_tree =="

@@ -166,8 +166,8 @@ std::string snapshot_name(const std::string& prefix, int step) {
   return prefix + buf;
 }
 
-/// The drive loop for any shard count (bit-identical results). Shard 0's
-/// device is the one whose arena gauges the metrics footer samples.
+/// The drive loop for any shard count (bit-identical results). The
+/// metrics footer sums the gauges of every shard's device.
 int drive(nbody::ShardedSimulation& sim, const Args& args, int steps,
           int snap_every) {
   const std::string prefix = args.get("out", "gothic_");
@@ -221,7 +221,7 @@ int drive(nbody::ShardedSimulation& sim, const Args& args, int steps,
     std::cout << "final state written to " << csv << "\n";
   }
   sim.set_instrumentation_listener(nullptr);
-  const bool ok = session.finish(sim.shard_device(0));
+  const bool ok = session.finish(sim.devices());
   session.metrics().print(std::cout);
   if (session.tracing()) {
     // Non-zero drops mean the bounded trace buffer truncated the
